@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     ParityError,
     RingcolError,
+    SoundnessError,
 )
 from .graphs import (
     Edge,
@@ -42,12 +43,16 @@ from .search import (
     BoundReport,
     SearchConfig,
     SearchOutcome,
+    SpanProfile,
+    chromatic_index_search,
     compute_W,
     compute_chromatic_index,
     compute_w,
     continuity_scan,
     find_interval_t,
     find_proper_t,
+    scan_cap,
+    span_profile,
 )
 
 __version__ = "0.1.0"
@@ -70,11 +75,14 @@ __all__ = [
     "RingcolError",
     "SearchConfig",
     "SearchOutcome",
+    "SoundnessError",
+    "SpanProfile",
     "Spectrum",
     "VerificationReport",
     "Vertex",
     "bounds_summary",
     "build_graph",
+    "chromatic_index_search",
     "complete_bipartite",
     "compute_W",
     "compute_chromatic_index",
@@ -87,6 +95,8 @@ __all__ = [
     "mirrored_staircase_coloring",
     "ring_chromatic_index",
     "ring_graph",
+    "scan_cap",
+    "span_profile",
     "spectrum",
     "staircase_coloring",
     "t_coloring",

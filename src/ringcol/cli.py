@@ -46,14 +46,16 @@ from .graphs import RingParams, ring_graph
 from .search import (
     STRATEGIES,
     SearchConfig,
-    compute_W,
-    compute_chromatic_index,
-    compute_w,
-    continuity_scan,
+    chromatic_index_search,
     find_interval_t,
+    span_profile,
 )
 
 ENV_NODE_LIMIT = "RINGCOL_NODE_LIMIT"
+T_MAX_HELP = (
+    "largest t the span scans ask about (default: the smaller of |E| and the "
+    "Asratian-Kamalian bound on the greatest span; pass |E| to settle every t by exhaustion)"
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -199,14 +201,15 @@ def cmd_bounds_exact(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = ring_graph(params)
     cfg = _search_config(args)
 
-    w_report = compute_w(g, cfg)
-    W_report = compute_W(g, cfg)
-    budget_hit = "inconclusive" in (w_report.status, W_report.status) or W_report.status == "lower_bound_only"
-    try:
-        chi: dict[str, Any] = {"value": compute_chromatic_index(g, cfg), "status": "exact"}
-    except BudgetExhaustedError:
-        chi = {"value": None, "status": "inconclusive"}
-        budget_hit = True
+    profile = span_profile(g, cfg)
+    w_report, W_report = profile.w, profile.W
+    chi_value, _ = chromatic_index_search(g, cfg)
+    chi = {"value": chi_value, "status": "inconclusive" if chi_value is None else "exact"}
+    budget_hit = (
+        chi_value is None
+        or "inconclusive" in (w_report.status, W_report.status)
+        or W_report.status == "lower_bound_only"
+    )
 
     doc = {
         "n": args.n,
@@ -215,7 +218,9 @@ def cmd_bounds_exact(args: argparse.Namespace, artifacts: list[str]) -> int:
         "w": _tri_value(w_report),
         "W": _tri_value(W_report),
         "chi_prime": chi,
+        "continuity": profile.continuity_status,
         "t_max": W_report.t_max,
+        "t_max_source": W_report.t_max_source,
     }
     _print_json(doc)
     if args.out:
@@ -229,31 +234,9 @@ def _sweep_cell(n: int, k: int, cfg: SearchConfig) -> dict[str, Any]:
     g = ring_graph(params)
     summary = bounds_summary(params)
 
-    nodes = 0
-    try:
-        chi_oracle: int | None = compute_chromatic_index(g, cfg)
-    except BudgetExhaustedError:
-        chi_oracle = None
-
-    w_report = compute_w(g, cfg)
-    nodes += w_report.nodes_explored
-    W_report = compute_W(g, cfg)
-    nodes += W_report.nodes_explored
-
-    if w_report.value is None:
-        continuity = "n/a" if w_report.status == "not_interval_colorable" else "inconclusive"
-    elif W_report.value is None:
-        continuity = "inconclusive"
-    else:
-        scan = continuity_scan(g, cfg, t_hi=W_report.value)
-        statuses = {status for _, status in scan}
-        if statuses <= {"witness"}:
-            continuity = "ok"
-        elif "infeasible" in statuses:
-            gaps = [t for t, status in scan if status == "infeasible"]
-            continuity = f"gap(t={','.join(map(str, gaps))})"
-        else:
-            continuity = "inconclusive"
+    chi_oracle, chi_nodes = chromatic_index_search(g, cfg)
+    profile = span_profile(g, cfg)
+    w_report, W_report = profile.w, profile.W
 
     def blank(x: Any) -> Any:
         return "" if x is None else x
@@ -281,8 +264,8 @@ def _sweep_cell(n: int, k: int, cfg: SearchConfig) -> dict[str, Any]:
         "W_lower_formula": blank(summary.W_lower),
         "W_oracle": blank(W_report.value),
         "W_status": W_report.status,
-        "continuity": continuity,
-        "nodes_explored": nodes,
+        "continuity": profile.continuity_status,
+        "nodes_explored": chi_nodes + profile.nodes_explored,
     }
 
 
@@ -383,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=int, default=None)
+    p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
     p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
     p.add_argument("--out", default=None)
 
@@ -392,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.csv and <out>.json")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=int, default=None)
+    p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
     p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
 
     p = add("export-dot", cmd_export_dot, "write GraphViz DOT for a graph (optionally colored)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .coloring import EdgeColoring
-from .errors import BudgetExhaustedError, ParameterError, ParityError
+from .errors import BudgetExhaustedError, ParameterError, ParityError, SoundnessError
 from .graphs import Edge, RingParams, Vertex, make_edge, ring_graph
 
 if TYPE_CHECKING:
@@ -67,7 +67,7 @@ def mirrored_staircase_coloring(params: RingParams) -> EdgeColoring:
     i = 1 .. k/2 - 1 the pairs (i, i+1) and (k-i, k-i+1) both carry the
     staircase shifted by i*n; finally the middle pair (k/2, k/2+1) carries
     the staircase shifted by n*k/2. For even k these pairs partition the
-    edge set, which is asserted at the end.
+    edge set, which is checked at the end.
     """
     n, k = params.n, params.k
     if k % 2 != 0:
@@ -79,7 +79,8 @@ def mirrored_staircase_coloring(params: RingParams) -> EdgeColoring:
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 e = make_edge(Vertex(lo_layer, p), Vertex(hi_layer, q))
-                assert e not in colors, f"edge {e} colored twice"
+                if e in colors:
+                    raise SoundnessError(f"edge {e} colored twice")
                 colors[e] = p + q - 1 + shift
 
     paint_pair(k, 1, 0)
@@ -88,7 +89,8 @@ def mirrored_staircase_coloring(params: RingParams) -> EdgeColoring:
         paint_pair(k - i, k - i + 1, i * n)
     paint_pair(k // 2, k // 2 + 1, n * k // 2)
 
-    assert len(colors) == n * n * k, "rules must color every edge exactly once"
+    if len(colors) != n * n * k:
+        raise SoundnessError("the layer-pair rules must color every edge exactly once")
     return EdgeColoring(colors=colors, t=widest_constructed_t(params))
 
 

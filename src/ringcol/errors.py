@@ -41,3 +41,9 @@ class FormatError(RingcolError, ValueError):
 
 class BudgetExhaustedError(RingcolError, RuntimeError):
     """A search hit its node budget before reaching a definite answer."""
+
+
+class SoundnessError(RingcolError, RuntimeError):
+    """An internal soundness check failed, such as a search witness that the
+    verifier rejects. This is a bug in the package, never bad input, and the
+    check runs under ``python -O`` too."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, SoundnessError
 
 __all__ = [
     "Vertex",
@@ -149,7 +149,8 @@ def build_graph(
         adjacency[e.v].append(e)
     adj = {v: tuple(inc) for v, inc in adjacency.items()}
 
-    assert sum(len(inc) for inc in adj.values()) == 2 * len(esorted)
+    if sum(len(inc) for inc in adj.values()) != 2 * len(esorted):
+        raise SoundnessError("adjacency lists must hold every edge once per endpoint")
     return Graph(n=n, k=k, vertices=vsorted, edges=esorted, adjacency=adj)
 
 

@@ -170,6 +170,7 @@ def bound_report_to_dict(r: BoundReport) -> dict[str, Any]:
         "value": r.value,
         "status": r.status,
         "t_max": r.t_max,
+        "t_max_source": r.t_max_source,
         "nodes_explored": r.nodes_explored,
         "trail": [[t, status] for t, status in r.trail],
     }

@@ -9,22 +9,12 @@ the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
 Two engines implement the same decision problem so they can cross-validate
-each other:
-
-* ``edge_dfs`` assigns colors edge by edge in a fixed connectivity-friendly
-  order, pruning on properness, on the color spread at each endpoint (the
-  spread of a final spectrum cannot exceed the degree), and on whether the
-  not-yet-used colors still fit on the remaining edges.
-* ``start_assignment`` first enumerates, per vertex, the lowest color of its
-  spectrum; each edge may then only take colors in the intersection of its
-  endpoints' spectrum windows, and a per-window exact assignment is decided
-  by backtracking with a fewest-options-first edge order. This prunes far
-  harder on dense instances.
-
-Both engines break the one global symmetry of the problem, the reflection
-c -> t + 1 - c, by capping the color of a designated edge (the canonically
-smallest one) at ceil(t/2): any witness either respects the cap or reflects
-to one that does, so the answer is unchanged while the space halves.
+each other: ``edge_dfs`` colors edge by edge, and ``start_assignment``
+fixes each vertex's spectrum window first (see ``ringcol.engines``).
+``find_interval_t`` asks one of them for one t; ``find_proper_t`` decides
+proper t-colorability for the chromatic index. The span scans
+(``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
+series of such queries, up to the cap that ``scan_cap`` reports.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -34,20 +24,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coloring import EdgeColoring, verify
-from .errors import BudgetExhaustedError, ParameterError
-from .graphs import Edge, Graph, Vertex
+from .engines import Budget, OutOfBudget, edge_dfs, proper_dfs, start_assignment
+from .errors import BudgetExhaustedError, ParameterError, SoundnessError
+from .graphs import Graph
 
 __all__ = [
     "STRATEGIES",
     "SearchConfig",
     "SearchOutcome",
     "BoundReport",
+    "SpanProfile",
     "find_interval_t",
     "find_proper_t",
+    "scan_cap",
+    "span_profile",
     "compute_w",
     "compute_W",
+    "chromatic_index_search",
     "compute_chromatic_index",
     "continuity_scan",
 ]
@@ -63,10 +59,14 @@ EXHAUSTED = "exhausted_budget"
 class SearchConfig:
     """Budget and strategy knobs for one feasibility query or span scan.
 
-    ``t_max`` caps span scans; it defaults to |E(G)| because every color of
-    the palette must appear on some edge, so no interval t-coloring with
-    t > |E| exists. ``node_limit`` bounds the number of decision nodes per
-    query (None = unbounded).
+    ``t_max`` caps span scans. When it is None the cap is the smaller of
+    |E(G)| (every palette color needs an edge, so no interval t-coloring with
+    t > |E| exists) and, for a connected graph, the Asratian–Kamalian bound
+    on the greatest span (see ``scan_cap``). An explicit value always wins:
+    ``t_max=len(g.edges)`` forces the scan to exhaust every t up to |E|
+    without citing the theorem. It never affects a single
+    ``find_interval_t`` query. ``node_limit`` bounds the number of decision
+    nodes per query (None = unbounded).
     """
 
     t_max: int | None = None
@@ -100,69 +100,26 @@ class SearchOutcome:
 class BoundReport:
     """Result of a span scan (least or greatest feasible t).
 
-    ``trail`` records the per-t query statuses in scan order, ``t_max`` the
-    cap that was in force. Statuses: "exact" (value settled by exhaustion),
-    "lower_bound_only" (witness found but some larger t hit the budget),
-    "inconclusive" (budget ran out before any answer), and
-    "not_interval_colorable" (every t up to the cap exhausted as infeasible).
+    ``trail`` records the per-t statuses in scan order. ``t_max`` is the cap
+    that was in force and ``t_max_source`` where it came from: "t_max" (set
+    in the SearchConfig), "edges" (|E|, the trivial cap), or
+    "asratian_kamalian_bipartite" / "asratian_kamalian" (the theorem bound
+    on the greatest span of a connected interval-colorable graph, which then
+    stands in for exhausting every t between it and |E|). Statuses: "exact"
+    (value settled by exhaustion up to the cap), "lower_bound_only" (witness
+    found but some larger t hit the budget), "inconclusive" (budget ran out
+    before any answer), and "not_interval_colorable" (every t up to the cap
+    exhausted as infeasible). ``nodes_explored`` counts the nodes of the
+    queries this scan made itself; a t already answered earlier in the same
+    span profile is read from its table and costs nothing.
     """
 
     value: int | None
     status: str
     t_max: int
+    t_max_source: str
     nodes_explored: int
     trail: tuple[tuple[int, str], ...] = ()
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int | None) -> None:
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise _OutOfBudget
-
-
-def _connected_edge_order(g: Graph) -> list[Edge]:
-    """Canonical smallest-first order that keeps each prefix connected where
-    possible, so early assignments constrain later ones."""
-    remaining = set(g.edges)
-    covered: set[Vertex] = set()
-    order: list[Edge] = []
-    while remaining:
-        touching = [e for e in remaining if e.u in covered or e.v in covered]
-        e = min(touching) if touching else min(remaining)
-        order.append(e)
-        remaining.remove(e)
-        covered.add(e.u)
-        covered.add(e.v)
-    return order
-
-
-def _bfs_vertex_order(g: Graph) -> list[Vertex]:
-    order: list[Vertex] = []
-    seen: set[Vertex] = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
 
 
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -179,231 +136,20 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     if t > m:
         return SearchOutcome(INFEASIBLE, None, 0)
 
-    budget = _Budget(cfg.node_limit)
-    engine = _edge_dfs if cfg.strategy == "edge_dfs" else _start_assignment
+    budget = Budget(cfg.node_limit)
+    engine = edge_dfs if cfg.strategy == "edge_dfs" else start_assignment
     try:
         assignment = engine(g, t, budget)
-    except _OutOfBudget:
+    except OutOfBudget:
         return SearchOutcome(EXHAUSTED, None, budget.nodes)
 
     if assignment is None:
         return SearchOutcome(INFEASIBLE, None, budget.nodes)
 
     witness = EdgeColoring(colors=assignment, t=t)
-    report = verify(g, witness)
-    assert report.is_interval_coloring, "engine produced a non-interval witness"
+    if not verify(g, witness).is_interval_coloring:
+        raise SoundnessError(f"{cfg.strategy} produced a non-interval witness at t={t}")
     return SearchOutcome(WITNESS, witness, budget.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Engine 1: edge-by-edge DFS
-# ---------------------------------------------------------------------------
-
-
-def _edge_dfs(g: Graph, t: int, budget: _Budget) -> dict[Edge, int] | None:
-    edges = _connected_edge_order(g)
-    m = len(edges)
-    if m == 0:
-        return None
-
-    deg = {v: g.degree(v) for v in g.vertices}
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    lo: dict[Vertex, int] = {}
-    hi: dict[Vertex, int] = {}
-    count = [0] * (t + 1)
-    assignment: dict[Edge, int] = {}
-    first_cap = (t + 1) // 2
-
-    def rec(i: int, unused: int) -> bool:
-        if i == m:
-            return unused == 0
-        e = edges[i]
-        u, v = e
-        remaining_after = m - i - 1
-        cap = first_cap if i == 0 else t
-        used_u, used_v = used[u], used[v]
-        for c in range(1, cap + 1):
-            if c in used_u or c in used_v:
-                continue
-            ulo, uhi = lo.get(u, c), hi.get(u, c)
-            nulo, nuhi = min(ulo, c), max(uhi, c)
-            if nuhi - nulo + 1 > deg[u]:
-                continue
-            vlo, vhi = lo.get(v, c), hi.get(v, c)
-            nvlo, nvhi = min(vlo, c), max(vhi, c)
-            if nvhi - nvlo + 1 > deg[v]:
-                continue
-            new_unused = unused - 1 if count[c] == 0 else unused
-            if new_unused > remaining_after:
-                continue
-
-            budget.spend()
-            used_u.add(c)
-            used_v.add(c)
-            old = (lo.get(u), hi.get(u), lo.get(v), hi.get(v))
-            lo[u], hi[u] = nulo, nuhi
-            lo[v], hi[v] = nvlo, nvhi
-            count[c] += 1
-            assignment[e] = c
-
-            if rec(i + 1, new_unused):
-                return True
-
-            del assignment[e]
-            count[c] -= 1
-            used_u.discard(c)
-            used_v.discard(c)
-            _restore(lo, hi, u, old[0], old[1])
-            _restore(lo, hi, v, old[2], old[3])
-        return False
-
-    return dict(assignment) if rec(0, t) else None
-
-
-def _restore(lo: dict[Vertex, int], hi: dict[Vertex, int], v: Vertex, old_lo: int | None, old_hi: int | None) -> None:
-    if old_lo is None:
-        lo.pop(v, None)
-        hi.pop(v, None)
-    else:
-        lo[v] = old_lo
-        hi[v] = old_hi  # type: ignore[assignment]
-
-
-# ---------------------------------------------------------------------------
-# Engine 2: spectrum-start enumeration + exact window assignment
-# ---------------------------------------------------------------------------
-
-
-def _start_assignment(g: Graph, t: int, budget: _Budget) -> dict[Edge, int] | None:
-    verts = [v for v in _bfs_vertex_order(g) if g.degree(v) > 0]
-    nv = len(verts)
-    if nv == 0:
-        return None
-    deg = [g.degree(v) for v in verts]
-    if any(d > t for d in deg):
-        return None  # no spectrum window fits: the start space is empty
-
-    pos = {v: i for i, v in enumerate(verts)}
-    earlier: list[list[int]] = [[] for _ in range(nv)]
-    for e in g.edges:
-        iu, iv = pos[e.u], pos[e.v]
-        if iu > iv:
-            iu, iv = iv, iu
-        earlier[iv].append(iu)
-
-    e0 = min(g.edges)
-    cap = (t + 1) // 2
-    i_e0u, i_e0v = pos[e0.u], pos[e0.v]
-
-    start = [0] * nv
-    cover = [0] * (t + 2)
-
-    def window_ok(i: int, s: int) -> bool:
-        d = deg[i]
-        for j in earlier[i]:
-            sj = start[j]
-            if sj + deg[j] - 1 < s or s + d - 1 < sj:
-                return False  # the shared edge would have no usable color
-        if i == max(i_e0u, i_e0v):
-            if max(s, start[min(i_e0u, i_e0v)]) > cap:
-                return False  # designated edge forced above the reflection cap
-        return True
-
-    def covers_palette() -> bool:
-        return all(cover[c] > 0 for c in range(1, t + 1))
-
-    def parity_ok() -> bool:
-        # Each vertex must use every color of its window exactly once, so the
-        # edges of one color form a perfect matching on the vertices whose
-        # window contains it: an odd count is an immediate contradiction.
-        return all(cover[c] % 2 == 0 for c in range(1, t + 1))
-
-    def enumerate_starts(i: int) -> dict[Edge, int] | None:
-        if i == nv:
-            if not covers_palette() or not parity_ok():
-                return None
-            return _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
-        d = deg[i]
-        for s in range(1, t - d + 2):
-            if not window_ok(i, s):
-                continue
-            budget.spend()
-            start[i] = s
-            for c in range(s, s + d):
-                cover[c] += 1
-            found = enumerate_starts(i + 1)
-            for c in range(s, s + d):
-                cover[c] -= 1
-            if found is not None:
-                return found
-        return None
-
-    return enumerate_starts(0)
-
-
-def _assign_in_windows(
-    g: Graph,
-    t: int,
-    budget: _Budget,
-    pos: dict[Vertex, int],
-    start: list[int],
-    deg: list[int],
-    e0: Edge,
-    cap: int,
-) -> dict[Edge, int] | None:
-    """Exact assignment once every spectrum window is fixed: each edge takes a
-    color in the intersection of its endpoints' windows, all colors distinct
-    at every vertex. Window sizes equal degrees, so a solution uses each
-    window color exactly once and is an interval coloring by construction."""
-    edges = list(g.edges)
-    domains: dict[Edge, list[int]] = {}
-    for e in edges:
-        iu, iv = pos[e.u], pos[e.v]
-        lo = max(start[iu], start[iv])
-        hi = min(start[iu] + deg[iu] - 1, start[iv] + deg[iv] - 1)
-        if e == e0:
-            hi = min(hi, cap)
-        if lo > hi:
-            return None
-        domains[e] = list(range(lo, hi + 1))
-
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    assignment: dict[Edge, int] = {}
-    unassigned = set(edges)
-
-    def options(e: Edge) -> list[int]:
-        uu, uv = used[e.u], used[e.v]
-        return [c for c in domains[e] if c not in uu and c not in uv]
-
-    def rec() -> bool:
-        if not unassigned:
-            return True
-        best: Edge | None = None
-        best_opts: list[int] = []
-        for e in sorted(unassigned):
-            opts = options(e)
-            if best is None or len(opts) < len(best_opts):
-                best, best_opts = e, opts
-                if len(opts) <= 1:
-                    break
-        assert best is not None
-        if not best_opts:
-            return False
-        unassigned.remove(best)
-        for c in best_opts:
-            budget.spend()
-            assignment[best] = c
-            used[best.u].add(c)
-            used[best.v].add(c)
-            if rec():
-                return True
-            used[best.u].discard(c)
-            used[best.v].discard(c)
-            del assignment[best]
-        unassigned.add(best)
-        return False
-
-    return dict(assignment) if rec() else None
 
 
 # ---------------------------------------------------------------------------
@@ -422,48 +168,17 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     cfg = cfg or SearchConfig()
-    budget = _Budget(cfg.node_limit)
+    budget = Budget(cfg.node_limit)
     try:
-        assignment = _proper_dfs(g, t, budget)
-    except _OutOfBudget:
+        assignment = proper_dfs(g, t, budget)
+    except OutOfBudget:
         return SearchOutcome(EXHAUSTED, None, budget.nodes)
     if assignment is None:
         return SearchOutcome(INFEASIBLE, None, budget.nodes)
     witness = EdgeColoring(colors=assignment, t=t)
-    report = verify(g, witness)
-    assert report.is_proper, "engine produced an improper witness"
+    if not verify(g, witness).is_proper:
+        raise SoundnessError(f"proper search produced an improper witness at t={t}")
     return SearchOutcome(WITNESS, witness, budget.nodes)
-
-
-def _proper_dfs(g: Graph, t: int, budget: _Budget) -> dict[Edge, int] | None:
-    edges = _connected_edge_order(g)
-    m = len(edges)
-    if m == 0:
-        return {}
-
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    assignment: dict[Edge, int] = {}
-
-    def rec(i: int, palette_high: int) -> bool:
-        if i == m:
-            return True
-        e = edges[i]
-        used_u, used_v = used[e.u], used[e.v]
-        for c in range(1, min(t, palette_high + 1) + 1):
-            if c in used_u or c in used_v:
-                continue
-            budget.spend()
-            used_u.add(c)
-            used_v.add(c)
-            assignment[e] = c
-            if rec(i + 1, max(palette_high, c)):
-                return True
-            del assignment[e]
-            used_u.discard(c)
-            used_v.discard(c)
-        return False
-
-    return dict(assignment) if rec(0, 0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -471,104 +186,237 @@ def _proper_dfs(g: Graph, t: int, budget: _Budget) -> dict[Edge, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _effective_t_max(g: Graph, cfg: SearchConfig) -> int:
-    return cfg.t_max if cfg.t_max is not None else len(g.edges)
+def _asratian_kamalian_bound(g: Graph) -> tuple[int, str] | None:
+    """Asratian–Kamalian (J. Combin. Theory B 62, 1994): a connected
+    interval-colorable graph has W <= diam*(Delta-1) + 1 when it is bipartite
+    and W <= (diam+1)*(Delta-1) + 1 in general.
+
+    One BFS per vertex gives the diameter; a connected graph is bipartite
+    exactly when no edge joins two vertices at the same BFS depth. Returns
+    None for a graph without edges or one that is not connected, where the
+    theorem does not apply.
+    """
+    if not g.edges:
+        return None
+    diam = 0
+    bipartite = True
+    for root in g.vertices:
+        depth = {root: 0}
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+                elif depth[w] == depth[v]:
+                    bipartite = False
+        if len(depth) < len(g.vertices):
+            return None
+        diam = max(diam, max(depth.values()))
+    delta = g.max_degree()
+    if bipartite:
+        return diam * (delta - 1) + 1, "asratian_kamalian_bipartite"
+    return (diam + 1) * (delta - 1) + 1, "asratian_kamalian"
 
 
-def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
-    """Least t with an interval t-coloring, scanning upward from the maximum
-    degree (no smaller t can host a max-degree vertex's spectrum)."""
+def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
+    """The largest t a span scan asks about, and where that cap comes from.
+
+    An explicit ``cfg.t_max`` wins ("t_max"). Otherwise the cap is |E|
+    ("edges") unless the Asratian–Kamalian bound is strictly smaller. Above
+    that bound a connected graph has no interval coloring at any t, so a
+    scan that stops there still settles w and W.
+    """
     cfg = cfg or SearchConfig()
-    t_cap = _effective_t_max(g, cfg)
-    t_lo = max(1, g.max_degree())
+    if cfg.t_max is not None:
+        return cfg.t_max, "t_max"
+    m = len(g.edges)
+    theorem = _asratian_kamalian_bound(g)
+    if theorem is not None and theorem[0] < m:
+        return theorem
+    return m, "edges"
+
+
+class _SpanScan:
+    """One scan's view of a span table for g under cfg. A t missing from the
+    table is asked through the module-level ``find_interval_t`` and added to
+    it; ``nodes`` counts only the queries this scan made itself."""
+
+    def __init__(self, g: Graph, cfg: SearchConfig | None, memo: dict[int, SearchOutcome] | None) -> None:
+        self.g = g
+        self.cfg = cfg or SearchConfig()
+        self.memo = {} if memo is None else memo
+        self.t_lo = max(1, g.max_degree())
+        self.nodes = 0
+
+    @cached_property
+    def cap(self) -> tuple[int, str]:
+        return scan_cap(self.g, self.cfg)
+
+    def status(self, t: int) -> str:
+        if t not in self.memo:
+            outcome = find_interval_t(self.g, t, self.cfg)
+            self.nodes += outcome.nodes_explored
+            self.memo[t] = outcome
+        return self.memo[t].status
+
+    def report(self, value: int | None, status: str, trail: list[tuple[int, str]]) -> BoundReport:
+        t_max, source = self.cap
+        return BoundReport(value, status, t_max, source, self.nodes, tuple(trail))
+
+
+@dataclass(frozen=True)
+class SpanProfile:
+    """One span scan of a graph: ``w`` and ``W`` as BoundReports, and the
+    statuses of every t in [max degree, W] (``continuity``; None unless both
+    w and W were found). ``trail`` lists each query the scan made, in order,
+    and ``nodes_explored`` is their total."""
+
+    w: BoundReport
+    W: BoundReport
+    continuity: tuple[tuple[int, str], ...] | None
+    trail: tuple[tuple[int, str], ...]
+    nodes_explored: int
+
+    @property
+    def continuity_status(self) -> str:
+        """"ok" when every t in [max degree, W] has a witness, "gap(t=...)"
+        listing the t proven infeasible, "n/a" for a graph with no interval
+        coloring within the cap, "inconclusive" when a budget got in the way."""
+        if self.continuity is None:
+            return "n/a" if self.w.status == "not_interval_colorable" else "inconclusive"
+        gaps = [t for t, status in self.continuity if status == INFEASIBLE]
+        if gaps:
+            return f"gap(t={','.join(map(str, gaps))})"
+        if all(status == WITNESS for _, status in self.continuity):
+            return "ok"
+        return "inconclusive"
+
+
+def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
+    """w, W and continuity from one scan that asks each t at most once.
+
+    The scan goes upward from the maximum degree to the first witness (w),
+    downward from the cap to the first witness (W), and then over the t
+    strictly between them not yet asked. It runs ``compute_w``,
+    ``compute_W`` and ``continuity_scan`` in turn on one table that lives
+    only inside this call, so node counts never depend on call history.
+    """
+    memo: dict[int, SearchOutcome] = {}
+    w = compute_w(g, cfg, memo=memo)
+    W = compute_W(g, cfg, memo=memo)
+    continuity = None
+    if w.value is not None and W.value is not None:
+        continuity = tuple(continuity_scan(g, cfg, t_hi=W.value, memo=memo))
+    trail = tuple((t, outcome.status) for t, outcome in memo.items())
+    return SpanProfile(w, W, continuity, trail, sum(o.nodes_explored for o in memo.values()))
+
+
+def compute_w(
+    g: Graph,
+    cfg: SearchConfig | None = None,
+    *,
+    memo: dict[int, SearchOutcome] | None = None,
+) -> BoundReport:
+    """Least t with an interval t-coloring, scanning upward from the maximum
+    degree (no smaller t can host a max-degree vertex's spectrum) to the
+    first witness.
+
+    ``memo`` (t -> SearchOutcome for the same g and cfg) lets the scans of
+    one ``span_profile`` share their answers: a t found there is read, not
+    asked again, and new answers are added. The report's ``nodes_explored``
+    counts only the queries this call made.
+    """
+    scan = _SpanScan(g, cfg, memo)
     trail: list[tuple[int, str]] = []
-    nodes = 0
-    for t in range(t_lo, t_cap + 1):
-        outcome = find_interval_t(g, t, cfg)
-        nodes += outcome.nodes_explored
-        trail.append((t, outcome.status))
-        if outcome.status == WITNESS:
-            return BoundReport(t, "exact", t_cap, nodes, tuple(trail))
-        if outcome.status == EXHAUSTED:
-            return BoundReport(None, "inconclusive", t_cap, nodes, tuple(trail))
-    return BoundReport(None, "not_interval_colorable", t_cap, nodes, tuple(trail))
+    for t in range(scan.t_lo, scan.cap[0] + 1):
+        status = scan.status(t)
+        trail.append((t, status))
+        if status == WITNESS:
+            return scan.report(t, "exact", trail)
+        if status == EXHAUSTED:
+            return scan.report(None, "inconclusive", trail)
+    return scan.report(None, "not_interval_colorable", trail)
 
 
-def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
-    """Greatest t with an interval t-coloring, scanning downward from the cap.
+def compute_W(
+    g: Graph,
+    cfg: SearchConfig | None = None,
+    *,
+    memo: dict[int, SearchOutcome] | None = None,
+) -> BoundReport:
+    """Greatest t with an interval t-coloring, scanning downward from the
+    cap that ``scan_cap`` reports (``memo`` as in ``compute_w``).
 
     Feasibility is not monotone in t, so every t above the answer must be
-    exhausted individually before the answer is called exact; budget hits on
+    exhausted on its own before the answer is called exact; budget hits on
     the way down degrade the claim to lower_bound_only.
     """
-    cfg = cfg or SearchConfig()
-    t_cap = _effective_t_max(g, cfg)
-    t_lo = max(1, g.max_degree())
+    scan = _SpanScan(g, cfg, memo)
     trail: list[tuple[int, str]] = []
-    nodes = 0
     saw_budget_hit = False
-    for t in range(t_cap, t_lo - 1, -1):
-        outcome = find_interval_t(g, t, cfg)
-        nodes += outcome.nodes_explored
-        trail.append((t, outcome.status))
-        if outcome.status == WITNESS:
-            status = "lower_bound_only" if saw_budget_hit else "exact"
-            return BoundReport(t, status, t_cap, nodes, tuple(trail))
-        if outcome.status == EXHAUSTED:
+    for t in range(scan.cap[0], scan.t_lo - 1, -1):
+        status = scan.status(t)
+        trail.append((t, status))
+        if status == WITNESS:
+            return scan.report(t, "lower_bound_only" if saw_budget_hit else "exact", trail)
+        if status == EXHAUSTED:
             saw_budget_hit = True
-    if saw_budget_hit:
-        return BoundReport(None, "inconclusive", t_cap, nodes, tuple(trail))
-    return BoundReport(None, "not_interval_colorable", t_cap, nodes, tuple(trail))
-
-
-def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> int:
-    """Least number of colors in any proper edge coloring, by search at the
-    degree bound and, when that is exhausted as infeasible, one above it.
-
-    Raises BudgetExhaustedError instead of guessing when a budget cuts a
-    query short.
-    """
-    cfg = cfg or SearchConfig()
-    if not g.edges:
-        return 0
-    delta = g.max_degree()
-    at_delta = find_proper_t(g, delta, cfg)
-    if at_delta.status == WITNESS:
-        return delta
-    if at_delta.status == EXHAUSTED:
-        raise BudgetExhaustedError(
-            f"budget exhausted deciding proper {delta}-colorability "
-            f"(nodes={at_delta.nodes_explored})"
-        )
-    above = find_proper_t(g, delta + 1, cfg)
-    if above.status == WITNESS:
-        return delta + 1
-    if above.status == EXHAUSTED:
-        raise BudgetExhaustedError(
-            f"budget exhausted deciding proper {delta + 1}-colorability "
-            f"(nodes={above.nodes_explored})"
-        )
-    raise RuntimeError("no proper coloring with max_degree + 1 colors; not a simple graph?")
+    return scan.report(None, "inconclusive" if saw_budget_hit else "not_interval_colorable", trail)
 
 
 def continuity_scan(
     g: Graph,
     cfg: SearchConfig | None = None,
     t_hi: int | None = None,
+    *,
+    memo: dict[int, SearchOutcome] | None = None,
 ) -> list[tuple[int, str]]:
-    """Query every t from the maximum degree up to t_hi (default: the
-    computed greatest span) and report the per-t statuses.
+    """Statuses of every t from the maximum degree up to t_hi (default: the
+    computed greatest span, whose witness query is not repeated; ``memo`` as
+    in ``compute_w``).
 
     Returns [] when the graph has no interval coloring at all within the
     cap. For regular interval-colorable graphs every returned status is
     expected to be a witness; a gap would falsify the continuity property
     this scan exists to confirm.
     """
-    cfg = cfg or SearchConfig()
+    scan = _SpanScan(g, cfg, memo)
     if t_hi is None:
-        top = compute_W(g, cfg)
-        if top.value is None:
+        t_hi = compute_W(g, cfg, memo=scan.memo).value
+        if t_hi is None:
             return []
-        t_hi = top.value
-    t_lo = max(1, g.max_degree())
-    return [(t, find_interval_t(g, t, cfg).status) for t in range(t_lo, t_hi + 1)]
+    return [(t, scan.status(t)) for t in range(scan.t_lo, t_hi + 1)]
+
+
+def chromatic_index_search(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
+    """Least number of colors in any proper edge coloring, by search at the
+    degree bound and, when that is exhausted as infeasible, one above it
+    (Vizing). Returns (value, nodes spent); value is None when a budget cut
+    a query short."""
+    cfg = cfg or SearchConfig()
+    if not g.edges:
+        return 0, 0
+    delta = g.max_degree()
+    nodes = 0
+    for t in (delta, delta + 1):
+        outcome = find_proper_t(g, t, cfg)
+        nodes += outcome.nodes_explored
+        if outcome.status == WITNESS:
+            return t, nodes
+        if outcome.status == EXHAUSTED:
+            return None, nodes
+    raise SoundnessError("no proper coloring with max_degree + 1 colors; not a simple graph?")
+
+
+def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> int:
+    """The chromatic index as ``chromatic_index_search`` finds it.
+
+    Raises BudgetExhaustedError instead of guessing when a budget cuts a
+    query short.
+    """
+    value, nodes = chromatic_index_search(g, cfg)
+    if value is None:
+        raise BudgetExhaustedError(f"budget exhausted deciding the chromatic index (nodes={nodes})")
+    return value

@@ -139,7 +139,7 @@ def test_criterion_06_extended_greatest_span_2_4():
     witness_ok = verify(g, mirrored_staircase_coloring(params)).is_interval_coloring
     # exhaustive infeasibility at t = 8, then the full scan up to |E| = 16
     at_8 = find_interval_t(g, 8)
-    report = compute_W(g)
+    report = compute_W(g, SearchConfig(t_max=len(g.edges)))
     ok = (
         witness_ok
         and at_8.status == "infeasible"

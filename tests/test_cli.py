@@ -2,9 +2,17 @@ import json
 
 import pytest
 
-from ringcol import RingParams, mirrored_staircase_coloring, ring_graph
+from ringcol import (
+    RingParams,
+    chromatic_index_search,
+    compute_W,
+    mirrored_staircase_coloring,
+    ring_graph,
+    span_profile,
+)
 from ringcol.cli import main
 from ringcol.io import (
+    bound_report_to_dict,
     coloring_from_dict,
     coloring_to_dict,
     dot_source,
@@ -189,6 +197,24 @@ def test_bounds_exact_c4(tmp_path, capsys):
     assert doc["interval_colorable"] is True
 
 
+def test_bounds_exact_2_4_cites_the_theorem_cap(tmp_path, capsys):
+    assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["W"] == {"value": 7, "status": "exact"}
+    assert doc["t_max"] == 7
+    assert doc["t_max_source"] == "asratian_kamalian_bipartite"
+    assert doc["continuity"] == "ok"
+
+
+def test_bounds_exact_explicit_t_max_wins(tmp_path, capsys):
+    assert run(tmp_path, "bounds-exact", "--n", "1", "--k", "4", "--t-max", "4") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["W"] == {"value": 3, "status": "exact"}
+    assert (doc["t_max"], doc["t_max_source"]) == (4, "t_max")
+    report = bound_report_to_dict(compute_W(ring_graph(RingParams(1, 4))))
+    assert (report["t_max"], report["t_max_source"]) == (3, "asratian_kamalian_bipartite")
+
+
 def test_bounds_exact_triangle(tmp_path, capsys):
     assert run(tmp_path, "bounds-exact", "--n", "1", "--k", "3") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -222,6 +248,15 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert cells[(1, 6)]["W_oracle"] == 4
     assert cells[(1, 6)]["continuity"] == "ok"
     assert all(cell["chi_agree"] == "yes" for cell in doc["cells"])
+
+
+def test_sweep_node_column_counts_every_query_of_the_cell(tmp_path):
+    out = tmp_path / "report"
+    assert run(tmp_path, "sweep", "--n-max", "2", "--k-max", "3", "--out", str(out)) == 0
+    for cell in load_json(tmp_path / "report.json")["cells"]:
+        g = ring_graph(RingParams(cell["n"], cell["k"]))
+        spent = chromatic_index_search(g)[1] + span_profile(g).nodes_explored
+        assert cell["nodes_explored"] == spent
 
 
 def test_sweep_rejects_empty_grid(tmp_path):

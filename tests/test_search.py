@@ -7,6 +7,9 @@ from ringcol import (
     ParameterError,
     RingParams,
     SearchConfig,
+    SoundnessError,
+    Vertex,
+    build_graph,
     complete_bipartite,
     compute_W,
     compute_chromatic_index,
@@ -16,9 +19,12 @@ from ringcol import (
     find_proper_t,
     ring_chromatic_index,
     ring_graph,
+    scan_cap,
+    span_profile,
     spectrum,
     verify,
 )
+from ringcol import engines, search
 
 EDGE_DFS = SearchConfig(strategy="edge_dfs")
 START = SearchConfig(strategy="start_assignment")
@@ -112,8 +118,8 @@ def test_compute_chromatic_index_budget_raises():
 
 def test_compute_W_budget_degrades_to_lower_bound():
     g = ring_graph(RingParams(2, 4))
-    # enough to find the t=7 witness but not to exhaust any higher t
-    report = compute_W(g, SearchConfig(node_limit=20_000))
+    # enough to find the t=7 witness but not to exhaust any higher t up to |E|
+    report = compute_W(g, SearchConfig(t_max=len(g.edges), node_limit=20_000))
     assert report.value == 7
     assert report.status == "lower_bound_only"
 
@@ -132,17 +138,109 @@ def test_least_span_small_cases():
 
 
 def test_greatest_span_c4():
-    report = compute_W(cycle(4))
+    g = cycle(4)
+    report = compute_W(g, SearchConfig(t_max=len(g.edges)))
     assert report.value == 3
     assert report.status == "exact"
     assert report.trail == ((4, "infeasible"), (3, "witness"))
 
 
 def test_greatest_span_c6():
-    report = compute_W(cycle(6))
+    g = cycle(6)
+    report = compute_W(g, SearchConfig(t_max=len(g.edges)))
     assert report.value == 4
     assert report.status == "exact"
     assert dict(report.trail) == {6: "infeasible", 5: "infeasible", 4: "witness"}
+
+
+def test_greatest_span_c4_default_cap_is_the_theorem_bound():
+    report = compute_W(cycle(4))
+    assert report.value == 3
+    assert report.status == "exact"
+    assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
+    assert report.trail == ((3, "witness"),)
+    # a single query never cites the theorem: t=4 is still refuted by search
+    assert find_interval_t(cycle(4), 4).nodes_explored > 0
+
+
+def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
+    asked = []
+    original = search.find_interval_t
+
+    def counting(g, t, cfg=None):
+        asked.append(t)
+        return original(g, t, cfg)
+
+    monkeypatch.setattr(search, "find_interval_t", counting)
+    profile = span_profile(ring_graph(RingParams(2, 4)))
+    assert asked == [4, 7, 5, 6]
+    assert [t for t, _ in profile.trail] == asked
+    assert (profile.w.value, profile.w.status) == (4, "exact")
+    assert (profile.W.value, profile.W.status) == (7, "exact")
+    assert (profile.W.t_max, profile.W.t_max_source) == (7, "asratian_kamalian_bipartite")
+    assert profile.continuity_status == "ok"
+    assert profile.nodes_explored == profile.w.nodes_explored + profile.W.nodes_explored + sum(
+        find_interval_t(ring_graph(RingParams(2, 4)), t).nodes_explored for t in (5, 6)
+    )
+
+
+def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
+    made = []
+    original = search.find_interval_t
+
+    def recording(g, t, cfg=None):
+        outcome = original(g, t, cfg)
+        made.append((t, outcome.nodes_explored))
+        return outcome
+
+    monkeypatch.setattr(search, "find_interval_t", recording)
+    g = ring_graph(RingParams(2, 3))
+    for view in (compute_w, compute_W):
+        made.clear()
+        assert view(g).nodes_explored == sum(nodes for _, nodes in made)
+    made.clear()
+    assert continuity_scan(g) == [(4, "witness"), (5, "witness"), (6, "witness")]
+    asked = [t for t, _ in made]
+    assert sorted(asked) == sorted(set(asked)), "continuity_scan asked some t twice"
+
+
+def test_views_share_answers_through_a_memo():
+    g = ring_graph(RingParams(2, 4))
+    memo = {}
+    first = compute_W(g, memo=memo)
+    again = compute_W(g, memo=memo)
+    assert (again.value, again.status, again.trail) == (first.value, first.status, first.trail)
+    assert first.nodes_explored > 0 and again.nodes_explored == 0
+    assert continuity_scan(g, memo=memo) == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
+    assert list(memo) == [7, 4, 5, 6]
+    assert compute_w(g, memo=memo).nodes_explored == 0
+
+
+def test_scan_cap_sources():
+    g = cycle(4)
+    assert scan_cap(g) == (3, "asratian_kamalian_bipartite")
+    assert scan_cap(g, SearchConfig(t_max=9)) == (9, "t_max")
+    assert scan_cap(cycle(3)) == (3, "edges")  # the general bound ties |E|: no theorem needed
+    assert scan_cap(ring_graph(RingParams(2, 3))) == (10, "asratian_kamalian")
+    two_paths = build_graph(1, 4, [Vertex(i, 1) for i in range(1, 5)],
+                            [(Vertex(1, 1), Vertex(2, 1)), (Vertex(3, 1), Vertex(4, 1))])
+    assert scan_cap(two_paths) == (2, "edges")  # disconnected: the theorem does not apply
+
+
+def _cap_corpus():
+    graphs = [(f"C{k}", cycle(k)) for k in range(3, 9)]
+    graphs += [(f"K{n},{n}", complete_bipartite(n)) for n in (1, 2, 3)]
+    graphs.append(("ring(2,3)", ring_graph(RingParams(2, 3))))
+    return graphs
+
+
+def test_nothing_above_the_scan_cap_is_feasible():
+    # guards the cited theorem: a mis-stated bound shows up as a witness here
+    for label, g in _cap_corpus():
+        cap, _ = scan_cap(g)
+        for t in range(cap + 1, len(g.edges) + 1):
+            for cfg in (EDGE_DFS, START):
+                assert find_interval_t(g, t, cfg).status == "infeasible", (label, t, cfg.strategy)
 
 
 def test_chromatic_index_small_cases():
@@ -163,6 +261,17 @@ def test_continuity_scan_results():
     assert continuity_scan(cycle(4)) == [(2, "witness"), (3, "witness")]
     assert continuity_scan(cycle(6)) == [(2, "witness"), (3, "witness"), (4, "witness")]
     assert continuity_scan(cycle(3)) == []
+
+
+def test_engine_witness_is_reverified(monkeypatch):
+    g = cycle(4)
+    bad = {e: 1 for e in g.edges}
+    monkeypatch.setattr(search, "start_assignment", lambda g, t, budget: dict(bad))
+    with pytest.raises(SoundnessError):
+        find_interval_t(g, 2)
+    monkeypatch.setattr(search, "proper_dfs", lambda g, t, budget: dict(bad))
+    with pytest.raises(SoundnessError):
+        find_proper_t(g, 2)
 
 
 def test_continuity_scan_with_explicit_top():
@@ -220,3 +329,34 @@ def test_known_bipartite_span_extremes():
     assert find_interval_t(g, 3).status == "witness"
     assert find_interval_t(g, 5).status == "witness"
     assert find_interval_t(g, 6).status == "infeasible"
+
+
+def _quadratic_edge_order(g):
+    """Reference for connected_edge_order: rescans every remaining edge per step."""
+    remaining = set(g.edges)
+    covered = set()
+    order = []
+    while remaining:
+        touching = [e for e in remaining if e.u in covered or e.v in covered]
+        e = min(touching) if touching else min(remaining)
+        order.append(e)
+        remaining.remove(e)
+        covered.add(e.u)
+        covered.add(e.v)
+    return order
+
+
+@st.composite
+def small_graphs(draw):
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    labels = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
+    vertices = draw(st.lists(st.sampled_from(labels), unique=True))
+    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, k, vertices, edges)
+
+
+@given(g=small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_connected_edge_order_matches_the_reference(g):
+    assert engines.connected_edge_order(g) == _quadratic_edge_order(g)
