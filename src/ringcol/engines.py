@@ -11,19 +11,33 @@ verifier.
   order, pruning on properness, on the color spread at each endpoint (the
   spread of a final spectrum cannot exceed the degree), and on whether the
   not-yet-used colors still fit on the remaining edges.
-* ``start_assignment`` first enumerates, per vertex, the lowest color of its
-  spectrum; each edge may then only take colors in the intersection of its
-  endpoints' spectrum windows, and a per-window exact assignment is decided
-  by backtracking with a fewest-options-first edge order. This prunes far
-  harder on dense instances.
+* ``start_assignment`` first enumerates, per vertex in BFS order, the lowest
+  color of its spectrum. A vertex's admissible starts form one range,
+  computed once when the enumeration reaches it: the windows of every
+  earlier neighbour must overlap its own, and the later endpoint of the
+  designated edge obeys the reflection cap. Each edge may then only take
+  colors in the intersection of its endpoints' spectrum windows, and a
+  per-window exact assignment is decided by backtracking with a
+  fewest-options-first edge order. That inner search runs on index arrays:
+  edges by their place in the sorted ``g.edges``, vertices by enumeration
+  position, with each edge's domain and each vertex's used colors held as
+  an int bitmask. This prunes far harder on dense instances.
 
 Both engines break the one global symmetry of the problem, the reflection
 c -> t + 1 - c, by capping the color of a designated edge (the canonically
 smallest one) at ceil(t/2): any witness either respects the cap or reflects
 to one that does, so the answer is unchanged while the space halves.
 
+``edge_dfs`` and both phases of ``start_assignment`` drive their search from
+explicit per-depth state instead of Python recursion, so a graph with
+thousands of edges runs into its node budget, never into the recursion
+limit. ``proper_dfs`` still recurses once per edge.
+
 Everything is deterministic: fixed vertex and edge orders, no randomness,
-reproducible node counts.
+reproducible node counts. The branching rules are part of that contract:
+the window assignment branches on the first free edge (in edge order) with
+at most one option, else on the first edge with the fewest options, and
+tries colors in increasing order.
 """
 
 from __future__ import annotations
@@ -122,15 +136,37 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
     assignment: dict[Edge, int] = {}
     first_cap = (t + 1) // 2
 
-    def rec(i: int, unused: int) -> bool:
+    # Depth i holds edges[i]: the next color to try there, the palette colors
+    # still unused before it, and the endpoint spreads its color replaced.
+    next_c = [1] * (m + 1)
+    unused = [0] * (m + 1)
+    unused[0] = t
+    saved: list[tuple[int | None, ...]] = [()] * m
+
+    def undo(i: int) -> None:
+        e = edges[i]
+        c = assignment.pop(e)
+        count[c] -= 1
+        used[e.u].discard(c)
+        used[e.v].discard(c)
+        old = saved[i]
+        _restore(lo, hi, e.u, old[0], old[1])
+        _restore(lo, hi, e.v, old[2], old[3])
+
+    i = 0
+    while True:
         if i == m:
-            return unused == 0
+            if unused[m] == 0:
+                return dict(assignment)
+            i -= 1
+            undo(i)
+            continue
         e = edges[i]
         u, v = e
         remaining_after = m - i - 1
         cap = first_cap if i == 0 else t
         used_u, used_v = used[u], used[v]
-        for c in range(1, cap + 1):
+        for c in range(next_c[i], cap + 1):
             if c in used_u or c in used_v:
                 continue
             ulo, uhi = lo.get(u, c), hi.get(u, c)
@@ -141,31 +177,28 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
             nvlo, nvhi = min(vlo, c), max(vhi, c)
             if nvhi - nvlo + 1 > deg[v]:
                 continue
-            new_unused = unused - 1 if count[c] == 0 else unused
+            new_unused = unused[i] - 1 if count[c] == 0 else unused[i]
             if new_unused > remaining_after:
                 continue
 
             budget.spend()
             used_u.add(c)
             used_v.add(c)
-            old = (lo.get(u), hi.get(u), lo.get(v), hi.get(v))
+            saved[i] = (lo.get(u), hi.get(u), lo.get(v), hi.get(v))
             lo[u], hi[u] = nulo, nuhi
             lo[v], hi[v] = nvlo, nvhi
             count[c] += 1
             assignment[e] = c
-
-            if rec(i + 1, new_unused):
-                return True
-
-            del assignment[e]
-            count[c] -= 1
-            used_u.discard(c)
-            used_v.discard(c)
-            _restore(lo, hi, u, old[0], old[1])
-            _restore(lo, hi, v, old[2], old[3])
-        return False
-
-    return dict(assignment) if rec(0, t) else None
+            next_c[i] = c + 1
+            i += 1
+            next_c[i] = 1
+            unused[i] = new_unused
+            break
+        else:  # no color left at depth i: back up to the previous edge
+            if i == 0:
+                return None
+            i -= 1
+            undo(i)
 
 
 def _restore(lo: dict[Vertex, int], hi: dict[Vertex, int], v: Vertex, old_lo: int | None, old_hi: int | None) -> None:
@@ -201,21 +234,10 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
 
     e0 = min(g.edges)
     cap = (t + 1) // 2
-    i_e0u, i_e0v = pos[e0.u], pos[e0.v]
+    e0_first, e0_last = sorted((pos[e0.u], pos[e0.v]))
 
     start = [0] * nv
     cover = [0] * (t + 2)
-
-    def window_ok(i: int, s: int) -> bool:
-        d = deg[i]
-        for j in earlier[i]:
-            sj = start[j]
-            if sj + deg[j] - 1 < s or s + d - 1 < sj:
-                return False  # the shared edge would have no usable color
-        if i == max(i_e0u, i_e0v):
-            if max(s, start[min(i_e0u, i_e0v)]) > cap:
-                return False  # designated edge forced above the reflection cap
-        return True
 
     def covers_palette() -> bool:
         return all(cover[c] > 0 for c in range(1, t + 1))
@@ -226,27 +248,49 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
         # window contains it: an odd count is an immediate contradiction.
         return all(cover[c] % 2 == 0 for c in range(1, t + 1))
 
-    def enumerate_starts(i: int) -> dict[Edge, int] | None:
-        if i == nv:
-            if not covers_palette() or not parity_ok():
-                return None
-            return _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
+    def start_range(i: int) -> tuple[int, int]:
+        # Every earlier neighbour j leaves the shared edge a usable color
+        # only if the windows overlap: s_j - d + 1 <= s <= s_j + d_j - 1.
         d = deg[i]
-        for s in range(1, t - d + 2):
-            if not window_ok(i, s):
-                continue
-            budget.spend()
-            start[i] = s
-            for c in range(s, s + d):
-                cover[c] += 1
-            found = enumerate_starts(i + 1)
-            for c in range(s, s + d):
-                cover[c] -= 1
-            if found is not None:
-                return found
-        return None
+        lo, hi = 1, t - d + 1
+        for j in earlier[i]:
+            sj = start[j]
+            lo = max(lo, sj - d + 1)
+            hi = min(hi, sj + deg[j] - 1)
+        if i == e0_last:
+            if start[e0_first] > cap:
+                return 1, 0  # designated edge forced above the reflection cap
+            hi = min(hi, cap)
+        return lo, hi
 
-    return enumerate_starts(0)
+    # Depth i holds vertex i: the next start to try there and the last
+    # admissible one, fixed when the depth is entered.
+    next_s = [0] * nv
+    last_s = [0] * nv
+    next_s[0], last_s[0] = start_range(0)
+    i = 0
+    while True:
+        if i == nv:
+            if covers_palette() and parity_ok():
+                found = _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
+                if found is not None:
+                    return found
+        elif next_s[i] <= last_s[i]:
+            budget.spend()
+            s = start[i] = next_s[i]
+            next_s[i] = s + 1
+            for c in range(s, s + deg[i]):
+                cover[c] += 1
+            i += 1
+            if i < nv:
+                next_s[i], last_s[i] = start_range(i)
+            continue
+        elif i == 0:
+            return None
+        i -= 1  # back up: withdraw the start of the previous vertex
+        s = start[i]
+        for c in range(s, s + deg[i]):
+            cover[c] -= 1
 
 
 def _assign_in_windows(
@@ -262,10 +306,21 @@ def _assign_in_windows(
     """Exact assignment once every spectrum window is fixed: each edge takes a
     color in the intersection of its endpoints' windows, all colors distinct
     at every vertex. Window sizes equal degrees, so a solution uses each
-    window color exactly once and is an interval coloring by construction."""
-    edges = list(g.edges)
-    domains: dict[Edge, list[int]] = {}
-    for e in edges:
+    window color exactly once and is an interval coloring by construction.
+
+    Edges are indexed by their place in the sorted ``g.edges`` and vertices
+    by ``pos``. An edge's domain and a vertex's used colors are int bitmasks
+    (bit c is color c), so the options of a free edge are
+    ``dom & ~(used[u] | used[v])``. Each node branches on the first free edge
+    (in edge order) with at most one option, else on the first edge with the
+    fewest options, and tries its colors in increasing order; node counts
+    depend on this tie rule. The free edges stay in a sorted list: a chosen
+    edge leaves it and returns to the same slot when its colors run out. An
+    explicit stack of (edge, slot, color bit, untried bits) frames drives
+    the search, so its depth is not bounded by Python's recursion limit.
+    """
+    free: list[tuple[int, int, int, int]] = []  # (edge index, pos of u, pos of v, domain)
+    for i, e in enumerate(g.edges):
         iu, iv = pos[e.u], pos[e.v]
         lo = max(start[iu], start[iv])
         hi = min(start[iu] + deg[iu] - 1, start[iv] + deg[iv] - 1)
@@ -273,45 +328,47 @@ def _assign_in_windows(
             hi = min(hi, cap)
         if lo > hi:
             return None
-        domains[e] = list(range(lo, hi + 1))
+        free.append((i, iu, iv, (1 << (hi + 1)) - (1 << lo)))
 
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    assignment: dict[Edge, int] = {}
-    unassigned = set(edges)
-
-    def options(e: Edge) -> list[int]:
-        uu, uv = used[e.u], used[e.v]
-        return [c for c in domains[e] if c not in uu and c not in uv]
-
-    def rec() -> bool:
-        if not unassigned:
-            return True
-        best: Edge | None = None
-        best_opts: list[int] = []
-        for e in sorted(unassigned):
-            opts = options(e)
-            if best is None or len(opts) < len(best_opts):
-                best, best_opts = e, opts
-                if len(opts) <= 1:
+    used = [0] * len(start)
+    stack: list[list] = []  # [free entry, slot in free, color bit, untried bits]
+    spend = budget.spend
+    while free:
+        best_n = t + 1  # more than any option count
+        for k, entry in enumerate(free):
+            _, iu, iv, dom = entry
+            opts = dom & ~(used[iu] | used[iv])
+            n = opts.bit_count()
+            if n < best_n:
+                best, slot, best_opts, best_n = entry, k, opts, n
+                if n <= 1:
                     break
-        assert best is not None
-        if not best_opts:
-            return False
-        unassigned.remove(best)
-        for c in best_opts:
-            budget.spend()
-            assignment[best] = c
-            used[best.u].add(c)
-            used[best.v].add(c)
-            if rec():
-                return True
-            used[best.u].discard(c)
-            used[best.v].discard(c)
-            del assignment[best]
-        unassigned.add(best)
-        return False
-
-    return dict(assignment) if rec() else None
+        if best_opts:
+            del free[slot]
+            stack.append([best, slot, 0, best_opts])
+        # Try the next color of the top frame, backing up past frames whose
+        # colors are exhausted (their edges return to their slots).
+        while stack:
+            frame = stack[-1]
+            _, iu, iv, _ = frame[0]
+            bit = frame[2]
+            if bit:
+                used[iu] ^= bit
+                used[iv] ^= bit
+            rest = frame[3]
+            if rest:
+                spend()
+                bit = rest & -rest
+                frame[2], frame[3] = bit, rest ^ bit
+                used[iu] |= bit
+                used[iv] |= bit
+                break
+            stack.pop()
+            free.insert(frame[1], frame[0])
+        else:
+            return None
+    edges = g.edges
+    return {edges[frame[0][0]]: frame[2].bit_length() - 1 for frame in stack}
 
 
 # ---------------------------------------------------------------------------

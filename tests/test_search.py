@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ringcol import (
     BudgetExhaustedError,
+    EdgeColoring,
     ParameterError,
     RingParams,
     SearchConfig,
@@ -17,6 +18,7 @@ from ringcol import (
     continuity_scan,
     find_interval_t,
     find_proper_t,
+    mirrored_staircase_coloring,
     ring_chromatic_index,
     ring_graph,
     scan_cap,
@@ -122,6 +124,57 @@ def test_compute_W_budget_degrades_to_lower_bound():
     report = compute_W(g, SearchConfig(t_max=len(g.edges), node_limit=20_000))
     assert report.value == 7
     assert report.status == "lower_bound_only"
+
+
+# ---------------------------------------------------------------------------
+# search order and depth
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, k, t, status, nodes",
+    [
+        (2, 6, 4, "witness", 36),
+        (2, 6, 5, "witness", 3_134),
+        (2, 6, 6, "witness", 134),
+        (2, 6, 7, "witness", 26_307),
+        (2, 6, 8, "exhausted_budget", 50_001),
+        (3, 6, 9, "witness", 8_006),
+        (3, 4, 8, "exhausted_budget", 50_001),
+    ],
+)
+def test_start_assignment_node_counts_are_pinned(n, k, t, status, nodes):
+    # Node counts depend on the exact search order (start ranges, branching
+    # tie rule, color order): a change to any of them shows up here.
+    outcome = find_interval_t(ring_graph(RingParams(n, k)), t, SearchConfig(node_limit=50_000))
+    assert (outcome.status, outcome.nodes_explored) == (status, nodes)
+
+
+def test_window_assignment_needs_no_recursion_on_1024_edges():
+    params = RingParams(8, 16)
+    g = ring_graph(params)
+    known = mirrored_staircase_coloring(params)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    start = [min(known.colors[e] for e in g.adjacency[v]) for v in g.vertices]
+    deg = [g.degree(v) for v in g.vertices]
+    budget = engines.Budget(None)
+    # cap = t keeps the known windows admissible for the designated edge
+    found = engines._assign_in_windows(g, known.t, budget, pos, start, deg, min(g.edges), known.t)
+    assert verify(g, EdgeColoring(found, known.t)).is_interval_coloring
+    assert budget.nodes == len(g.edges) == 1_024
+
+
+def test_start_enumeration_needs_no_recursion_on_1200_vertices():
+    g = cycle(1200)
+    outcome = find_interval_t(g, 2, START)
+    assert outcome.status == "witness"
+    assert outcome.nodes_explored == 2_400  # one start per vertex, one color per edge
+
+
+def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
+    g = ring_graph(RingParams(8, 16))
+    outcome = find_interval_t(g, 40, SearchConfig(strategy="edge_dfs", node_limit=5_000))
+    assert (outcome.status, outcome.nodes_explored) == ("exhausted_budget", 5_001)
 
 
 # ---------------------------------------------------------------------------
