@@ -54,7 +54,8 @@ from .search import (
 ENV_NODE_LIMIT = "RINGCOL_NODE_LIMIT"
 T_MAX_HELP = (
     "largest t the span scans ask about (default: the smaller of |E| and the "
-    "Asratian-Kamalian bound on the greatest span; pass |E| to settle every t by exhaustion)"
+    "Asratian-Kamalian bound on the greatest span; pass |E| to settle every t by exhaustion; "
+    "a value below the maximum degree exits 2)"
 )
 
 EXIT_OK = 0

@@ -171,7 +171,8 @@ def t_coloring(params: RingParams, t: int, cfg: SearchConfig | None = None) -> E
     witness exists anywhere in the range. Raises ParityError for odd k,
     ParameterError for t outside [2n, 2n + n*k/2 - 1], and
     BudgetExhaustedError if a configured search budget runs out (it never
-    silently claims infeasibility).
+    silently claims infeasibility). A search that calls a t in the range
+    infeasible contradicts the construction and raises SoundnessError.
     """
     from .search import SearchConfig, find_interval_t
 
@@ -193,7 +194,7 @@ def t_coloring(params: RingParams, t: int, cfg: SearchConfig | None = None) -> E
             f"search budget exhausted before finding a t={t} coloring "
             f"(nodes={outcome.nodes_explored})"
         )
-    raise RuntimeError(
+    raise SoundnessError(
         f"search reports t={t} infeasible for (n={n}, k={params.k}); "
         "this contradicts the feasible range and indicates a bug"
     )

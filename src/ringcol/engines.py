@@ -28,10 +28,14 @@ c -> t + 1 - c, by capping the color of a designated edge (the canonically
 smallest one) at ceil(t/2): any witness either respects the cap or reflects
 to one that does, so the answer is unchanged while the space halves.
 
-``edge_dfs`` and both phases of ``start_assignment`` drive their search from
-explicit per-depth state instead of Python recursion, so a graph with
-thousands of edges runs into its node budget, never into the recursion
-limit. ``proper_dfs`` still recurses once per edge.
+``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` on the same
+kind of state as the window assignment: vertices are indices into
+``g.vertices``, each vertex's used colors are an int bitmask (a spread is
+read off as highest minus lowest set bit, plus one), and each depth holds
+one color, 0 while untried, withdrawn by one xor per endpoint. No function
+here recurses: every search runs from explicit per-depth state, so a graph
+with thousands of edges runs into its node budget, never into the
+recursion limit.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts. The branching rules are part of that contract:
@@ -122,92 +126,73 @@ def _bfs_vertex_order(g: Graph) -> list[Vertex]:
 # ---------------------------------------------------------------------------
 
 
-def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+def _indexed_edge_order(g: Graph) -> tuple[list[Edge], list[int], list[int], list[int]]:
+    """``connected_edge_order`` with each edge's endpoints as indices into
+    ``g.vertices``, and every vertex's degree under the same index."""
     edges = connected_edge_order(g)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    deg = [g.degree(v) for v in g.vertices]
+    return edges, [pos[e.u] for e in edges], [pos[e.v] for e in edges], deg
+
+
+def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+    edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:
         return None
 
-    deg = {v: g.degree(v) for v in g.vertices}
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    lo: dict[Vertex, int] = {}
-    hi: dict[Vertex, int] = {}
-    count = [0] * (t + 1)
-    assignment: dict[Edge, int] = {}
+    used = [0] * len(deg)  # per vertex: bit c set when color c is on it
+    count = [0] * (t + 1)  # per color: edges carrying it
+    unused = t  # palette colors on no edge yet
+    color = [0] * m  # per depth: the color of edges[i], 0 = none tried yet
     first_cap = (t + 1) // 2
-
-    # Depth i holds edges[i]: the next color to try there, the palette colors
-    # still unused before it, and the endpoint spreads its color replaced.
-    next_c = [1] * (m + 1)
-    unused = [0] * (m + 1)
-    unused[0] = t
-    saved: list[tuple[int | None, ...]] = [()] * m
-
-    def undo(i: int) -> None:
-        e = edges[i]
-        c = assignment.pop(e)
-        count[c] -= 1
-        used[e.u].discard(c)
-        used[e.v].discard(c)
-        old = saved[i]
-        _restore(lo, hi, e.u, old[0], old[1])
-        _restore(lo, hi, e.v, old[2], old[3])
 
     i = 0
     while True:
-        if i == m:
-            if unused[m] == 0:
-                return dict(assignment)
-            i -= 1
-            undo(i)
-            continue
-        e = edges[i]
-        u, v = e
+        a, b = us[i], vs[i]
+        c = color[i]
+        if c:  # withdraw the color tried last at this depth
+            bit = 1 << c
+            used[a] ^= bit
+            used[b] ^= bit
+            count[c] -= 1
+            if count[c] == 0:
+                unused += 1
+        used_a, used_b = used[a], used[b]
         remaining_after = m - i - 1
-        cap = first_cap if i == 0 else t
-        used_u, used_v = used[u], used[v]
-        for c in range(next_c[i], cap + 1):
-            if c in used_u or c in used_v:
+        for c in range(c + 1, (first_cap if i == 0 else t) + 1):
+            bit = 1 << c
+            if (used_a | used_b) & bit:
                 continue
-            ulo, uhi = lo.get(u, c), hi.get(u, c)
-            nulo, nuhi = min(ulo, c), max(uhi, c)
-            if nuhi - nulo + 1 > deg[u]:
+            # spread of a color set: highest bit - lowest bit + 1
+            x = used_a | bit
+            if x.bit_length() - (x & -x).bit_length() + 1 > deg[a]:
                 continue
-            vlo, vhi = lo.get(v, c), hi.get(v, c)
-            nvlo, nvhi = min(vlo, c), max(vhi, c)
-            if nvhi - nvlo + 1 > deg[v]:
+            x = used_b | bit
+            if x.bit_length() - (x & -x).bit_length() + 1 > deg[b]:
                 continue
-            new_unused = unused[i] - 1 if count[c] == 0 else unused[i]
+            new_unused = unused - 1 if count[c] == 0 else unused
             if new_unused > remaining_after:
                 continue
 
             budget.spend()
-            used_u.add(c)
-            used_v.add(c)
-            saved[i] = (lo.get(u), hi.get(u), lo.get(v), hi.get(v))
-            lo[u], hi[u] = nulo, nuhi
-            lo[v], hi[v] = nvlo, nvhi
+            used[a] = used_a | bit
+            used[b] = used_b | bit
             count[c] += 1
-            assignment[e] = c
-            next_c[i] = c + 1
-            i += 1
-            next_c[i] = 1
-            unused[i] = new_unused
+            unused = new_unused
+            color[i] = c
             break
         else:  # no color left at depth i: back up to the previous edge
+            color[i] = 0
             if i == 0:
                 return None
             i -= 1
-            undo(i)
-
-
-def _restore(lo: dict[Vertex, int], hi: dict[Vertex, int], v: Vertex, old_lo: int | None, old_hi: int | None) -> None:
-    if old_lo is None:
-        lo.pop(v, None)
-        hi.pop(v, None)
-    else:
-        lo[v] = old_lo
-        hi[v] = old_hi  # type: ignore[assignment]
+            continue
+        # At the last edge remaining_after is 0, so the coverage prune has
+        # already forced every palette color onto some edge.
+        if i == m - 1:
+            return dict(zip(edges, color))
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +362,39 @@ def _assign_in_windows(
 
 
 def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
-    edges = connected_edge_order(g)
+    edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:
         return {}
 
-    used: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    assignment: dict[Edge, int] = {}
+    used = [0] * len(deg)  # per vertex: bit c set when color c is on it
+    color = [0] * m  # per depth: the color of edges[i], 0 = none tried yet
+    high = [0] * m  # per depth: the highest color opened before edges[i]
 
-    def rec(i: int, palette_high: int) -> bool:
-        if i == m:
-            return True
-        e = edges[i]
-        used_u, used_v = used[e.u], used[e.v]
-        for c in range(1, min(t, palette_high + 1) + 1):
-            if c in used_u or c in used_v:
-                continue
-            budget.spend()
-            used_u.add(c)
-            used_v.add(c)
-            assignment[e] = c
-            if rec(i + 1, max(palette_high, c)):
-                return True
-            del assignment[e]
-            used_u.discard(c)
-            used_v.discard(c)
-        return False
-
-    return dict(assignment) if rec(0, 0) else None
-
+    i = 0
+    while True:
+        a, b = us[i], vs[i]
+        c = color[i]
+        if c:  # withdraw the color tried last at this depth
+            bit = 1 << c
+            used[a] ^= bit
+            used[b] ^= bit
+        taken = used[a] | used[b]
+        for c in range(c + 1, min(t, high[i] + 1) + 1):
+            if not taken >> c & 1:
+                break
+        else:  # no color left at depth i: back up to the previous edge
+            color[i] = 0
+            if i == 0:
+                return None
+            i -= 1
+            continue
+        budget.spend()
+        bit = 1 << c
+        used[a] |= bit
+        used[b] |= bit
+        color[i] = c
+        if i == m - 1:
+            return dict(zip(edges, color))
+        high[i + 1] = max(high[i], c)
+        i += 1

@@ -227,9 +227,15 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     ("edges") unless the Asratian–Kamalian bound is strictly smaller. Above
     that bound a connected graph has no interval coloring at any t, so a
     scan that stops there still settles w and W.
+
+    Raises ParameterError when an explicit ``t_max`` is below the maximum
+    degree: a scan would then ask no t at all and report a graph that may
+    well be interval-colorable as "not_interval_colorable".
     """
     cfg = cfg or SearchConfig()
     if cfg.t_max is not None:
+        if cfg.t_max < g.max_degree():
+            raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
         return cfg.t_max, "t_max"
     m = len(g.edges)
     theorem = _asratian_kamalian_bound(g)

@@ -227,6 +227,20 @@ def test_bounds_exact_budget_exit(tmp_path, capsys):
     assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--node-limit", "10") == 4
 
 
+def test_bounds_exact_rejects_a_t_max_below_the_max_degree(tmp_path, capsys):
+    # ring(2,4) is interval 4-colorable: a cap of 3 must not report otherwise
+    assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--t-max", "3") == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bounds_exact_on_1024_edges_ends_in_its_budget(tmp_path, capsys):
+    assert run(tmp_path, "bounds-exact", "--n", "8", "--k", "16", "--node-limit", "5000") == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["k"], doc["chi_prime"]) == (8, 16, {"value": 16, "status": "exact"})
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [json.loads(line)["exit_status"] for line in lines] == [4]
+
+
 # ---------------------------------------------------------------------------
 # sweep / export-dot / manifest
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from ringcol import (
     ParityError,
     RingParams,
     SearchConfig,
+    SoundnessError,
     Vertex,
     bounds_summary,
     complete_bipartite,
@@ -23,6 +24,7 @@ from ringcol import (
     verify,
     widest_constructed_t,
 )
+from ringcol import search
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +272,9 @@ def test_t_coloring_range_and_parity_errors():
 def test_t_coloring_budget_error_is_loud():
     with pytest.raises(BudgetExhaustedError):
         t_coloring(RingParams(2, 4), 5, SearchConfig(node_limit=1))
+
+
+def test_t_coloring_infeasible_inside_the_range_is_a_soundness_error(monkeypatch):
+    monkeypatch.setattr(search, "find_interval_t", lambda g, t, cfg: search.SearchOutcome("infeasible", None, 0))
+    with pytest.raises(SoundnessError, match="contradicts the feasible range"):
+        t_coloring(RingParams(1, 6), 3)

@@ -131,22 +131,40 @@ def test_compute_W_budget_degrades_to_lower_bound():
 # ---------------------------------------------------------------------------
 
 
+_PINNED_NODE_COUNTS = [
+    ("start_assignment", 2, 6, 4, "witness", 36),
+    ("start_assignment", 2, 6, 5, "witness", 3_134),
+    ("start_assignment", 2, 6, 6, "witness", 134),
+    ("start_assignment", 2, 6, 7, "witness", 26_307),
+    ("start_assignment", 2, 6, 8, "exhausted_budget", 50_001),
+    ("start_assignment", 3, 6, 9, "witness", 8_006),
+    ("start_assignment", 3, 4, 8, "exhausted_budget", 50_001),
+    ("edge_dfs", 2, 3, 7, "infeasible", 7_066),
+    ("edge_dfs", 2, 6, 9, "witness", 2_641),
+    ("edge_dfs", 3, 4, 10, "witness", 16_293),
+    ("find_proper_t", 2, 3, 4, "witness", 33),
+    ("find_proper_t", 2, 5, 4, "witness", 150),
+    ("find_proper_t", 1, 5, 2, "infeasible", 4),
+]
+
+
 @pytest.mark.parametrize(
-    "n, k, t, status, nodes",
+    "engine, n, k, t, status, nodes",
     [
-        (2, 6, 4, "witness", 36),
-        (2, 6, 5, "witness", 3_134),
-        (2, 6, 6, "witness", 134),
-        (2, 6, 7, "witness", 26_307),
-        (2, 6, 8, "exhausted_budget", 50_001),
-        (3, 6, 9, "witness", 8_006),
-        (3, 4, 8, "exhausted_budget", 50_001),
+        # the default engine is left out of the id
+        pytest.param(*row, id="-".join(map(str, row[1:] if row[0] == "start_assignment" else row)))
+        for row in _PINNED_NODE_COUNTS
     ],
 )
-def test_start_assignment_node_counts_are_pinned(n, k, t, status, nodes):
-    # Node counts depend on the exact search order (start ranges, branching
-    # tie rule, color order): a change to any of them shows up here.
-    outcome = find_interval_t(ring_graph(RingParams(n, k)), t, SearchConfig(node_limit=50_000))
+def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes):
+    # Node counts depend on the exact search order of each engine (edge
+    # order, start ranges, branching tie rule, color order): a change to any
+    # of them shows up here.
+    g = ring_graph(RingParams(n, k))
+    if engine == "find_proper_t":
+        outcome = find_proper_t(g, t, SearchConfig(node_limit=50_000))
+    else:
+        outcome = find_interval_t(g, t, SearchConfig(strategy=engine, node_limit=50_000))
     assert (outcome.status, outcome.nodes_explored) == (status, nodes)
 
 
@@ -175,6 +193,11 @@ def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
     g = ring_graph(RingParams(8, 16))
     outcome = find_interval_t(g, 40, SearchConfig(strategy="edge_dfs", node_limit=5_000))
     assert (outcome.status, outcome.nodes_explored) == ("exhausted_budget", 5_001)
+
+
+def test_proper_search_needs_no_recursion_on_1024_edges():
+    outcome = find_proper_t(ring_graph(RingParams(8, 16)), 16, SearchConfig(node_limit=5_000))
+    assert (outcome.status, outcome.nodes_explored) == ("witness", 1_024)  # one color per edge
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +301,13 @@ def test_scan_cap_sources():
     two_paths = build_graph(1, 4, [Vertex(i, 1) for i in range(1, 5)],
                             [(Vertex(1, 1), Vertex(2, 1)), (Vertex(3, 1), Vertex(4, 1))])
     assert scan_cap(two_paths) == (2, "edges")  # disconnected: the theorem does not apply
+
+
+def test_scan_cap_rejects_an_explicit_cap_below_the_max_degree():
+    # no t would be asked, and a scan would call ring(2,4) not interval-colorable
+    with pytest.raises(ParameterError, match="below the maximum degree"):
+        scan_cap(ring_graph(RingParams(2, 4)), SearchConfig(t_max=3))
+    assert scan_cap(ring_graph(RingParams(2, 4)), SearchConfig(t_max=4)) == (4, "t_max")
 
 
 def _cap_corpus():
@@ -400,12 +430,12 @@ def _quadratic_edge_order(g):
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, max_edges=None):
     k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     labels = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
     vertices = draw(st.lists(st.sampled_from(labels), unique=True))
     pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
     return build_graph(n, k, vertices, edges)
 
 
@@ -413,3 +443,17 @@ def small_graphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_connected_edge_order_matches_the_reference(g):
     assert engines.connected_edge_order(g) == _quadratic_edge_order(g)
+
+
+@given(g=small_graphs(max_edges=12))
+@settings(max_examples=100, deadline=None)
+def test_engines_agree_on_small_graphs(g):
+    # covers disconnected graphs and isolated vertices
+    for t in range(1, len(g.edges) + 1):
+        statuses = {
+            find_interval_t(g, t, SearchConfig(strategy=strategy, node_limit=20_000)).status
+            for strategy in ("edge_dfs", "start_assignment")
+        }
+        assert len(statuses - {"exhausted_budget"}) <= 1, (t, statuses)
+    # Vizing: max degree + 1 colors always suffice for a simple graph
+    assert find_proper_t(g, g.max_degree() + 1).status == "witness"
