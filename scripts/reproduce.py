@@ -17,8 +17,8 @@ on the greatest span; for ring(2, 4) that bound is 7, the constructed
 span, so no larger t is searched. ``ringcol bounds-exact`` prints the cap
 of a cell as t_max with its t_max_source. To prove W by exhaustion alone,
 run ``ringcol sweep --n-max 2 --k-max 4 --t-max 16 --out report``: it
-searches every t up to |E| on every cell (about 15 s, nearly all of it
-refuting t = 8..16 on ring(2, 4)). Larger grids should be paired with
+searches every t up to |E| on every cell (under a second on the same VM,
+nearly all of it refuting t = 8..16 on ring(2, 4)). Larger grids should be paired with
 --node-limit, which degrades individual cells to honest
 lower_bound_only/inconclusive statuses instead of hanging.
 Exit status 0 means every checked claim held.

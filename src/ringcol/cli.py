@@ -14,9 +14,13 @@ Exit codes (stable, also listed in the README):
     4  search budget exhausted
     5  I/O failure (unreadable file, invalid JSON syntax)
 
-All code paths are deterministic: identical invocations write byte-identical
-artifacts. The environment variable ``RINGCOL_NODE_LIMIT`` supplies a default
-search budget for commands that take ``--node-limit``.
+The searching commands (``search``, ``bounds-exact``, ``sweep`` and
+``construct --t``) run ``ringcol.search``'s one engine, ``edge_dfs``, and
+take only a node budget (``--node-limit``) and, for the span scans, a cap
+(``--t-max``). All code paths are deterministic: identical invocations
+write byte-identical artifacts. The environment variable
+``RINGCOL_NODE_LIMIT`` supplies a default search budget for commands that
+take ``--node-limit``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .errors import (
 )
 from .graphs import RingParams, ring_graph
 from .search import (
-    STRATEGIES,
     SearchConfig,
     chromatic_index_search,
     find_interval_t,
@@ -117,11 +120,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
     node_limit = getattr(args, "node_limit", None)
     if node_limit is None:
         node_limit = _default_node_limit()
-    return SearchConfig(
-        t_max=getattr(args, "t_max", None),
-        node_limit=node_limit,
-        strategy=getattr(args, "strategy", "start_assignment"),
-    )
+    return SearchConfig(t_max=getattr(args, "t_max", None), node_limit=node_limit)
 
 
 def _print_json(doc: Any) -> None:
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None, help="span to realize (default: the widest constructed)")
     p.add_argument("--out", required=True)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
 
     p = add("verify", cmd_verify, "verify a coloring file against a graph file")
     p.add_argument("--graph", required=True)
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", cmd_search, "decide interval t-colorability of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--out", default=None, help="also write the outcome JSON here")
 
@@ -368,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
-    p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
     p.add_argument("--out", default=None)
 
     p = add("sweep", cmd_sweep, "formula-vs-oracle report over the (n, k) grid")
@@ -377,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix; writes <out>.csv and <out>.json")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
-    p.add_argument("--strategy", choices=STRATEGIES, default="start_assignment")
 
     p = add("export-dot", cmd_export_dot, "write GraphViz DOT for a graph (optionally colored)")
     p.add_argument("--graph", required=True)

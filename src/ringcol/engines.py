@@ -1,4 +1,4 @@
-"""The two exhaustive interval-coloring engines and the proper-coloring DFS.
+"""The exhaustive interval-coloring engines and the proper-coloring DFS.
 
 Each engine takes a graph, a span t and a node budget, and returns an
 assignment edge -> color or None once the whole (pruned but complete) space
@@ -7,21 +7,20 @@ runs out. The engines never verify their own output: ``ringcol.search``
 wraps them in queries that re-check every witness with the independent
 verifier.
 
-* ``edge_dfs`` assigns colors edge by edge in a fixed connectivity-friendly
-  order, pruning on properness, on the color spread at each endpoint (the
-  spread of a final spectrum cannot exceed the degree), and on whether the
-  not-yet-used colors still fit on the remaining edges.
-* ``start_assignment`` first enumerates, per vertex in BFS order, the lowest
-  color of its spectrum. A vertex's admissible starts form one range,
-  computed once when the enumeration reaches it: the windows of every
-  earlier neighbour must overlap its own, and the later endpoint of the
-  designated edge obeys the reflection cap. Each edge may then only take
-  colors in the intersection of its endpoints' spectrum windows, and a
-  per-window exact assignment is decided by backtracking with a
-  fewest-options-first edge order. That inner search runs on index arrays:
-  edges by their place in the sorted ``g.edges``, vertices by enumeration
-  position, with each edge's domain and each vertex's used colors held as
-  an int bitmask. This prunes far harder on dense instances.
+* ``edge_dfs`` answers every interval query (``find_interval_t``). It
+  assigns colors edge by edge in ``connected_edge_order``, pruning on
+  properness, on the color spread at each endpoint (the spread of a final
+  spectrum cannot exceed the degree), and on whether the not-yet-used
+  colors still fit on the remaining edges. Each prune is a mask on one
+  candidate bitmask per depth, built when the search enters it; the lowest
+  untried bit is the next color.
+* ``start_assignment``, the independent reference that the tests check
+  ``edge_dfs`` against, is run by nothing in the package. It enumerates,
+  per vertex in BFS order, the lowest color of its spectrum, one admissible
+  range per vertex (earlier neighbours' windows must overlap its own; the
+  designated edge obeys the reflection cap), then decides an exact
+  assignment of each edge to a color in both endpoints' windows by
+  fewest-options-first backtracking on index arrays and int bitmasks.
 
 Both engines break the one global symmetry of the problem, the reflection
 c -> t + 1 - c, by capping the color of a designated edge (the canonically
@@ -30,18 +29,18 @@ to one that does, so the answer is unchanged while the space halves.
 
 ``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` on the same
 kind of state as the window assignment: vertices are indices into
-``g.vertices``, each vertex's used colors are an int bitmask (a spread is
-read off as highest minus lowest set bit, plus one), and each depth holds
-one color, 0 while untried, withdrawn by one xor per endpoint. No function
-here recurses: every search runs from explicit per-depth state, so a graph
-with thousands of edges runs into its node budget, never into the
-recursion limit.
+``g.vertices``, each vertex's used colors are an int bitmask, and each
+depth holds one color, withdrawn by one xor per endpoint. No function here
+recurses: every search runs from explicit per-depth state, so a graph with
+thousands of edges runs into its node budget, never into the recursion
+limit.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts. The branching rules are part of that contract:
-the window assignment branches on the first free edge (in edge order) with
-at most one option, else on the first edge with the fewest options, and
-tries colors in increasing order.
+``edge_dfs`` and ``proper_dfs`` try colors in increasing order; the window
+assignment branches on the first free edge (in edge order) with at most one
+option, else on the first edge with the fewest options, and tries colors in
+increasing order.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def _bfs_vertex_order(g: Graph) -> list[Vertex]:
 
 
 # ---------------------------------------------------------------------------
-# Engine 1: edge-by-edge DFS
+# edge_dfs: the engine behind every interval query
 # ---------------------------------------------------------------------------
 
 
@@ -143,60 +142,61 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
 
     used = [0] * len(deg)  # per vertex: bit c set when color c is on it
     count = [0] * (t + 1)  # per color: edges carrying it
-    unused = t  # palette colors on no edge yet
-    color = [0] * m  # per depth: the color of edges[i], 0 = none tried yet
-    first_cap = (t + 1) // 2
+    zero = palette = (1 << (t + 1)) - 2  # zero: bit c set while color c is on no edge
+    first = (1 << ((t + 1) // 2 + 1)) - 2  # the first edge's colors: up to the reflection cap
+    color = [0] * m  # per depth: the color of edges[i]
+    cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
 
     i = 0
     while True:
+        # Entering depth i: the candidates are the colors edges[i] may take in
+        # this state, and backing up to depth i restores the same state, so
+        # the mask is built once and the lowest untried bit is taken each time.
         a, b = us[i], vs[i]
-        c = color[i]
-        if c:  # withdraw the color tried last at this depth
+        used_a, used_b = used[a], used[b]
+        mask = (palette if i else first) & ~(used_a | used_b)
+        # a spread of at most d keeps a new color in [highest - d + 1, lowest + d - 1]
+        if used_a:
+            d = deg[a]
+            mask &= (1 << ((used_a & -used_a).bit_length() - 1 + d)) - (1 << max(used_a.bit_length() - d, 0))
+        if used_b:
+            d = deg[b]
+            mask &= (1 << ((used_b & -used_b).bit_length() - 1 + d)) - (1 << max(used_b.bit_length() - d, 0))
+        unused = zero.bit_count()
+        if unused >= m - i:  # each later edge can bring at most one unused color in
+            mask &= zero if unused == m - i else 0
+        while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
+            if i == 0:
+                return None
+            i -= 1
+            a, b = us[i], vs[i]
+            c = color[i]
             bit = 1 << c
             used[a] ^= bit
             used[b] ^= bit
             count[c] -= 1
             if count[c] == 0:
-                unused += 1
-        used_a, used_b = used[a], used[b]
-        remaining_after = m - i - 1
-        for c in range(c + 1, (first_cap if i == 0 else t) + 1):
-            bit = 1 << c
-            if (used_a | used_b) & bit:
-                continue
-            # spread of a color set: highest bit - lowest bit + 1
-            x = used_a | bit
-            if x.bit_length() - (x & -x).bit_length() + 1 > deg[a]:
-                continue
-            x = used_b | bit
-            if x.bit_length() - (x & -x).bit_length() + 1 > deg[b]:
-                continue
-            new_unused = unused - 1 if count[c] == 0 else unused
-            if new_unused > remaining_after:
-                continue
+                zero |= bit
+            mask = cand[i]
 
-            budget.spend()
-            used[a] = used_a | bit
-            used[b] = used_b | bit
-            count[c] += 1
-            unused = new_unused
-            color[i] = c
-            break
-        else:  # no color left at depth i: back up to the previous edge
-            color[i] = 0
-            if i == 0:
-                return None
-            i -= 1
-            continue
-        # At the last edge remaining_after is 0, so the coverage prune has
-        # already forced every palette color onto some edge.
+        budget.spend()
+        bit = mask & -mask
+        cand[i] = mask ^ bit
+        c = color[i] = bit.bit_length() - 1
+        used[a] |= bit
+        used[b] |= bit
+        if count[c] == 0:
+            zero ^= bit
+        count[c] += 1
+        # At the last edge the coverage prune admits only colors that leave no
+        # unused one, so every palette color is on some edge.
         if i == m - 1:
             return dict(zip(edges, color))
         i += 1
 
 
 # ---------------------------------------------------------------------------
-# Engine 2: spectrum-start enumeration + exact window assignment
+# start_assignment: the independent reference the tests compare against
 # ---------------------------------------------------------------------------
 
 

@@ -61,6 +61,18 @@ def _as_vertex(obj: Any, what: str) -> Vertex:
     return Vertex(obj[0], obj[1])
 
 
+def _check_document(doc: Any, what: str, keys: tuple[str, ...], lists: tuple[str, ...]) -> None:
+    """Raise FormatError unless doc is an object with every key, and the
+    values under ``lists`` are JSON arrays."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{what} document missing key {key!r}")
+        if key in lists and not isinstance(doc[key], list):
+            raise FormatError(f"{what} {key} must be a list, got {doc[key]!r}")
+
+
 def graph_to_dict(g: Graph) -> dict[str, Any]:
     return {
         "n": g.n,
@@ -71,11 +83,7 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(doc: Any) -> Graph:
-    if not isinstance(doc, dict):
-        raise FormatError("graph document must be a JSON object")
-    for key in ("n", "k", "vertices", "edges"):
-        if key not in doc:
-            raise FormatError(f"graph document missing key {key!r}")
+    _check_document(doc, "graph", ("n", "k", "vertices", "edges"), ("vertices", "edges"))
     n, k = doc["n"], doc["k"]
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
         raise FormatError("graph n and k must be integers")
@@ -99,11 +107,7 @@ def coloring_to_dict(c: EdgeColoring) -> dict[str, Any]:
 
 
 def coloring_from_dict(doc: Any) -> EdgeColoring:
-    if not isinstance(doc, dict):
-        raise FormatError("coloring document must be a JSON object")
-    for key in ("t", "edges"):
-        if key not in doc:
-            raise FormatError(f"coloring document missing key {key!r}")
+    _check_document(doc, "coloring", ("t", "edges"), ("edges",))
     t = doc["t"]
     if not isinstance(t, int) or isinstance(t, bool):
         raise FormatError("coloring t must be an integer")

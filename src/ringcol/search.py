@@ -8,13 +8,12 @@ complete) space was exhausted. A node budget, when configured, turns into
 the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
-Two engines implement the same decision problem so they can cross-validate
-each other: ``edge_dfs`` colors edge by edge, and ``start_assignment``
-fixes each vertex's spectrum window first (see ``ringcol.engines``).
-``find_interval_t`` asks one of them for one t; ``find_proper_t`` decides
-proper t-colorability for the chromatic index. The span scans
-(``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
-series of such queries, up to the cap that ``scan_cap`` reports.
+``find_interval_t`` settles one t with ``edge_dfs`` (see ``ringcol.engines``,
+which also keeps ``start_assignment``, an independent engine that only the
+tests run, to cross-check ``edge_dfs``); ``find_proper_t`` decides proper
+t-colorability for the chromatic index. The span scans (``span_profile``,
+``compute_w``, ``compute_W``, ``continuity_scan``) ask a series of such
+queries, up to the cap that ``scan_cap`` reports.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -27,12 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coloring import EdgeColoring, verify
-from .engines import Budget, OutOfBudget, edge_dfs, proper_dfs, start_assignment
+from .engines import Budget, OutOfBudget, edge_dfs, proper_dfs
 from .errors import BudgetExhaustedError, ParameterError, SoundnessError
 from .graphs import Graph
 
 __all__ = [
-    "STRATEGIES",
     "SearchConfig",
     "SearchOutcome",
     "BoundReport",
@@ -48,8 +46,6 @@ __all__ = [
     "continuity_scan",
 ]
 
-STRATEGIES = ("edge_dfs", "start_assignment")
-
 WITNESS = "witness"
 INFEASIBLE = "infeasible"
 EXHAUSTED = "exhausted_budget"
@@ -57,7 +53,7 @@ EXHAUSTED = "exhausted_budget"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and strategy knobs for one feasibility query or span scan.
+    """The span cap and node budget of one feasibility query or span scan.
 
     ``t_max`` caps span scans. When it is None the cap is the smaller of
     |E(G)| (every palette color needs an edge, so no interval t-coloring with
@@ -71,11 +67,8 @@ class SearchConfig:
 
     t_max: int | None = None
     node_limit: int | None = None
-    strategy: str = "start_assignment"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.t_max is not None and self.t_max < 1:
             raise ParameterError(f"t_max must be >= 1, got {self.t_max}")
         if self.node_limit is not None and self.node_limit < 1:
@@ -126,8 +119,8 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     """Decide whether g has an interval t-coloring; produce one if so.
 
     t > |E(g)| is rejected as infeasible without search (palette coverage
-    needs an edge per color); everything else is settled by the configured
-    engine. Deterministic for fixed inputs and config.
+    needs an edge per color); everything else is settled by ``edge_dfs``.
+    Deterministic for fixed inputs and config.
     """
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
@@ -137,9 +130,8 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
         return SearchOutcome(INFEASIBLE, None, 0)
 
     budget = Budget(cfg.node_limit)
-    engine = edge_dfs if cfg.strategy == "edge_dfs" else start_assignment
     try:
-        assignment = engine(g, t, budget)
+        assignment = edge_dfs(g, t, budget)
     except OutOfBudget:
         return SearchOutcome(EXHAUSTED, None, budget.nodes)
 
@@ -148,7 +140,7 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
 
     witness = EdgeColoring(colors=assignment, t=t)
     if not verify(g, witness).is_interval_coloring:
-        raise SoundnessError(f"{cfg.strategy} produced a non-interval witness at t={t}")
+        raise SoundnessError(f"edge_dfs produced a non-interval witness at t={t}")
     return SearchOutcome(WITNESS, witness, budget.nodes)
 
 

@@ -8,7 +8,7 @@ def pytest_addoption(parser):
         "--extended",
         action="store_true",
         default=False,
-        help="run the extended exhaustive checks (minutes-long full span scans)",
+        help="run the extended exhaustive checks (full span scans up to |E|)",
     )
 
 

@@ -136,6 +136,33 @@ def test_missing_file_is_an_io_error(tmp_path):
     assert run(tmp_path, "verify", "--graph", str(tmp_path / "no.json"), "--coloring", str(tmp_path / "no.json")) == 5
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [("search", "vertices"), ("search", "edges"), ("verify", "vertices"), ("verify", "coloring edges"),
+     ("export-dot", "edges"), ("export-dot", "coloring edges")],
+)
+@pytest.mark.parametrize("bad", [5, None])
+def test_non_list_field_exits_2_with_one_manifest_line(tmp_path, capsys, command, field, bad):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    graph = graph_to_dict(ring_graph(RingParams(1, 4)))
+    coloring = coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))
+    if field == "coloring edges":
+        coloring["edges"] = bad
+    else:
+        graph[field] = bad
+    gpath.write_text(json.dumps(graph))
+    cpath.write_text(json.dumps(coloring))
+    argv = {
+        "search": ["--graph", str(gpath), "--t", "2"],
+        "verify": ["--graph", str(gpath), "--coloring", str(cpath)],
+        "export-dot": ["--graph", str(gpath), "--coloring", str(cpath), "--out", str(tmp_path / "g.dot")],
+    }[command]
+    assert run(tmp_path, command, *argv) == 2
+    assert "must be a list" in capsys.readouterr().err
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [(command, 2)]
+
+
 def test_invalid_json_is_an_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -164,13 +191,17 @@ def test_search_witness_infeasible_and_budget(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "exhausted_budget"
 
 
-def test_search_respects_strategy_flag(tmp_path, capsys):
-    gpath = tmp_path / "g.json"
-    run(tmp_path, "generate", "--n", "1", "--k", "6", "--out", str(gpath))
-    capsys.readouterr()
-    for strategy in ("edge_dfs", "start_assignment"):
-        assert run(tmp_path, "search", "--graph", str(gpath), "--t", "4", "--strategy", strategy) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "witness"
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--n", "1", "--k", "4", "--t", "2", "--out", "c.json"], ["search", "--graph", "g.json", "--t", "2"],
+     ["bounds-exact", "--n", "1", "--k", "4"], ["sweep", "--n-max", "1", "--k-max", "3", "--out", "r"]],
+)
+def test_no_command_takes_a_strategy_flag(tmp_path, capsys, argv):
+    # one engine answers every query: there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--strategy", "edge_dfs")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy edge_dfs" in capsys.readouterr().err
 
 
 def test_bounds_json(tmp_path, capsys):

@@ -27,9 +27,9 @@ from ringcol import (
     verify,
 )
 from ringcol import engines, search
+from ringcol.engines import start_assignment
 
-EDGE_DFS = SearchConfig(strategy="edge_dfs")
-START = SearchConfig(strategy="start_assignment")
+from reference import run_engine
 
 
 def cycle(k):
@@ -59,8 +59,8 @@ def test_c4_alternating_witness_at_two_colors():
 
 def test_c4_infeasible_at_four_colors():
     g = cycle(4)
-    for cfg in (EDGE_DFS, START):
-        assert find_interval_t(g, 4, cfg).status == "infeasible"
+    assert find_interval_t(g, 4).status == "infeasible"
+    assert run_engine(start_assignment, g, 4)[0] == "infeasible"
 
 
 def test_t_above_edge_count_is_infeasible_without_search():
@@ -73,20 +73,18 @@ def test_t_above_edge_count_is_infeasible_without_search():
 def test_every_witness_passes_the_verifier():
     for n, k, t in [(1, 4, 2), (1, 4, 3), (1, 6, 3), (2, 4, 4), (2, 4, 7)]:
         g = ring_graph(RingParams(n, k))
-        for cfg in (EDGE_DFS, START):
-            outcome = find_interval_t(g, t, cfg)
-            assert outcome.status == "witness"
-            report = verify(g, outcome.witness)
-            assert report.is_interval_coloring
-            assert outcome.witness.t == t
+        outcome = find_interval_t(g, t)
+        assert outcome.status == "witness"
+        report = verify(g, outcome.witness)
+        assert report.is_interval_coloring
+        assert outcome.witness.t == t
+        assert run_engine(start_assignment, g, t)[0] == "witness"  # re-verified there too
 
 
 def test_bad_parameters_rejected():
     g = cycle(4)
     with pytest.raises(ParameterError):
         find_interval_t(g, 0)
-    with pytest.raises(ParameterError):
-        SearchConfig(strategy="guess")
     with pytest.raises(ParameterError):
         SearchConfig(node_limit=0)
     with pytest.raises(ParameterError):
@@ -151,7 +149,7 @@ _PINNED_NODE_COUNTS = [
 @pytest.mark.parametrize(
     "engine, n, k, t, status, nodes",
     [
-        # the default engine is left out of the id
+        # the start_assignment rows predate the engine column and keep their ids
         pytest.param(*row, id="-".join(map(str, row[1:] if row[0] == "start_assignment" else row)))
         for row in _PINNED_NODE_COUNTS
     ],
@@ -159,13 +157,16 @@ _PINNED_NODE_COUNTS = [
 def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes):
     # Node counts depend on the exact search order of each engine (edge
     # order, start ranges, branching tie rule, color order): a change to any
-    # of them shows up here.
+    # of them shows up here. edge_dfs runs behind find_interval_t;
+    # start_assignment, the reference engine, runs directly.
     g = ring_graph(RingParams(n, k))
-    if engine == "find_proper_t":
-        outcome = find_proper_t(g, t, SearchConfig(node_limit=50_000))
+    if engine == "start_assignment":
+        got = run_engine(start_assignment, g, t, 50_000)[:2]
     else:
-        outcome = find_interval_t(g, t, SearchConfig(strategy=engine, node_limit=50_000))
-    assert (outcome.status, outcome.nodes_explored) == (status, nodes)
+        query = find_proper_t if engine == "find_proper_t" else find_interval_t
+        outcome = query(g, t, SearchConfig(node_limit=50_000))
+        got = (outcome.status, outcome.nodes_explored)
+    assert got == (status, nodes)
 
 
 def test_window_assignment_needs_no_recursion_on_1024_edges():
@@ -183,15 +184,13 @@ def test_window_assignment_needs_no_recursion_on_1024_edges():
 
 
 def test_start_enumeration_needs_no_recursion_on_1200_vertices():
-    g = cycle(1200)
-    outcome = find_interval_t(g, 2, START)
-    assert outcome.status == "witness"
-    assert outcome.nodes_explored == 2_400  # one start per vertex, one color per edge
+    status, nodes, _ = run_engine(start_assignment, cycle(1200), 2)
+    assert (status, nodes) == ("witness", 2_400)  # one start per vertex, one color per edge
 
 
 def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
     g = ring_graph(RingParams(8, 16))
-    outcome = find_interval_t(g, 40, SearchConfig(strategy="edge_dfs", node_limit=5_000))
+    outcome = find_interval_t(g, 40, SearchConfig(node_limit=5_000))
     assert (outcome.status, outcome.nodes_explored) == ("exhausted_budget", 5_001)
 
 
@@ -322,8 +321,8 @@ def test_nothing_above_the_scan_cap_is_feasible():
     for label, g in _cap_corpus():
         cap, _ = scan_cap(g)
         for t in range(cap + 1, len(g.edges) + 1):
-            for cfg in (EDGE_DFS, START):
-                assert find_interval_t(g, t, cfg).status == "infeasible", (label, t, cfg.strategy)
+            assert find_interval_t(g, t).status == "infeasible", (label, t, "edge_dfs")
+            assert run_engine(start_assignment, g, t)[0] == "infeasible", (label, t, "start_assignment")
 
 
 def test_chromatic_index_small_cases():
@@ -349,7 +348,7 @@ def test_continuity_scan_results():
 def test_engine_witness_is_reverified(monkeypatch):
     g = cycle(4)
     bad = {e: 1 for e in g.edges}
-    monkeypatch.setattr(search, "start_assignment", lambda g, t, budget: dict(bad))
+    monkeypatch.setattr(search, "edge_dfs", lambda g, t, budget: dict(bad))
     with pytest.raises(SoundnessError):
         find_interval_t(g, 2)
     monkeypatch.setattr(search, "proper_dfs", lambda g, t, budget: dict(bad))
@@ -363,7 +362,7 @@ def test_continuity_scan_with_explicit_top():
 
 
 # ---------------------------------------------------------------------------
-# determinism and strategy agreement
+# determinism, budgets and agreement with the reference engine
 # ---------------------------------------------------------------------------
 
 
@@ -379,18 +378,14 @@ def test_queries_are_deterministic():
 @settings(max_examples=60, deadline=None)
 def test_strategies_agree_on_cycles(k, t):
     g = cycle(k)
-    a = find_interval_t(g, t, EDGE_DFS)
-    b = find_interval_t(g, t, START)
-    assert a.status == b.status
+    assert find_interval_t(g, t).status == run_engine(start_assignment, g, t)[0]
 
 
 @given(n=st.integers(1, 3), t=st.integers(1, 9))
 @settings(max_examples=40, deadline=None)
 def test_strategies_agree_on_complete_bipartite(n, t):
     g = complete_bipartite(n)
-    a = find_interval_t(g, t, EDGE_DFS)
-    b = find_interval_t(g, t, START)
-    assert a.status == b.status
+    assert find_interval_t(g, t).status == run_engine(start_assignment, g, t)[0]
 
 
 def test_oracle_matches_formulas_on_even_product_grid():
@@ -451,9 +446,21 @@ def test_engines_agree_on_small_graphs(g):
     # covers disconnected graphs and isolated vertices
     for t in range(1, len(g.edges) + 1):
         statuses = {
-            find_interval_t(g, t, SearchConfig(strategy=strategy, node_limit=20_000)).status
-            for strategy in ("edge_dfs", "start_assignment")
+            find_interval_t(g, t, SearchConfig(node_limit=20_000)).status,
+            run_engine(start_assignment, g, t, 20_000)[0],
         }
         assert len(statuses - {"exhausted_budget"}) <= 1, (t, statuses)
     # Vizing: max degree + 1 colors always suffice for a simple graph
     assert find_proper_t(g, g.max_degree() + 1).status == "witness"
+
+
+@given(g=small_graphs(max_edges=12), limit=st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_more_budget_never_flips_a_definite_answer(g, limit):
+    for t in range(1, len(g.edges) + 1):
+        first = find_interval_t(g, t, SearchConfig(node_limit=limit))
+        if first.status == "exhausted_budget":
+            continue
+        for cfg in (SearchConfig(node_limit=4 * limit), SearchConfig()):
+            again = find_interval_t(g, t, cfg)
+            assert (again.status, again.nodes_explored) == (first.status, first.nodes_explored), (t, limit)
