@@ -138,15 +138,17 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     violations: list[tuple[Vertex, int, tuple[Edge, ...]]] = []
     gaps: list[tuple[Vertex, Spectrum]] = []
 
+    colors = coloring.colors
     for v in g.vertices:
         incident = g.adjacency[v]
-        by_color: dict[int, list[Edge]] = {}
-        for e in incident:
-            by_color.setdefault(coloring.colors[e], []).append(e)
-        for c, clashing in sorted(by_color.items()):
-            if len(clashing) > 1:
-                violations.append((v, c, tuple(clashing)))
-        spect = Spectrum(vertex=v, colors=tuple(sorted(by_color)))
+        spect = Spectrum(vertex=v, colors=tuple(sorted({colors[e] for e in incident})))
+        if len(spect.colors) != len(incident):
+            by_color: dict[int, list[Edge]] = {}
+            for e in incident:
+                by_color.setdefault(colors[e], []).append(e)
+            for c, clashing in sorted(by_color.items()):
+                if len(clashing) > 1:
+                    violations.append((v, c, tuple(clashing)))
         # d(v) distinct colors spanning exactly d(v) values; collisions shrink
         # the spectrum below d(v), so improper vertices always land here too.
         if len(spect.colors) != len(incident) or not spect.is_consecutive():

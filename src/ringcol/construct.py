@@ -74,11 +74,13 @@ def mirrored_staircase_coloring(params: RingParams) -> EdgeColoring:
         raise ParityError(f"construction needs an even layer count, got k={k}")
 
     colors: dict[Edge, int] = {}
+    # one Vertex per label, shared by every edge that touches it
+    layers = {layer: [Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)}
 
     def paint_pair(lo_layer: int, hi_layer: int, shift: int) -> None:
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                e = make_edge(Vertex(lo_layer, p), Vertex(hi_layer, q))
+        for p, a in enumerate(layers[lo_layer], 1):
+            for q, b in enumerate(layers[hi_layer], 1):
+                e = make_edge(a, b)
                 if e in colors:
                     raise SoundnessError(f"edge {e} colored twice")
                 colors[e] = p + q - 1 + shift

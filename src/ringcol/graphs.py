@@ -123,26 +123,38 @@ def build_graph(
     if n < 1 or k < 1:
         raise ParameterError(f"label bounds must be positive, got n={n}, k={k}")
 
-    vseen: set[Vertex] = set()
+    # One Vertex object per label: edge endpoints resolve through this map,
+    # so the edges and adjacency of a large graph share nk label objects.
+    label: dict[Vertex, Vertex] = {}
     for raw in vertices:
         v = Vertex(*raw)
         if not (1 <= v.layer <= k and 1 <= v.index <= n):
             raise ParameterError(f"vertex {v} outside label bounds (k={k}, n={n})")
-        if v in vseen:
+        if v in label:
             raise ParameterError(f"duplicate vertex {v}")
-        vseen.add(v)
+        label[v] = v
 
+    # edges also kept in input order: files list them sorted, and sorting a
+    # sorted list is linear where sorting the set is not
+    edge_list: list[Edge] = []
     eseen: set[Edge] = set()
     for a, b in edges:
-        e = make_edge(Vertex(*a), Vertex(*b))
-        if e.u not in vseen or e.v not in vseen:
+        try:
+            u, w = label[a], label[b]
+        except (KeyError, TypeError):  # an unknown label, or an unhashable list
+            u, w = Vertex(*a), Vertex(*b)
+            u, w = label.get(u, u), label.get(w, w)
+        e = make_edge(u, w)
+        if e.u not in label or e.v not in label:
             raise ParameterError(f"edge {e} touches an unknown vertex")
         if e in eseen:
             raise ParameterError(f"duplicate edge {e}")
         eseen.add(e)
+        edge_list.append(e)
 
-    vsorted = tuple(sorted(vseen))
-    esorted = tuple(sorted(eseen))
+    vsorted = tuple(sorted(label))
+    edge_list.sort()
+    esorted = tuple(edge_list)
     adjacency: dict[Vertex, list[Edge]] = {v: [] for v in vsorted}
     for e in esorted:
         adjacency[e.u].append(e)
@@ -167,14 +179,14 @@ def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int
         params = RingParams(n, k)
     n, k = params.n, params.k
 
-    vertices = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
-    edges: list[tuple[Vertex, Vertex]] = []
-    for layer in range(1, k + 1):
-        nxt = 1 if layer == k else layer + 1
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                edges.append((Vertex(layer, p), Vertex(nxt, q)))
-    return build_graph(n, k, vertices, edges)
+    layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
+    edges = [
+        (a, b)
+        for here, nxt in zip(layers, layers[1:] + layers[:1])
+        for a in here
+        for b in nxt
+    ]
+    return build_graph(n, k, [v for layer in layers for v in layer], edges)
 
 
 def complete_bipartite(n: int) -> Graph:

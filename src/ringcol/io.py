@@ -16,6 +16,10 @@ coloring.json::
 Report, search-outcome, and bounds documents are produced by the ``*_to_dict``
 helpers below; the CLI wraps them with ``dump_json`` so identical runs write
 byte-identical files.
+
+``dump_json`` writes each document as one line of JSON with sorted keys, so
+CPython encodes it with its C encoder; the CLI's stdout stays indented.
+``load_json`` reads both forms, so indented files still load.
 """
 
 from __future__ import annotations
@@ -51,14 +55,16 @@ def _vertex_pair(v: Vertex) -> list[int]:
     return [v.layer, v.index]
 
 
-def _as_vertex(obj: Any, what: str) -> Vertex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-    ):
+def _as_vertex(obj: Any, what: str, labels: dict[tuple[int, int], Vertex]) -> Vertex:
+    """The Vertex for a [layer, index] pair, one object per label in ``labels``."""
+    # JSON gives plain ints; `type(x) is int` also rejects bool
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or type(obj[0]) is not int or type(obj[1]) is not int:
         raise FormatError(f"{what} must be a [layer, index] pair of integers, got {obj!r}")
-    return Vertex(obj[0], obj[1])
+    key = (obj[0], obj[1])
+    v = labels.get(key)
+    if v is None:
+        v = labels[key] = Vertex(*key)
+    return v
 
 
 def _check_document(doc: Any, what: str, keys: tuple[str, ...], lists: tuple[str, ...]) -> None:
@@ -87,12 +93,13 @@ def graph_from_dict(doc: Any) -> Graph:
     n, k = doc["n"], doc["k"]
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
         raise FormatError("graph n and k must be integers")
-    vertices = [_as_vertex(v, "vertex") for v in doc["vertices"]]
+    labels: dict[tuple[int, int], Vertex] = {}
+    vertices = [_as_vertex(v, "vertex", labels) for v in doc["vertices"]]
     edges = []
     for pair in doc["edges"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"edge must be a pair of vertices, got {pair!r}")
-        edges.append((_as_vertex(pair[0], "edge endpoint"), _as_vertex(pair[1], "edge endpoint")))
+        edges.append((_as_vertex(pair[0], "edge endpoint", labels), _as_vertex(pair[1], "edge endpoint", labels)))
     return build_graph(n, k, vertices, edges)
 
 
@@ -106,20 +113,24 @@ def coloring_to_dict(c: EdgeColoring) -> dict[str, Any]:
     }
 
 
+_ENTRY_KEYS = frozenset(("u", "v", "color"))
+
+
 def coloring_from_dict(doc: Any) -> EdgeColoring:
     _check_document(doc, "coloring", ("t", "edges"), ("edges",))
     t = doc["t"]
     if not isinstance(t, int) or isinstance(t, bool):
         raise FormatError("coloring t must be an integer")
     colors: dict[Edge, int] = {}
+    labels: dict[tuple[int, int], Vertex] = {}
     for entry in doc["edges"]:
-        if not isinstance(entry, dict) or not {"u", "v", "color"} <= set(entry):
+        if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
             raise FormatError(f"coloring entry must have u, v, color, got {entry!r}")
-        e = make_edge(_as_vertex(entry["u"], "u"), _as_vertex(entry["v"], "v"))
+        e = make_edge(_as_vertex(entry["u"], "u", labels), _as_vertex(entry["v"], "v", labels))
         if e in colors:
             raise FormatError(f"edge {e} colored twice in document")
         c = entry["color"]
-        if not isinstance(c, int) or isinstance(c, bool):
+        if type(c) is not int:
             raise FormatError(f"color of {e} must be an integer, got {c!r}")
         colors[e] = c
     return EdgeColoring(colors=colors, t=t)
@@ -181,7 +192,8 @@ def bound_report_to_dict(r: BoundReport) -> dict[str, Any]:
 
 
 def dump_json(doc: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # no indent: CPython encodes with its C encoder only when indent is None
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_json(path: str | Path) -> Any:

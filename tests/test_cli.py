@@ -1,8 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcol import (
+    EdgeColoring,
     RingParams,
     chromatic_index_search,
     compute_W,
@@ -16,10 +21,15 @@ from ringcol.io import (
     coloring_from_dict,
     coloring_to_dict,
     dot_source,
+    dump_json,
     graph_from_dict,
     graph_to_dict,
+    load_coloring,
+    load_graph,
     load_json,
 )
+
+from strategies import small_graphs
 
 
 def run(tmp_path, *argv):
@@ -45,6 +55,34 @@ def test_coloring_round_trip():
     back = coloring_from_dict(json.loads(json.dumps(doc)))
     assert back.t == c.t
     assert back.colors == c.colors
+
+
+@st.composite
+def colorings(draw, g):
+    """Any map from g's edges to a palette [1, t], in random order."""
+    t = draw(st.integers(1 if g.edges else 0, 2 * len(g.edges) + 1))
+    edges = draw(st.permutations(g.edges))
+    return EdgeColoring({e: draw(st.integers(1, t)) for e in edges}, t)
+
+
+@given(g=small_graphs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_files_round_trip(g, data):
+    c = data.draw(colorings(g))
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = Path(tmp, "g.json"), Path(tmp, "c.json")
+        dump_json(graph_to_dict(g), gpath)
+        dump_json(coloring_to_dict(c), cpath)
+        assert load_graph(gpath) == g
+        assert load_coloring(cpath) == c
+        # one line, sorted keys
+        for path, doc in ((gpath, graph_to_dict(g)), (cpath, coloring_to_dict(c))):
+            assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+        # files written with indent=2 still load to the same objects
+        gpath.write_text(json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        cpath.write_text(json.dumps(coloring_to_dict(c), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        assert load_graph(gpath) == g
+        assert load_coloring(cpath) == c
 
 
 def test_dot_source_lists_colored_edges():

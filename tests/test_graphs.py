@@ -14,6 +14,9 @@ from ringcol import (
     ring_graph,
 )
 
+import reference
+from strategies import graph_inputs
+
 
 def is_connected(g):
     if not g.vertices:
@@ -144,3 +147,89 @@ def test_build_graph_rejects_unknown_endpoints_and_bad_labels():
         build_graph(1, 1, [Vertex(2, 1)], [])
     with pytest.raises(ParameterError):
         build_graph(1, 2, [a, a], [])
+
+
+# ---------------------------------------------------------------------------
+# build_graph against the plain reference builder
+# ---------------------------------------------------------------------------
+
+SHAPES = ("Vertex", "tuple", "list")
+
+
+def _shaped(label, shape):
+    return {"Vertex": Vertex(*label), "tuple": tuple(label), "list": list(label)}[shape]
+
+
+@st.composite
+def relabelled_rings(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(3, 6))
+    g = ring_graph(n=n, k=k)
+    to = dict(zip(g.vertices, draw(st.permutations(g.vertices))))
+    edges = draw(st.permutations([(to[e.u], to[e.v]) for e in g.edges]))
+    return n, k, [to[v] for v in g.vertices], edges
+
+
+@st.composite
+def builder_inputs(draw, defect=False):
+    """Arguments for build_graph with labels as Vertex, tuple or list; with
+    ``defect``, one loop, duplicate, unknown endpoint or out-of-bounds label
+    is inserted, and the kind is returned alongside."""
+    n, k, vertices, edges = draw(graph_inputs() | relabelled_rings())
+    vertices, edges = list(vertices), list(edges)
+    kind = None
+    if defect:
+        in_bounds = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
+        outside = [Vertex(0, 1), Vertex(k + 1, 1), Vertex(1, 0), Vertex(1, n + 1)]
+        kinds = ["loop", "unknown endpoint", "out of bounds"]
+        kinds += ["duplicate vertex"] if vertices else []
+        kinds += ["duplicate edge"] if edges else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "loop":
+            v = draw(st.sampled_from(in_bounds))
+            edges.insert(draw(st.integers(0, len(edges))), (v, v))
+        elif kind == "unknown endpoint":
+            stranger = draw(st.sampled_from([v for v in in_bounds if v not in vertices] + outside))
+            other = draw(st.sampled_from([v for v in in_bounds + outside if v != stranger]))
+            pair = draw(st.sampled_from([(stranger, other), (other, stranger)]))
+            edges.insert(draw(st.integers(0, len(edges))), pair)
+        elif kind == "out of bounds":
+            vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(outside)))
+        elif kind == "duplicate vertex":
+            vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(vertices)))
+        else:
+            a, b = draw(st.sampled_from(edges))
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(a, b), (b, a)])))
+    vshape, eshape = draw(st.sampled_from(SHAPES)), draw(st.sampled_from(SHAPES))
+    args = n, k, [_shaped(v, vshape) for v in vertices], [(_shaped(a, eshape), _shaped(b, eshape)) for a, b in edges]
+    return kind, args
+
+
+def _built(builder, args):
+    """The graph's vertices, edges and adjacency in order, or the exception
+    type and message."""
+    try:
+        g = builder(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.vertices, g.edges, list(g.adjacency.items())
+
+
+@given(case=builder_inputs())
+@settings(max_examples=150, deadline=None)
+def test_build_graph_matches_the_reference(case):
+    _, args = case
+    assert _built(build_graph, args) == _built(reference.build_graph, args)
+    g = build_graph(*args)
+    # one Vertex object per label, shared by every edge and adjacency key
+    labels = {id(v) for v in g.vertices}
+    assert {id(v) for e in g.edges for v in e} <= labels
+    assert {id(v) for v in g.adjacency} == labels
+
+
+@given(case=builder_inputs(defect=True))
+@settings(max_examples=150, deadline=None)
+def test_build_graph_rejects_defects_like_the_reference(case):
+    kind, args = case
+    got = _built(build_graph, args)
+    assert got == _built(reference.build_graph, args)
+    assert got[0] is ParameterError, kind

@@ -30,6 +30,7 @@ from ringcol import engines, search
 from ringcol.engines import start_assignment
 
 from reference import run_engine
+from strategies import small_graphs
 
 
 def cycle(k):
@@ -424,17 +425,7 @@ def _quadratic_edge_order(g):
     return order
 
 
-@st.composite
-def small_graphs(draw, max_edges=None):
-    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    labels = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
-    vertices = draw(st.lists(st.sampled_from(labels), unique=True))
-    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
-    return build_graph(n, k, vertices, edges)
-
-
-@given(g=small_graphs())
+@given(g=small_graphs(max_edges=66))
 @settings(max_examples=200, deadline=None)
 def test_connected_edge_order_matches_the_reference(g):
     assert engines.connected_edge_order(g) == _quadratic_edge_order(g)
