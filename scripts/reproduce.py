@@ -11,10 +11,11 @@ Order of business:
    formulas against the oracle and scans the feasible range for gaps.
 
 Artifacts (sweep CSV/JSON and the run manifest) land in --out-dir. The
-default grid (n <= 2, k <= 4) takes well under a second (0.4 s on a 2-core
-x86 VM, CPython 3.11). Each span scan stops at the Asratian–Kamalian bound
-on the greatest span; for ring(2, 4) that bound is 7, the constructed
-span, so no larger t is searched. ``ringcol bounds-exact`` prints the cap
+default grid (n <= 2, k <= 4) takes well under a second (0.2 s on a 2-core
+x86 VM, CPython 3.11). Each span scan stops at the smallest theorem bound
+on the greatest span (see ``ringcol.scan_cap``); for ring(2, 4) that is
+the Asratian–Kamalian bound 7, the constructed span, so no larger t is
+searched. ``ringcol bounds-exact`` prints the cap
 of a cell as t_max with its t_max_source. To prove W by exhaustion alone,
 run ``ringcol sweep --n-max 2 --k-max 4 --t-max 16 --out report``: it
 searches every t up to |E| on every cell (under a second on the same VM,

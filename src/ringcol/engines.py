@@ -2,10 +2,10 @@
 
 Each engine takes a graph, a span t and a node budget, and returns an
 assignment edge -> color or None once the whole (pruned but complete) space
-is exhausted; ``Budget.spend`` raises ``OutOfBudget`` when the node budget
-runs out. The engines never verify their own output: ``ringcol.search``
-wraps them in queries that re-check every witness with the independent
-verifier.
+is exhausted; it raises ``OutOfBudget`` at the first node past the budget's
+limit, with ``budget.nodes`` at limit + 1. The engines never verify their
+own output: ``ringcol.search`` wraps them in queries that re-check every
+witness with the independent verifier.
 
 * ``edge_dfs`` answers every interval query (``find_interval_t``). It
   assigns colors edge by edge in ``connected_edge_order``, pruning on
@@ -27,10 +27,22 @@ c -> t + 1 - c, by capping the color of a designated edge (the canonically
 smallest one) at ceil(t/2): any witness either respects the cap or reflects
 to one that does, so the answer is unchanged while the space halves.
 
-``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` on the same
-kind of state as the window assignment: vertices are indices into
-``g.vertices``, each vertex's used colors are an int bitmask, and each
-depth holds one color, withdrawn by one xor per endpoint. No function here
+``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` with vertices
+as indices into ``g.vertices`` and color sets as int bitmasks (bit c is
+color c). ``edge_dfs`` keeps, per vertex, the colors it may still take:
+the palette at first, then, each time color c lands on a vertex of degree
+d, that set ANDed with ``band[c]``, the colors within distance d - 1 of c
+other than c (one band table of t + 1 ints per distinct degree, built per
+query). The intersection of those bands is exactly the spread window
+``[highest - d + 1, lowest + d - 1]`` minus the used colors, so one AND of
+both endpoints' sets gives the properness and spread prunes at once. Each
+depth keeps both endpoints' sets from before its color and puts them back
+when the search backs up; the coverage prune reads a mask of the colors on
+no edge and its size, both kept up to date as colors land and leave.
+``proper_dfs`` builds one mask per depth of the colors free at both
+endpoints among those it may open. Both count nodes in a local variable
+against the budget's limit and write the count back to ``budget.nodes`` on
+every exit; ``Budget.spend`` serves ``start_assignment``. No function here
 recurses: every search runs from explicit per-depth state, so a graph with
 thousands of edges runs into its node budget, never into the recursion
 limit.
@@ -134,18 +146,41 @@ def _indexed_edge_order(g: Graph) -> tuple[list[Edge], list[int], list[int], lis
     return edges, [pos[e.u] for e in edges], [pos[e.v] for e in edges], deg
 
 
+def _band_tables(t: int, deg: list[int]) -> dict[int, list[int]]:
+    """For each distinct degree d, ``band[c]``: the colors a vertex of degree
+    d may still take once color c is on it, as a bitmask. Its spectrum spans
+    at most d colors and holds c once, so that is ``[c - d + 1, c + d - 1]``
+    within the palette, without c itself."""
+    return {
+        d: [0] + [((1 << (min(c + d - 1, t) + 1)) - (1 << max(c - d + 1, 1))) & ~(1 << c) for c in range(1, t + 1)]
+        for d in set(deg)
+    }
+
+
 def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
     edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:
         return None
 
-    used = [0] * len(deg)  # per vertex: bit c set when color c is on it
-    count = [0] * (t + 1)  # per color: edges carrying it
-    zero = palette = (1 << (t + 1)) - 2  # zero: bit c set while color c is on no edge
-    first = (1 << ((t + 1) // 2 + 1)) - 2  # the first edge's colors: up to the reflection cap
+    palette = (1 << (t + 1)) - 2
+    bands = _band_tables(t, deg)
+    band_u = [bands[deg[a]] for a in us]  # per depth: the band table of each endpoint
+    band_v = [bands[deg[b]] for b in vs]
+    # per depth: the colors edges[i] may take before any other prune; the
+    # first edge's colors stop at the reflection cap
+    base = [palette] * m
+    base[0] = (1 << ((t + 1) // 2 + 1)) - 2
+    avail = [palette] * len(deg)  # per vertex: the colors it may still take
+    zero = palette  # bit c set while color c is on no edge
+    unused = t  # the number of bits in zero
     color = [0] * m  # per depth: the color of edges[i]
+    fresh = [0] * m  # per depth: the bit of color[i] if no earlier edge carries it, else 0
     cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
+    keep_u = [0] * m  # per depth: both endpoints' avail before edges[i] took a color
+    keep_v = [0] * m
+    nodes = budget.nodes
+    limit = budget.limit
 
     i = 0
     while True:
@@ -153,44 +188,43 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
         # this state, and backing up to depth i restores the same state, so
         # the mask is built once and the lowest untried bit is taken each time.
         a, b = us[i], vs[i]
-        used_a, used_b = used[a], used[b]
-        mask = (palette if i else first) & ~(used_a | used_b)
-        # a spread of at most d keeps a new color in [highest - d + 1, lowest + d - 1]
-        if used_a:
-            d = deg[a]
-            mask &= (1 << ((used_a & -used_a).bit_length() - 1 + d)) - (1 << max(used_a.bit_length() - d, 0))
-        if used_b:
-            d = deg[b]
-            mask &= (1 << ((used_b & -used_b).bit_length() - 1 + d)) - (1 << max(used_b.bit_length() - d, 0))
-        unused = zero.bit_count()
+        avail_a = keep_u[i] = avail[a]
+        avail_b = keep_v[i] = avail[b]
+        mask = base[i] & avail_a & avail_b
         if unused >= m - i:  # each later edge can bring at most one unused color in
             mask &= zero if unused == m - i else 0
         while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
             if i == 0:
+                budget.nodes = nodes
                 return None
             i -= 1
             a, b = us[i], vs[i]
-            c = color[i]
-            bit = 1 << c
-            used[a] ^= bit
-            used[b] ^= bit
-            count[c] -= 1
-            if count[c] == 0:
+            avail_a = avail[a] = keep_u[i]
+            avail_b = avail[b] = keep_v[i]
+            bit = fresh[i]
+            if bit:
                 zero |= bit
+                unused += 1
             mask = cand[i]
 
-        budget.spend()
+        nodes += 1
+        if limit is not None and nodes > limit:
+            budget.nodes = nodes
+            raise OutOfBudget
         bit = mask & -mask
         cand[i] = mask ^ bit
         c = color[i] = bit.bit_length() - 1
-        used[a] |= bit
-        used[b] |= bit
-        if count[c] == 0:
+        avail[a] = avail_a & band_u[i][c]
+        avail[b] = avail_b & band_v[i][c]
+        bit &= zero
+        fresh[i] = bit
+        if bit:
             zero ^= bit
-        count[c] += 1
+            unused -= 1
         # At the last edge the coverage prune admits only colors that leave no
         # unused one, so every palette color is on some edge.
         if i == m - 1:
+            budget.nodes = nodes
             return dict(zip(edges, color))
         i += 1
 
@@ -367,34 +401,42 @@ def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
     if m == 0:
         return {}
 
+    # opened[h]: colors 1..min(t, h + 1), the ones an edge may take when h is
+    # the highest color opened before it
+    opened = [(1 << (min(t, h + 1) + 1)) - 2 for h in range(t + 1)]
     used = [0] * len(deg)  # per vertex: bit c set when color c is on it
-    color = [0] * m  # per depth: the color of edges[i], 0 = none tried yet
+    color = [0] * m  # per depth: the color of edges[i]
+    cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
     high = [0] * m  # per depth: the highest color opened before edges[i]
+    nodes = budget.nodes
+    limit = budget.limit
 
     i = 0
     while True:
         a, b = us[i], vs[i]
-        c = color[i]
-        if c:  # withdraw the color tried last at this depth
-            bit = 1 << c
-            used[a] ^= bit
-            used[b] ^= bit
-        taken = used[a] | used[b]
-        for c in range(c + 1, min(t, high[i] + 1) + 1):
-            if not taken >> c & 1:
-                break
-        else:  # no color left at depth i: back up to the previous edge
-            color[i] = 0
+        mask = opened[high[i]] & ~(used[a] | used[b])
+        while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
             if i == 0:
+                budget.nodes = nodes
                 return None
             i -= 1
-            continue
-        budget.spend()
-        bit = 1 << c
+            a, b = us[i], vs[i]
+            bit = 1 << color[i]
+            used[a] ^= bit
+            used[b] ^= bit
+            mask = cand[i]
+
+        nodes += 1
+        if limit is not None and nodes > limit:
+            budget.nodes = nodes
+            raise OutOfBudget
+        bit = mask & -mask
+        cand[i] = mask ^ bit
+        c = color[i] = bit.bit_length() - 1
         used[a] |= bit
         used[b] |= bit
-        color[i] = c
         if i == m - 1:
+            budget.nodes = nodes
             return dict(zip(edges, color))
-        high[i + 1] = max(high[i], c)
         i += 1
+        high[i] = max(high[i - 1], c)

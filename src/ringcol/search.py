@@ -55,12 +55,12 @@ EXHAUSTED = "exhausted_budget"
 class SearchConfig:
     """The span cap and node budget of one feasibility query or span scan.
 
-    ``t_max`` caps span scans. When it is None the cap is the smaller of
+    ``t_max`` caps span scans. When it is None the cap is the smallest of
     |E(G)| (every palette color needs an edge, so no interval t-coloring with
-    t > |E| exists) and, for a connected graph, the Asratian–Kamalian bound
-    on the greatest span (see ``scan_cap``). An explicit value always wins:
+    t > |E| exists) and, for a connected graph, the theorem bounds on the
+    greatest span (see ``scan_cap``). An explicit value always wins:
     ``t_max=len(g.edges)`` forces the scan to exhaust every t up to |E|
-    without citing the theorem. It never affects a single
+    without citing a theorem. It never affects a single
     ``find_interval_t`` query. ``node_limit`` bounds the number of decision
     nodes per query (None = unbounded).
     """
@@ -96,9 +96,10 @@ class BoundReport:
     ``trail`` records the per-t statuses in scan order. ``t_max`` is the cap
     that was in force and ``t_max_source`` where it came from: "t_max" (set
     in the SearchConfig), "edges" (|E|, the trivial cap), or
-    "asratian_kamalian_bipartite" / "asratian_kamalian" (the theorem bound
-    on the greatest span of a connected interval-colorable graph, which then
-    stands in for exhausting every t between it and |E|). Statuses: "exact"
+    "asratian_kamalian_bipartite" / "asratian_kamalian" /
+    "giaro_kubale_malafiejski" (a theorem bound on the greatest span of a
+    connected interval-colorable graph, which then stands in for exhausting
+    every t between it and |E|; see ``scan_cap``). Statuses: "exact"
     (value settled by exhaustion up to the cap), "lower_bound_only" (witness
     found but some larger t hit the budget), "inconclusive" (budget ran out
     before any answer), and "not_interval_colorable" (every t up to the cap
@@ -215,10 +216,13 @@ def _asratian_kamalian_bound(g: Graph) -> tuple[int, str] | None:
 def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     """The largest t a span scan asks about, and where that cap comes from.
 
-    An explicit ``cfg.t_max`` wins ("t_max"). Otherwise the cap is |E|
-    ("edges") unless the Asratian–Kamalian bound is strictly smaller. Above
-    that bound a connected graph has no interval coloring at any t, so a
-    scan that stops there still settles w and W.
+    An explicit ``cfg.t_max`` wins ("t_max"). Otherwise the cap is the
+    smallest of |E| ("edges"), the Asratian–Kamalian bound and, for a
+    connected graph on at least 3 vertices, the Giaro–Kubale–Małafiejski
+    bound W <= 2|V| - 4 (Discrete Math. 236, 2001, 131–143;
+    "giaro_kubale_malafiejski"). A tie keeps the earlier source in that
+    order. Above either theorem bound a connected graph has no interval
+    coloring at any t, so a scan that stops there still settles w and W.
 
     Raises ParameterError when an explicit ``t_max`` is below the maximum
     degree: a scan would then ask no t at all and report a graph that may
@@ -229,11 +233,13 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
         if cfg.t_max < g.max_degree():
             raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
         return cfg.t_max, "t_max"
-    m = len(g.edges)
-    theorem = _asratian_kamalian_bound(g)
-    if theorem is not None and theorem[0] < m:
-        return theorem
-    return m, "edges"
+    bounds = [(len(g.edges), "edges")]
+    theorem = _asratian_kamalian_bound(g)  # None unless g is connected with an edge
+    if theorem is not None:
+        bounds.append(theorem)
+        if len(g.vertices) >= 3:
+            bounds.append((2 * len(g.vertices) - 4, "giaro_kubale_malafiejski"))
+    return min(bounds, key=lambda bound: bound[0])  # the first of equal caps wins
 
 
 class _SpanScan:

@@ -29,12 +29,18 @@ from ringcol import (
 from ringcol import engines, search
 from ringcol.engines import start_assignment
 
+import reference
 from reference import run_engine
 from strategies import small_graphs
 
 
 def cycle(k):
     return ring_graph(RingParams(1, k))
+
+
+def path(n):
+    vertices = [Vertex(1, i) for i in range(1, n + 1)]
+    return build_graph(n, 1, vertices, list(zip(vertices, vertices[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +266,16 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     )
 
 
+@pytest.mark.extended
+@pytest.mark.parametrize("k, W", [(5, 7), (6, 9)])
+def test_greatest_span_of_ring_2_k_by_exhaustion(k, W):
+    # the paper states neither: every t above W up to the Asratian–Kamalian cap of 10 is refuted
+    profile = span_profile(ring_graph(RingParams(2, k)))
+    assert (profile.w.value, profile.w.status) == (4, "exact")
+    assert (profile.W.value, profile.W.status, profile.W.t_max) == (W, "exact", 10)
+    assert profile.continuity_status == "ok"
+
+
 def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
     made = []
     original = search.find_interval_t
@@ -296,8 +312,9 @@ def test_scan_cap_sources():
     g = cycle(4)
     assert scan_cap(g) == (3, "asratian_kamalian_bipartite")
     assert scan_cap(g, SearchConfig(t_max=9)) == (9, "t_max")
-    assert scan_cap(cycle(3)) == (3, "edges")  # the general bound ties |E|: no theorem needed
-    assert scan_cap(ring_graph(RingParams(2, 3))) == (10, "asratian_kamalian")
+    assert scan_cap(cycle(3)) == (2, "giaro_kubale_malafiejski")  # 2|V| - 4 = 2 < 3 = |E|
+    assert scan_cap(ring_graph(RingParams(2, 3))) == (8, "giaro_kubale_malafiejski")  # below AK's 10
+    assert scan_cap(path(3)) == (2, "edges")  # 2|V| - 4 ties |E|: no theorem needed
     two_paths = build_graph(1, 4, [Vertex(i, 1) for i in range(1, 5)],
                             [(Vertex(1, 1), Vertex(2, 1)), (Vertex(3, 1), Vertex(4, 1))])
     assert scan_cap(two_paths) == (2, "edges")  # disconnected: the theorem does not apply
@@ -312,18 +329,22 @@ def test_scan_cap_rejects_an_explicit_cap_below_the_max_degree():
 
 def _cap_corpus():
     graphs = [(f"C{k}", cycle(k)) for k in range(3, 9)]
-    graphs += [(f"K{n},{n}", complete_bipartite(n)) for n in (1, 2, 3)]
-    graphs.append(("ring(2,3)", ring_graph(RingParams(2, 3))))
+    graphs += [(f"K{n},{n}", complete_bipartite(n)) for n in (1, 2, 3, 4)]
+    graphs += [(f"ring(2,{k})", ring_graph(RingParams(2, k))) for k in (3, 4)]
+    graphs += [(f"P{n}", path(n)) for n in (3, 4, 5)]  # 2|V| - 4 = W on P3: the theorem cap is tight
     return graphs
 
 
 def test_nothing_above_the_scan_cap_is_feasible():
-    # guards the cited theorem: a mis-stated bound shows up as a witness here
+    # guards the cited theorems: a mis-stated bound shows up as a witness here
     for label, g in _cap_corpus():
         cap, _ = scan_cap(g)
         for t in range(cap + 1, len(g.edges) + 1):
             assert find_interval_t(g, t).status == "infeasible", (label, t, "edge_dfs")
-            assert run_engine(start_assignment, g, t)[0] == "infeasible", (label, t, "start_assignment")
+            # start_assignment needs about 11 s per 16-edge graph (K4,4 and ring(2,4), which are
+            # isomorphic); edge_dfs alone covers those
+            if len(g.edges) < 16:
+                assert run_engine(start_assignment, g, t)[0] == "infeasible", (label, t, "start_assignment")
 
 
 def test_chromatic_index_small_cases():
@@ -455,3 +476,29 @@ def test_more_budget_never_flips_a_definite_answer(g, limit):
         for cfg in (SearchConfig(node_limit=4 * limit), SearchConfig()):
             again = find_interval_t(g, t, cfg)
             assert (again.status, again.nodes_explored) == (first.status, first.nodes_explored), (t, limit)
+
+
+_ENGINE_PAIRS = ((engines.edge_dfs, reference.edge_dfs), (engines.proper_dfs, reference.proper_dfs))
+
+
+@given(g=small_graphs(max_edges=12), limit=st.none() | st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_dfs_engines_match_their_plain_references(g, limit):
+    # same outcome, same node count (the first over-budget node included) and
+    # the same witness items in the same order, at every t up to |E| + 1 (the
+    # first t whose palette cannot be covered)
+    for t in range(1, len(g.edges) + 2):
+        for fast, plain in _ENGINE_PAIRS:
+            assert reference.trace(fast, g, t, limit) == reference.trace(plain, g, t, limit), (fast.__name__, t)
+
+
+@pytest.mark.extended
+def test_dfs_engines_match_their_plain_references_on_the_desk_corpus():
+    graphs = [cycle(k) for k in range(3, 9)] + [complete_bipartite(n) for n in (1, 2, 3, 4)]
+    graphs += [ring_graph(RingParams(n, k)) for n, k in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (2, 8))]
+    edge, proper = _ENGINE_PAIRS
+    for g in graphs:
+        queries = [(edge, t) for t in range(1, min(len(g.edges), 18) + 1)]
+        queries += [(proper, t) for t in (g.max_degree(), g.max_degree() + 1)]
+        for (fast, plain), t in queries:
+            assert reference.trace(fast, g, t, 60_000) == reference.trace(plain, g, t, 60_000), (fast.__name__, t)
