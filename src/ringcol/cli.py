@@ -47,18 +47,14 @@ from .errors import (
     ParityError,
 )
 from .graphs import RingParams, ring_graph
-from .search import (
-    SearchConfig,
-    chromatic_index_search,
-    find_interval_t,
-    span_profile,
-)
+from .search import SearchConfig, find_interval_t, span_profile
 
 ENV_NODE_LIMIT = "RINGCOL_NODE_LIMIT"
 T_MAX_HELP = (
-    "largest t the span scans ask about (default: the smaller of |E| and the "
-    "Asratian-Kamalian bound on the greatest span; pass |E| to settle every t by exhaustion; "
-    "a value below the maximum degree exits 2)"
+    "largest t the span scans ask about (default: the smallest of |E|, the Asratian-Kamalian "
+    "bound and the Giaro-Kubale-Malafiejski bound 2|V|-4 on the greatest span; pass |E| to "
+    "settle every t by exhaustion; a value above |E| is clamped to |E|, and one below the "
+    "maximum degree exits 2)"
 )
 
 EXIT_OK = 0
@@ -190,53 +186,23 @@ def cmd_bounds(args: argparse.Namespace, artifacts: list[str]) -> int:
     return EXIT_OK
 
 
-def _tri_value(report) -> dict[str, Any]:
-    if report.status == "not_interval_colorable":
-        return {"value": None, "status": "exact"}
-    return {"value": report.value, "status": report.status}
-
-
 def cmd_bounds_exact(args: argparse.Namespace, artifacts: list[str]) -> int:
     params = RingParams(args.n, args.k)
-    g = ring_graph(params)
-    cfg = _search_config(args)
-
-    profile = span_profile(g, cfg)
-    w_report, W_report = profile.w, profile.W
-    chi_value, _ = chromatic_index_search(g, cfg)
-    chi = {"value": chi_value, "status": "inconclusive" if chi_value is None else "exact"}
-    budget_hit = (
-        chi_value is None
-        or "inconclusive" in (w_report.status, W_report.status)
-        or W_report.status == "lower_bound_only"
-    )
-
-    doc = {
-        "n": args.n,
-        "k": args.k,
-        "interval_colorable": w_report.value is not None,
-        "w": _tri_value(w_report),
-        "W": _tri_value(W_report),
-        "chi_prime": chi,
-        "continuity": profile.continuity_status,
-        "t_max": W_report.t_max,
-        "t_max_source": W_report.t_max_source,
-    }
+    profile = span_profile(ring_graph(params), _search_config(args))
+    doc = rio.profile_to_dict(params, profile)
     _print_json(doc)
     if args.out:
         rio.dump_json(doc, args.out)
         artifacts.append(args.out)
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_OK if profile.settled else EXIT_BUDGET
 
 
 def _sweep_cell(n: int, k: int, cfg: SearchConfig) -> dict[str, Any]:
     params = RingParams(n, k)
     g = ring_graph(params)
     summary = bounds_summary(params)
-
-    chi_oracle, chi_nodes = chromatic_index_search(g, cfg)
     profile = span_profile(g, cfg)
-    w_report, W_report = profile.w, profile.W
+    chi_oracle, w_report, W_report = profile.chi_prime, profile.w, profile.W
 
     def blank(x: Any) -> Any:
         return "" if x is None else x
@@ -265,7 +231,7 @@ def _sweep_cell(n: int, k: int, cfg: SearchConfig) -> dict[str, Any]:
         "W_oracle": blank(W_report.value),
         "W_status": W_report.status,
         "continuity": profile.continuity_status,
-        "nodes_explored": chi_nodes + profile.nodes_explored,
+        "nodes_explored": profile.nodes_explored,
     }
 
 

@@ -20,14 +20,11 @@ search oracle for a witness instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import search
 from .coloring import EdgeColoring
 from .errors import BudgetExhaustedError, ParameterError, ParityError, SoundnessError
 from .graphs import Edge, RingParams, Vertex, make_edge, ring_graph
-
-if TYPE_CHECKING:
-    from .search import SearchConfig
 
 __all__ = [
     "BoundsSummary",
@@ -128,10 +125,12 @@ class BoundsSummary:
     ``interval_colorable`` holds exactly when the chromatic index equals the
     degree 2n, i.e. when n*k is even. When it fails, no interval coloring
     exists at any t and the span fields stay None. ``W_lower`` is what the
-    mirrored construction reaches for even k; ``W_exact`` is only populated
-    for k = 4, the one case where that bound is known to be the true maximum
-    (value 4n - 1). ``feasible_t`` is the inclusive range of t values, every
-    one of which admits an interval coloring when k is even.
+    mirrored construction reaches for even k. ``W_exact`` equals it where it
+    meets the Asratian–Kamalian bound (k/2)(2n - 1) + 1 (the ring is then
+    connected and bipartite with diameter k/2 and degree 2n), that is on
+    every ring(n, 4) and every even cycle ring(1, k), and is None elsewhere.
+    ``feasible_t`` is the inclusive range of t values, every one of which
+    admits an interval coloring when k is even.
     """
 
     n: int
@@ -151,7 +150,8 @@ def bounds_summary(params: RingParams) -> BoundsSummary:
 
     w = 2 * n if colorable else None
     W_lower = widest_constructed_t(params) if (colorable and k % 2 == 0) else None
-    W_exact = 4 * n - 1 if k == 4 else None
+    at_theorem_cap = W_lower == search.asratian_kamalian_bound(k // 2, 2 * n, bipartite=True)
+    W_exact = W_lower if at_theorem_cap else None
     feasible = (2 * n, W_lower) if W_lower is not None else None
     return BoundsSummary(
         n=n,
@@ -165,7 +165,7 @@ def bounds_summary(params: RingParams) -> BoundsSummary:
     )
 
 
-def t_coloring(params: RingParams, t: int, cfg: SearchConfig | None = None) -> EdgeColoring:
+def t_coloring(params: RingParams, t: int, cfg: search.SearchConfig | None = None) -> EdgeColoring:
     """An interval t-coloring of ring_graph(params) for any feasible t.
 
     The top of the range comes straight from the construction; all other t
@@ -176,8 +176,6 @@ def t_coloring(params: RingParams, t: int, cfg: SearchConfig | None = None) -> E
     silently claims infeasibility). A search that calls a t in the range
     infeasible contradicts the construction and raises SoundnessError.
     """
-    from .search import SearchConfig, find_interval_t
-
     n = params.n
     top = widest_constructed_t(params)
     if not 2 * n <= t <= top:
@@ -185,9 +183,7 @@ def t_coloring(params: RingParams, t: int, cfg: SearchConfig | None = None) -> E
     if t == top:
         return mirrored_staircase_coloring(params)
 
-    cfg = cfg if cfg is not None else SearchConfig()
-    g = ring_graph(params)
-    outcome = find_interval_t(g, t, cfg)
+    outcome = search.find_interval_t(ring_graph(params), t, cfg)
     if outcome.status == "witness":
         assert outcome.witness is not None
         return outcome.witness

@@ -31,8 +31,8 @@ from typing import Any
 from .coloring import EdgeColoring, VerificationReport
 from .construct import BoundsSummary
 from .errors import FormatError
-from .graphs import Edge, Graph, Vertex, build_graph, make_edge
-from .search import BoundReport, SearchOutcome
+from .graphs import Edge, Graph, RingParams, Vertex, build_graph, make_edge
+from .search import BoundReport, SearchOutcome, SpanProfile
 
 __all__ = [
     "graph_to_dict",
@@ -43,6 +43,7 @@ __all__ = [
     "outcome_to_dict",
     "bounds_to_dict",
     "bound_report_to_dict",
+    "profile_to_dict",
     "dump_json",
     "load_json",
     "load_graph",
@@ -188,6 +189,28 @@ def bound_report_to_dict(r: BoundReport) -> dict[str, Any]:
         "t_max_source": r.t_max_source,
         "nodes_explored": r.nodes_explored,
         "trail": [[t, status] for t, status in r.trail],
+    }
+
+
+def _span_value(r: BoundReport) -> dict[str, Any]:
+    # a graph proven to have no interval coloring has the exact answer None
+    if r.status == "not_interval_colorable":
+        return {"value": None, "status": "exact"}
+    return {"value": r.value, "status": r.status}
+
+
+def profile_to_dict(params: RingParams, p: SpanProfile) -> dict[str, Any]:
+    """The ``bounds-exact`` document of one ring's span profile."""
+    return {
+        "n": params.n,
+        "k": params.k,
+        "interval_colorable": p.w.value is not None,
+        "w": _span_value(p.w),
+        "W": _span_value(p.W),
+        "chi_prime": {"value": p.chi_prime, "status": "inconclusive" if p.chi_prime is None else "exact"},
+        "continuity": p.continuity_status,
+        "t_max": p.W.t_max,
+        "t_max_source": p.W.t_max_source,
     }
 
 

@@ -13,7 +13,8 @@ which also keeps ``start_assignment``, an independent engine that only the
 tests run, to cross-check ``edge_dfs``); ``find_proper_t`` decides proper
 t-colorability for the chromatic index. The span scans (``span_profile``,
 ``compute_w``, ``compute_W``, ``continuity_scan``) ask a series of such
-queries, up to the cap that ``scan_cap`` reports.
+queries, up to the cap that ``scan_cap`` reports; ``span_profile`` also
+settles the chromatic index, so one call answers a whole (n, k) cell.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .coloring import EdgeColoring, verify
 from .engines import Budget, OutOfBudget, edge_dfs, proper_dfs
@@ -38,6 +40,7 @@ __all__ = [
     "find_interval_t",
     "find_proper_t",
     "scan_cap",
+    "asratian_kamalian_bound",
     "span_profile",
     "compute_w",
     "compute_W",
@@ -58,9 +61,9 @@ class SearchConfig:
     ``t_max`` caps span scans. When it is None the cap is the smallest of
     |E(G)| (every palette color needs an edge, so no interval t-coloring with
     t > |E| exists) and, for a connected graph, the theorem bounds on the
-    greatest span (see ``scan_cap``). An explicit value always wins:
-    ``t_max=len(g.edges)`` forces the scan to exhaust every t up to |E|
-    without citing a theorem. It never affects a single
+    greatest span (see ``scan_cap``). An explicit value wins up to |E| and is
+    clamped to |E| above it: ``t_max=len(g.edges)`` forces the scan to
+    exhaust every t up to |E| without citing a theorem. It never affects a single
     ``find_interval_t`` query. ``node_limit`` bounds the number of decision
     nodes per query (None = unbounded).
     """
@@ -116,6 +119,25 @@ class BoundReport:
     trail: tuple[tuple[int, str], ...] = ()
 
 
+def _query(g: Graph, t: int, cfg: SearchConfig | None, engine: Callable[..., dict | None], check: str) -> SearchOutcome:
+    """Run one engine query under cfg's node budget. A witness must pass the
+    verifier's ``check`` (a VerificationReport field) or SoundnessError is
+    raised; ``infeasible`` means the engine exhausted its space."""
+    if t < 1:
+        raise ParameterError(f"t must be >= 1, got {t}")
+    budget = Budget((cfg or SearchConfig()).node_limit)
+    try:
+        assignment = engine(g, t, budget)
+    except OutOfBudget:
+        return SearchOutcome(EXHAUSTED, None, budget.nodes)
+    if assignment is None:
+        return SearchOutcome(INFEASIBLE, None, budget.nodes)
+    witness = EdgeColoring(colors=assignment, t=t)
+    if not getattr(verify(g, witness), check):
+        raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that fails {check}")
+    return SearchOutcome(WITNESS, witness, budget.nodes)
+
+
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has an interval t-coloring; produce one if so.
 
@@ -123,31 +145,9 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     needs an edge per color); everything else is settled by ``edge_dfs``.
     Deterministic for fixed inputs and config.
     """
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
-    cfg = cfg or SearchConfig()
-    m = len(g.edges)
-    if t > m:
+    if t > len(g.edges):  # implies t >= 1, so a bad t still raises in _query
         return SearchOutcome(INFEASIBLE, None, 0)
-
-    budget = Budget(cfg.node_limit)
-    try:
-        assignment = edge_dfs(g, t, budget)
-    except OutOfBudget:
-        return SearchOutcome(EXHAUSTED, None, budget.nodes)
-
-    if assignment is None:
-        return SearchOutcome(INFEASIBLE, None, budget.nodes)
-
-    witness = EdgeColoring(colors=assignment, t=t)
-    if not verify(g, witness).is_interval_coloring:
-        raise SoundnessError(f"edge_dfs produced a non-interval witness at t={t}")
-    return SearchOutcome(WITNESS, witness, budget.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Proper (not necessarily interval) edge coloring, for the chromatic index
-# ---------------------------------------------------------------------------
+    return _query(g, t, cfg, edge_dfs, "is_interval_coloring")
 
 
 def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -158,20 +158,7 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
     all been used. The witness is not an interval coloring in general and is
     checked for properness only.
     """
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
-    cfg = cfg or SearchConfig()
-    budget = Budget(cfg.node_limit)
-    try:
-        assignment = proper_dfs(g, t, budget)
-    except OutOfBudget:
-        return SearchOutcome(EXHAUSTED, None, budget.nodes)
-    if assignment is None:
-        return SearchOutcome(INFEASIBLE, None, budget.nodes)
-    witness = EdgeColoring(colors=assignment, t=t)
-    if not verify(g, witness).is_proper:
-        raise SoundnessError(f"proper search produced an improper witness at t={t}")
-    return SearchOutcome(WITNESS, witness, budget.nodes)
+    return _query(g, t, cfg, proper_dfs, "is_proper")
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +166,18 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
 # ---------------------------------------------------------------------------
 
 
-def _asratian_kamalian_bound(g: Graph) -> tuple[int, str] | None:
+def asratian_kamalian_bound(diam: int, max_degree: int, bipartite: bool) -> int:
     """Asratian–Kamalian (J. Combin. Theory B 62, 1994): a connected
-    interval-colorable graph has W <= diam*(Delta-1) + 1 when it is bipartite
-    and W <= (diam+1)*(Delta-1) + 1 in general.
+    interval-colorable graph of diameter diam has W <= diam*(Delta-1) + 1 when
+    it is bipartite and W <= (diam+1)*(Delta-1) + 1 in general."""
+    return (diam if bipartite else diam + 1) * (max_degree - 1) + 1
 
-    One BFS per vertex gives the diameter; a connected graph is bipartite
+
+def _diameter_and_bipartite(g: Graph) -> tuple[int, bool] | None:
+    """One BFS per vertex gives the diameter; a connected graph is bipartite
     exactly when no edge joins two vertices at the same BFS depth. Returns
     None for a graph without edges or one that is not connected, where the
-    theorem does not apply.
-    """
+    theorem bounds do not apply."""
     if not g.edges:
         return None
     diam = 0
@@ -207,17 +196,17 @@ def _asratian_kamalian_bound(g: Graph) -> tuple[int, str] | None:
         if len(depth) < len(g.vertices):
             return None
         diam = max(diam, max(depth.values()))
-    delta = g.max_degree()
-    if bipartite:
-        return diam * (delta - 1) + 1, "asratian_kamalian_bipartite"
-    return (diam + 1) * (delta - 1) + 1, "asratian_kamalian"
+    return diam, bipartite
 
 
 def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     """The largest t a span scan asks about, and where that cap comes from.
 
-    An explicit ``cfg.t_max`` wins ("t_max"). Otherwise the cap is the
-    smallest of |E| ("edges"), the Asratian–Kamalian bound and, for a
+    An explicit ``cfg.t_max`` wins ("t_max") up to |E|; above |E| it is
+    clamped to |E| ("edges"), since no larger t has an interval coloring.
+    Otherwise the cap is the smallest of |E| ("edges"), the
+    Asratian–Kamalian bound ("asratian_kamalian_bipartite" or
+    "asratian_kamalian", see ``asratian_kamalian_bound``) and, for a
     connected graph on at least 3 vertices, the Giaro–Kubale–Małafiejski
     bound W <= 2|V| - 4 (Discrete Math. 236, 2001, 131–143;
     "giaro_kubale_malafiejski"). A tie keeps the earlier source in that
@@ -232,11 +221,13 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     if cfg.t_max is not None:
         if cfg.t_max < g.max_degree():
             raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
-        return cfg.t_max, "t_max"
+        return (cfg.t_max, "t_max") if cfg.t_max <= len(g.edges) else (len(g.edges), "edges")
     bounds = [(len(g.edges), "edges")]
-    theorem = _asratian_kamalian_bound(g)  # None unless g is connected with an edge
-    if theorem is not None:
-        bounds.append(theorem)
+    shape = _diameter_and_bipartite(g)  # None unless g is connected with an edge
+    if shape is not None:
+        diam, bipartite = shape
+        source = "asratian_kamalian_bipartite" if bipartite else "asratian_kamalian"
+        bounds.append((asratian_kamalian_bound(diam, g.max_degree(), bipartite), source))
         if len(g.vertices) >= 3:
             bounds.append((2 * len(g.vertices) - 4, "giaro_kubale_malafiejski"))
     return min(bounds, key=lambda bound: bound[0])  # the first of equal caps wins
@@ -272,11 +263,14 @@ class _SpanScan:
 
 @dataclass(frozen=True)
 class SpanProfile:
-    """One span scan of a graph: ``w`` and ``W`` as BoundReports, and the
-    statuses of every t in [max degree, W] (``continuity``; None unless both
-    w and W were found). ``trail`` lists each query the scan made, in order,
-    and ``nodes_explored`` is their total."""
+    """Everything the oracle says about one graph: the chromatic index
+    (``chi_prime``; None when a budget cut its search short), ``w`` and ``W``
+    as BoundReports, and the statuses of every t in [max degree, W]
+    (``continuity``; None unless both w and W were found). ``trail`` lists
+    each interval query, in the order asked; ``nodes_explored`` counts the
+    nodes of every query, the proper ones for ``chi_prime`` included."""
 
+    chi_prime: int | None
     w: BoundReport
     W: BoundReport
     continuity: tuple[tuple[int, str], ...] | None
@@ -297,15 +291,23 @@ class SpanProfile:
             return "ok"
         return "inconclusive"
 
+    @property
+    def settled(self) -> bool:
+        """True when no budget got in the way of chi', w or W: chi' was found
+        and both spans are "exact" or "not_interval_colorable"."""
+        definite = ("exact", "not_interval_colorable")
+        return self.chi_prime is not None and self.w.status in definite and self.W.status in definite
+
 
 def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
-    """w, W and continuity from one scan that asks each t at most once.
+    """chi', w, W and continuity of g: the one call that answers a cell.
 
-    The scan goes upward from the maximum degree to the first witness (w),
-    downward from the cap to the first witness (W), and then over the t
-    strictly between them not yet asked. It runs ``compute_w``,
-    ``compute_W`` and ``continuity_scan`` in turn on one table that lives
-    only inside this call, so node counts never depend on call history.
+    The span scan asks each t at most once: upward from the maximum degree
+    to the first witness (w), downward from the cap to the first witness
+    (W), and then over the t strictly between them not yet asked. It runs
+    ``compute_w``, ``compute_W`` and ``continuity_scan`` in turn on one table
+    that lives only inside this call, so node counts never depend on call
+    history. ``chromatic_index_search`` then settles chi'.
     """
     memo: dict[int, SearchOutcome] = {}
     w = compute_w(g, cfg, memo=memo)
@@ -313,8 +315,10 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     continuity = None
     if w.value is not None and W.value is not None:
         continuity = tuple(continuity_scan(g, cfg, t_hi=W.value, memo=memo))
+    chi_prime, chi_nodes = chromatic_index_search(g, cfg)
     trail = tuple((t, outcome.status) for t, outcome in memo.items())
-    return SpanProfile(w, W, continuity, trail, sum(o.nodes_explored for o in memo.values()))
+    nodes = chi_nodes + sum(o.nodes_explored for o in memo.values())
+    return SpanProfile(chi_prime, w, W, continuity, trail, nodes)
 
 
 def compute_w(
@@ -373,24 +377,19 @@ def compute_W(
 def continuity_scan(
     g: Graph,
     cfg: SearchConfig | None = None,
-    t_hi: int | None = None,
     *,
+    t_hi: int,
     memo: dict[int, SearchOutcome] | None = None,
 ) -> list[tuple[int, str]]:
-    """Statuses of every t from the maximum degree up to t_hi (default: the
-    computed greatest span, whose witness query is not repeated; ``memo`` as
-    in ``compute_w``).
+    """Statuses of every t from the maximum degree up to t_hi (``memo`` as
+    in ``compute_w``); ``span_profile`` passes the greatest span W, whose
+    witness it already holds.
 
-    Returns [] when the graph has no interval coloring at all within the
-    cap. For regular interval-colorable graphs every returned status is
-    expected to be a witness; a gap would falsify the continuity property
-    this scan exists to confirm.
+    For regular interval-colorable graphs every returned status is expected
+    to be a witness; a gap would falsify the continuity property this scan
+    exists to confirm.
     """
     scan = _SpanScan(g, cfg, memo)
-    if t_hi is None:
-        t_hi = compute_W(g, cfg, memo=scan.memo).value
-        if t_hi is None:
-            return []
     return [(t, scan.status(t)) for t in range(scan.t_lo, t_hi + 1)]
 
 

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from ringcol import (
     EdgeColoring,
     RingParams,
-    chromatic_index_search,
     compute_W,
     mirrored_staircase_coloring,
     ring_graph,
     span_profile,
 )
+from ringcol import cli
 from ringcol.cli import main
 from ringcol.io import (
     bound_report_to_dict,
@@ -296,6 +297,40 @@ def test_bounds_exact_budget_exit(tmp_path, capsys):
     assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--node-limit", "10") == 4
 
 
+def _recorded_profiles(monkeypatch):
+    """Make cli's span_profile record each profile it returns, keyed by (n, k)."""
+    profiles = {}
+
+    def recording(g, cfg):
+        assert (g.n, g.k) not in profiles, "a cell asked for two profiles"
+        profiles[(g.n, g.k)] = span_profile(g, cfg)
+        return profiles[(g.n, g.k)]
+
+    monkeypatch.setattr(cli, "span_profile", recording)
+    return profiles
+
+
+@pytest.mark.parametrize("n, k, flags, settled", [
+    (2, 4, ["--node-limit", "10"], False),
+    (8, 16, ["--node-limit", "5000"], False),
+    (2, 4, [], True),
+])
+def test_bounds_exact_exit_follows_the_profile_settled(tmp_path, capsys, monkeypatch, n, k, flags, settled):
+    profiles = _recorded_profiles(monkeypatch)
+    code = run(tmp_path, "bounds-exact", "--n", str(n), "--k", str(k), *flags)
+    assert [p.settled for p in profiles.values()] == [settled]
+    assert code == (0 if settled else 4)
+
+
+def test_bounds_exact_clamps_a_huge_t_max_to_the_edge_count(tmp_path, capsys):
+    started = time.perf_counter()
+    assert run(tmp_path, "bounds-exact", "--n", "1", "--k", "4", "--t-max", "1000000000") == 0
+    assert time.perf_counter() - started < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["W"] == {"value": 3, "status": "exact"}
+    assert (doc["t_max"], doc["t_max_source"]) == (4, "edges")
+
+
 def test_bounds_exact_rejects_a_t_max_below_the_max_degree(tmp_path, capsys):
     # ring(2,4) is interval 4-colorable: a cap of 3 must not report otherwise
     assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--t-max", "3") == 2
@@ -333,13 +368,15 @@ def test_sweep_small_grid(tmp_path, capsys):
     assert all(cell["chi_agree"] == "yes" for cell in doc["cells"])
 
 
-def test_sweep_node_column_counts_every_query_of_the_cell(tmp_path):
+def test_sweep_node_column_counts_every_query_of_the_cell(tmp_path, monkeypatch):
+    # one profile per cell, whose count already includes the chi' queries
+    profiles = _recorded_profiles(monkeypatch)
     out = tmp_path / "report"
     assert run(tmp_path, "sweep", "--n-max", "2", "--k-max", "3", "--out", str(out)) == 0
-    for cell in load_json(tmp_path / "report.json")["cells"]:
-        g = ring_graph(RingParams(cell["n"], cell["k"]))
-        spent = chromatic_index_search(g)[1] + span_profile(g).nodes_explored
-        assert cell["nodes_explored"] == spent
+    cells = load_json(tmp_path / "report.json")["cells"]
+    assert {(cell["n"], cell["k"]): cell["nodes_explored"] for cell in cells} == {
+        cell: profile.nodes_explored for cell, profile in profiles.items()
+    }
 
 
 def test_sweep_rejects_empty_grid(tmp_path):

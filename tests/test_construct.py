@@ -12,6 +12,7 @@ from ringcol import (
     Vertex,
     bounds_summary,
     complete_bipartite,
+    compute_W,
     expected_spectrum,
     make_edge,
     mirrored_staircase_coloring,
@@ -223,8 +224,21 @@ def test_bounds_summary_1_6():
     assert b.interval_colorable
     assert b.w == 2
     assert b.W_lower == 4
-    assert b.W_exact is None
+    assert b.W_exact == 4  # the even cycle meets the Asratian–Kamalian bound k/2 + 1
     assert b.feasible_t == (2, 4)
+
+
+@pytest.mark.parametrize("n, k", [(1, 4), (1, 6), (1, 8), (2, 4)])
+def test_W_exact_is_the_greatest_span_found_by_exhaustion(n, k):
+    g = ring_graph(RingParams(n, k))
+    report = compute_W(g, SearchConfig(t_max=len(g.edges)))  # every t up to |E|, no theorem cited
+    assert (report.value, report.status) == (bounds_summary(RingParams(n, k)).W_exact, "exact")
+
+
+def test_W_exact_is_unset_below_the_theorem_bound():
+    # the construction's 2n + nk/2 - 1 stays below (k/2)(2n - 1) + 1 here
+    for n, k in ((2, 6), (3, 6)):
+        assert bounds_summary(RingParams(n, k)).W_exact is None
 
 
 def test_bounds_summary_odd_k_even_product():

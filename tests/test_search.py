@@ -11,6 +11,7 @@ from ringcol import (
     SoundnessError,
     Vertex,
     build_graph,
+    chromatic_index_search,
     complete_bipartite,
     compute_W,
     compute_chromatic_index,
@@ -254,15 +255,17 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
         return original(g, t, cfg)
 
     monkeypatch.setattr(search, "find_interval_t", counting)
-    profile = span_profile(ring_graph(RingParams(2, 4)))
+    g = ring_graph(RingParams(2, 4))
+    profile = span_profile(g)
     assert asked == [4, 7, 5, 6]
     assert [t for t, _ in profile.trail] == asked
     assert (profile.w.value, profile.w.status) == (4, "exact")
     assert (profile.W.value, profile.W.status) == (7, "exact")
     assert (profile.W.t_max, profile.W.t_max_source) == (7, "asratian_kamalian_bipartite")
     assert profile.continuity_status == "ok"
-    assert profile.nodes_explored == profile.w.nodes_explored + profile.W.nodes_explored + sum(
-        find_interval_t(ring_graph(RingParams(2, 4)), t).nodes_explored for t in (5, 6)
+    # every query of the cell: chi' (proper) and the four interval queries
+    assert profile.nodes_explored == chromatic_index_search(g)[1] + profile.w.nodes_explored + (
+        profile.W.nodes_explored + sum(original(g, t).nodes_explored for t in (5, 6))
     )
 
 
@@ -291,9 +294,11 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
         made.clear()
         assert view(g).nodes_explored == sum(nodes for _, nodes in made)
     made.clear()
-    assert continuity_scan(g) == [(4, "witness"), (5, "witness"), (6, "witness")]
+    profile = span_profile(g)
+    assert profile.continuity == ((4, "witness"), (5, "witness"), (6, "witness"))
     asked = [t for t, _ in made]
-    assert sorted(asked) == sorted(set(asked)), "continuity_scan asked some t twice"
+    assert sorted(asked) == sorted(set(asked)), "span_profile asked some t twice"
+    assert profile.nodes_explored == chromatic_index_search(g)[1] + sum(nodes for _, nodes in made)
 
 
 def test_views_share_answers_through_a_memo():
@@ -303,7 +308,7 @@ def test_views_share_answers_through_a_memo():
     again = compute_W(g, memo=memo)
     assert (again.value, again.status, again.trail) == (first.value, first.status, first.trail)
     assert first.nodes_explored > 0 and again.nodes_explored == 0
-    assert continuity_scan(g, memo=memo) == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
+    assert continuity_scan(g, t_hi=first.value, memo=memo) == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
     assert list(memo) == [7, 4, 5, 6]
     assert compute_w(g, memo=memo).nodes_explored == 0
 
@@ -311,7 +316,8 @@ def test_views_share_answers_through_a_memo():
 def test_scan_cap_sources():
     g = cycle(4)
     assert scan_cap(g) == (3, "asratian_kamalian_bipartite")
-    assert scan_cap(g, SearchConfig(t_max=9)) == (9, "t_max")
+    assert scan_cap(g, SearchConfig(t_max=4)) == (4, "t_max")
+    assert scan_cap(g, SearchConfig(t_max=10**9)) == (4, "edges")  # no t above |E| is asked
     assert scan_cap(cycle(3)) == (2, "giaro_kubale_malafiejski")  # 2|V| - 4 = 2 < 3 = |E|
     assert scan_cap(ring_graph(RingParams(2, 3))) == (8, "giaro_kubale_malafiejski")  # below AK's 10
     assert scan_cap(path(3)) == (2, "edges")  # 2|V| - 4 ties |E|: no theorem needed
@@ -336,11 +342,14 @@ def _cap_corpus():
 
 
 def test_nothing_above_the_scan_cap_is_feasible():
-    # guards the cited theorems: a mis-stated bound shows up as a witness here
+    # guards the cited theorems: a mis-stated bound shows up as a witness here. The worst
+    # refutation takes 100 212 nodes (ring(2,4), t = 9); the budget turns a runaway search
+    # into a failure instead of a hang
+    budget = SearchConfig(node_limit=1_000_000)
     for label, g in _cap_corpus():
         cap, _ = scan_cap(g)
         for t in range(cap + 1, len(g.edges) + 1):
-            assert find_interval_t(g, t).status == "infeasible", (label, t, "edge_dfs")
+            assert find_interval_t(g, t, budget).status == "infeasible", (label, t, "edge_dfs")
             # start_assignment needs about 11 s per 16-edge graph (K4,4 and ring(2,4), which are
             # isomorphic); edge_dfs alone covers those
             if len(g.edges) < 16:
@@ -353,6 +362,18 @@ def test_chromatic_index_small_cases():
     assert compute_chromatic_index(complete_bipartite(3)) == 3
 
 
+@pytest.mark.parametrize("label, g, chi", [
+    ("C3", cycle(3), 3), ("C4", cycle(4), 2), ("K3,3", complete_bipartite(3), 3),
+    ("ring(2,4)", ring_graph(RingParams(2, 4)), 4),
+])
+def test_span_profile_settles_the_chromatic_index(label, g, chi):
+    profile = span_profile(g)
+    assert profile.chi_prime == chi
+    assert profile.settled
+    interval = sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
+    assert profile.nodes_explored == chromatic_index_search(g)[1] + interval
+
+
 def test_proper_coloring_search_statuses():
     g = cycle(5)
     assert find_proper_t(g, 2).status == "infeasible"
@@ -362,9 +383,9 @@ def test_proper_coloring_search_statuses():
 
 
 def test_continuity_scan_results():
-    assert continuity_scan(cycle(4)) == [(2, "witness"), (3, "witness")]
-    assert continuity_scan(cycle(6)) == [(2, "witness"), (3, "witness"), (4, "witness")]
-    assert continuity_scan(cycle(3)) == []
+    assert span_profile(cycle(4)).continuity == ((2, "witness"), (3, "witness"))
+    assert span_profile(cycle(6)).continuity == ((2, "witness"), (3, "witness"), (4, "witness"))
+    assert span_profile(cycle(3)).continuity is None
 
 
 def test_engine_witness_is_reverified(monkeypatch):
