@@ -52,12 +52,6 @@ class EdgeColoring:
             if not 1 <= c <= self.t:
                 raise ColorRangeError(f"color {c} of {e} outside palette [1, {self.t}]")
 
-    def color_of(self, e: Edge) -> int:
-        return self.colors[e]
-
-    def __len__(self) -> int:
-        return len(self.colors)
-
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -1,11 +1,11 @@
-"""The exhaustive interval-coloring engines and the proper-coloring DFS.
+"""The exhaustive interval-coloring engine and the proper-coloring DFS.
 
-Each engine takes a graph, a span t and a node budget, and returns an
-assignment edge -> color or None once the whole (pruned but complete) space
-is exhausted; it raises ``OutOfBudget`` at the first node past the budget's
-limit, with ``budget.nodes`` at limit + 1. The engines never verify their
-own output: ``ringcol.search`` wraps them in queries that re-check every
-witness with the independent verifier.
+Each engine takes a graph, a span t and a node limit (None for none) and
+returns ``(assignment, nodes visited)``. The assignment (edge -> color) is
+None when the (pruned but complete) space is exhausted, or when the search
+stopped at node limit + 1: a count above the limit means the budget ran out.
+The engines never verify their output: ``ringcol.search`` wraps them in
+queries that re-check every witness with the independent verifier.
 
 * ``edge_dfs`` answers every interval query (``find_interval_t``). It
   assigns colors edge by edge in ``connected_edge_order``, pruning on
@@ -13,19 +13,10 @@ witness with the independent verifier.
   spectrum cannot exceed the degree), and on whether the not-yet-used
   colors still fit on the remaining edges. Each prune is a mask on one
   candidate bitmask per depth, built when the search enters it; the lowest
-  untried bit is the next color.
-* ``start_assignment``, the independent reference that the tests check
-  ``edge_dfs`` against, is run by nothing in the package. It enumerates,
-  per vertex in BFS order, the lowest color of its spectrum, one admissible
-  range per vertex (earlier neighbours' windows must overlap its own; the
-  designated edge obeys the reflection cap), then decides an exact
-  assignment of each edge to a color in both endpoints' windows by
-  fewest-options-first backtracking on index arrays and int bitmasks.
-
-Both engines break the one global symmetry of the problem, the reflection
-c -> t + 1 - c, by capping the color of a designated edge (the canonically
-smallest one) at ceil(t/2): any witness either respects the cap or reflects
-to one that does, so the answer is unchanged while the space halves.
+  untried bit is the next color. It breaks the one global symmetry of the
+  problem, the reflection c -> t + 1 - c, by capping the color of the first
+  edge at ceil(t/2): any witness either respects the cap or reflects to one
+  that does, so the answer is unchanged while the space halves.
 
 ``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` with vertices
 as indices into ``g.vertices`` and color sets as int bitmasks (bit c is
@@ -40,46 +31,23 @@ depth keeps both endpoints' sets from before its color and puts them back
 when the search backs up; the coverage prune reads a mask of the colors on
 no edge and its size, both kept up to date as colors land and leave.
 ``proper_dfs`` builds one mask per depth of the colors free at both
-endpoints among those it may open. Both count nodes in a local variable
-against the budget's limit and write the count back to ``budget.nodes`` on
-every exit; ``Budget.spend`` serves ``start_assignment``. No function here
-recurses: every search runs from explicit per-depth state, so a graph with
-thousands of edges runs into its node budget, never into the recursion
+endpoints among those it may open. Both count nodes in a local variable.
+Neither recurses: each runs from explicit per-depth state, so a graph with
+thousands of edges runs into its node limit, never into the recursion
 limit.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
-reproducible node counts. The branching rules are part of that contract:
-``edge_dfs`` and ``proper_dfs`` try colors in increasing order; the window
-assignment branches on the first free edge (in edge order) with at most one
-option, else on the first edge with the fewest options, and tries colors in
-increasing order.
+reproducible node counts. The branching rule is part of that contract: both
+searches try colors in increasing order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from .graphs import Edge, Graph, Vertex
 
-__all__ = ["Budget", "OutOfBudget", "connected_edge_order", "edge_dfs", "start_assignment", "proper_dfs"]
-
-
-class OutOfBudget(Exception):
-    pass
-
-
-class Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int | None) -> None:
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise OutOfBudget
+__all__ = ["connected_edge_order", "edge_dfs", "proper_dfs"]
 
 
 def connected_edge_order(g: Graph) -> list[Edge]:
@@ -114,24 +82,6 @@ def connected_edge_order(g: Graph) -> list[Edge]:
     return order
 
 
-def _bfs_vertex_order(g: Graph) -> list[Vertex]:
-    order: list[Vertex] = []
-    seen: set[Vertex] = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # edge_dfs: the engine behind every interval query
 # ---------------------------------------------------------------------------
@@ -157,11 +107,11 @@ def _band_tables(t: int, deg: list[int]) -> dict[int, list[int]]:
     }
 
 
-def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+def edge_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:
-        return None
+        return None, 0
 
     palette = (1 << (t + 1)) - 2
     bands = _band_tables(t, deg)
@@ -179,8 +129,7 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
     cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
     keep_u = [0] * m  # per depth: both endpoints' avail before edges[i] took a color
     keep_v = [0] * m
-    nodes = budget.nodes
-    limit = budget.limit
+    nodes = 0
 
     i = 0
     while True:
@@ -195,8 +144,7 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
             mask &= zero if unused == m - i else 0
         while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
             if i == 0:
-                budget.nodes = nodes
-                return None
+                return None, nodes
             i -= 1
             a, b = us[i], vs[i]
             avail_a = avail[a] = keep_u[i]
@@ -209,8 +157,7 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
 
         nodes += 1
         if limit is not None and nodes > limit:
-            budget.nodes = nodes
-            raise OutOfBudget
+            return None, nodes
         bit = mask & -mask
         cand[i] = mask ^ bit
         c = color[i] = bit.bit_length() - 1
@@ -224,170 +171,8 @@ def edge_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
         # At the last edge the coverage prune admits only colors that leave no
         # unused one, so every palette color is on some edge.
         if i == m - 1:
-            budget.nodes = nodes
-            return dict(zip(edges, color))
+            return dict(zip(edges, color)), nodes
         i += 1
-
-
-# ---------------------------------------------------------------------------
-# start_assignment: the independent reference the tests compare against
-# ---------------------------------------------------------------------------
-
-
-def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
-    verts = [v for v in _bfs_vertex_order(g) if g.degree(v) > 0]
-    nv = len(verts)
-    if nv == 0:
-        return None
-    deg = [g.degree(v) for v in verts]
-    if any(d > t for d in deg):
-        return None  # no spectrum window fits: the start space is empty
-
-    pos = {v: i for i, v in enumerate(verts)}
-    earlier: list[list[int]] = [[] for _ in range(nv)]
-    for e in g.edges:
-        iu, iv = pos[e.u], pos[e.v]
-        if iu > iv:
-            iu, iv = iv, iu
-        earlier[iv].append(iu)
-
-    e0 = min(g.edges)
-    cap = (t + 1) // 2
-    e0_first, e0_last = sorted((pos[e0.u], pos[e0.v]))
-
-    start = [0] * nv
-    cover = [0] * (t + 2)
-
-    def covers_palette() -> bool:
-        return all(cover[c] > 0 for c in range(1, t + 1))
-
-    def parity_ok() -> bool:
-        # Each vertex must use every color of its window exactly once, so the
-        # edges of one color form a perfect matching on the vertices whose
-        # window contains it: an odd count is an immediate contradiction.
-        return all(cover[c] % 2 == 0 for c in range(1, t + 1))
-
-    def start_range(i: int) -> tuple[int, int]:
-        # Every earlier neighbour j leaves the shared edge a usable color
-        # only if the windows overlap: s_j - d + 1 <= s <= s_j + d_j - 1.
-        d = deg[i]
-        lo, hi = 1, t - d + 1
-        for j in earlier[i]:
-            sj = start[j]
-            lo = max(lo, sj - d + 1)
-            hi = min(hi, sj + deg[j] - 1)
-        if i == e0_last:
-            if start[e0_first] > cap:
-                return 1, 0  # designated edge forced above the reflection cap
-            hi = min(hi, cap)
-        return lo, hi
-
-    # Depth i holds vertex i: the next start to try there and the last
-    # admissible one, fixed when the depth is entered.
-    next_s = [0] * nv
-    last_s = [0] * nv
-    next_s[0], last_s[0] = start_range(0)
-    i = 0
-    while True:
-        if i == nv:
-            if covers_palette() and parity_ok():
-                found = _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
-                if found is not None:
-                    return found
-        elif next_s[i] <= last_s[i]:
-            budget.spend()
-            s = start[i] = next_s[i]
-            next_s[i] = s + 1
-            for c in range(s, s + deg[i]):
-                cover[c] += 1
-            i += 1
-            if i < nv:
-                next_s[i], last_s[i] = start_range(i)
-            continue
-        elif i == 0:
-            return None
-        i -= 1  # back up: withdraw the start of the previous vertex
-        s = start[i]
-        for c in range(s, s + deg[i]):
-            cover[c] -= 1
-
-
-def _assign_in_windows(
-    g: Graph,
-    t: int,
-    budget: Budget,
-    pos: dict[Vertex, int],
-    start: list[int],
-    deg: list[int],
-    e0: Edge,
-    cap: int,
-) -> dict[Edge, int] | None:
-    """Exact assignment once every spectrum window is fixed: each edge takes a
-    color in the intersection of its endpoints' windows, all colors distinct
-    at every vertex. Window sizes equal degrees, so a solution uses each
-    window color exactly once and is an interval coloring by construction.
-
-    Edges are indexed by their place in the sorted ``g.edges`` and vertices
-    by ``pos``. An edge's domain and a vertex's used colors are int bitmasks
-    (bit c is color c), so the options of a free edge are
-    ``dom & ~(used[u] | used[v])``. Each node branches on the first free edge
-    (in edge order) with at most one option, else on the first edge with the
-    fewest options, and tries its colors in increasing order; node counts
-    depend on this tie rule. The free edges stay in a sorted list: a chosen
-    edge leaves it and returns to the same slot when its colors run out. An
-    explicit stack of (edge, slot, color bit, untried bits) frames drives
-    the search, so its depth is not bounded by Python's recursion limit.
-    """
-    free: list[tuple[int, int, int, int]] = []  # (edge index, pos of u, pos of v, domain)
-    for i, e in enumerate(g.edges):
-        iu, iv = pos[e.u], pos[e.v]
-        lo = max(start[iu], start[iv])
-        hi = min(start[iu] + deg[iu] - 1, start[iv] + deg[iv] - 1)
-        if e == e0:
-            hi = min(hi, cap)
-        if lo > hi:
-            return None
-        free.append((i, iu, iv, (1 << (hi + 1)) - (1 << lo)))
-
-    used = [0] * len(start)
-    stack: list[list] = []  # [free entry, slot in free, color bit, untried bits]
-    spend = budget.spend
-    while free:
-        best_n = t + 1  # more than any option count
-        for k, entry in enumerate(free):
-            _, iu, iv, dom = entry
-            opts = dom & ~(used[iu] | used[iv])
-            n = opts.bit_count()
-            if n < best_n:
-                best, slot, best_opts, best_n = entry, k, opts, n
-                if n <= 1:
-                    break
-        if best_opts:
-            del free[slot]
-            stack.append([best, slot, 0, best_opts])
-        # Try the next color of the top frame, backing up past frames whose
-        # colors are exhausted (their edges return to their slots).
-        while stack:
-            frame = stack[-1]
-            _, iu, iv, _ = frame[0]
-            bit = frame[2]
-            if bit:
-                used[iu] ^= bit
-                used[iv] ^= bit
-            rest = frame[3]
-            if rest:
-                spend()
-                bit = rest & -rest
-                frame[2], frame[3] = bit, rest ^ bit
-                used[iu] |= bit
-                used[iv] |= bit
-                break
-            stack.pop()
-            free.insert(frame[1], frame[0])
-        else:
-            return None
-    edges = g.edges
-    return {edges[frame[0][0]]: frame[2].bit_length() - 1 for frame in stack}
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +180,11 @@ def _assign_in_windows(
 # ---------------------------------------------------------------------------
 
 
-def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+def proper_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:
-        return {}
+        return {}, 0
 
     # opened[h]: colors 1..min(t, h + 1), the ones an edge may take when h is
     # the highest color opened before it
@@ -408,8 +193,7 @@ def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
     color = [0] * m  # per depth: the color of edges[i]
     cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
     high = [0] * m  # per depth: the highest color opened before edges[i]
-    nodes = budget.nodes
-    limit = budget.limit
+    nodes = 0
 
     i = 0
     while True:
@@ -417,8 +201,7 @@ def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
         mask = opened[high[i]] & ~(used[a] | used[b])
         while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
             if i == 0:
-                budget.nodes = nodes
-                return None
+                return None, nodes
             i -= 1
             a, b = us[i], vs[i]
             bit = 1 << color[i]
@@ -428,15 +211,13 @@ def proper_dfs(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
 
         nodes += 1
         if limit is not None and nodes > limit:
-            budget.nodes = nodes
-            raise OutOfBudget
+            return None, nodes
         bit = mask & -mask
         cand[i] = mask ^ bit
         c = color[i] = bit.bit_length() - 1
         used[a] |= bit
         used[b] |= bit
         if i == m - 1:
-            budget.nodes = nodes
-            return dict(zip(edges, color))
+            return dict(zip(edges, color)), nodes
         i += 1
         high[i] = max(high[i - 1], c)

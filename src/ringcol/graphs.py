@@ -12,6 +12,7 @@ cycle C_k.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -107,6 +108,32 @@ class Graph:
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def diameter_and_bipartite(self) -> tuple[int, bool] | None:
+        """(diameter, bipartite), or None for a graph without edges or one
+        that is not connected. One BFS per vertex gives the diameter; a
+        connected graph is bipartite exactly when no edge joins two vertices
+        at the same BFS depth."""
+        if not self.edges:
+            return None
+        diam = 0
+        bipartite = True
+        for root in self.vertices:
+            depth = {root: 0}
+            queue = deque([root])
+            while queue:
+                v = queue.popleft()
+                for w in self.neighbors(v):
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+                    elif depth[w] == depth[v]:
+                        bipartite = False
+            if len(depth) < len(self.vertices):
+                return None
+            diam = max(diam, max(depth.values()))
+        return diam, bipartite
 
 
 def build_graph(

@@ -42,7 +42,6 @@ __all__ = [
     "report_to_dict",
     "outcome_to_dict",
     "bounds_to_dict",
-    "bound_report_to_dict",
     "profile_to_dict",
     "dump_json",
     "load_json",
@@ -178,17 +177,6 @@ def bounds_to_dict(b: BoundsSummary) -> dict[str, Any]:
         "W_lower": b.W_lower,
         "W_exact": b.W_exact,
         "feasible_t": list(b.feasible_t) if b.feasible_t is not None else None,
-    }
-
-
-def bound_report_to_dict(r: BoundReport) -> dict[str, Any]:
-    return {
-        "value": r.value,
-        "status": r.status,
-        "t_max": r.t_max,
-        "t_max_source": r.t_max_source,
-        "nodes_explored": r.nodes_explored,
-        "trail": [[t, status] for t, status in r.trail],
     }
 
 

@@ -8,10 +8,10 @@ complete) space was exhausted. A node budget, when configured, turns into
 the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
-``find_interval_t`` settles one t with ``edge_dfs`` (see ``ringcol.engines``,
-which also keeps ``start_assignment``, an independent engine that only the
-tests run, to cross-check ``edge_dfs``); ``find_proper_t`` decides proper
-t-colorability for the chromatic index. The span scans (``span_profile``,
+``find_interval_t`` settles one t with ``edge_dfs`` and ``find_proper_t``
+decides proper t-colorability for the chromatic index with ``proper_dfs``
+(see ``ringcol.engines``); ``_query`` alone reads a node count above the
+limit as ``exhausted_budget``. The span scans (``span_profile``,
 ``compute_w``, ``compute_W``, ``continuity_scan``) ask a series of such
 queries, up to the cap that ``scan_cap`` reports; ``span_profile`` also
 settles the chromatic index, so one call answers a whole (n, k) cell.
@@ -22,13 +22,12 @@ reproducible node counts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, verify
-from .engines import Budget, OutOfBudget, edge_dfs, proper_dfs
+from .engines import edge_dfs, proper_dfs
 from .errors import BudgetExhaustedError, ParameterError, SoundnessError
 from .graphs import Graph
 
@@ -119,23 +118,22 @@ class BoundReport:
     trail: tuple[tuple[int, str], ...] = ()
 
 
-def _query(g: Graph, t: int, cfg: SearchConfig | None, engine: Callable[..., dict | None], check: str) -> SearchOutcome:
-    """Run one engine query under cfg's node budget. A witness must pass the
-    verifier's ``check`` (a VerificationReport field) or SoundnessError is
-    raised; ``infeasible`` means the engine exhausted its space."""
+def _query(g: Graph, t: int, cfg: SearchConfig | None, engine: Callable[..., tuple], check: str) -> SearchOutcome:
+    """Run one engine query under cfg's node limit: a count above the limit is
+    ``exhausted_budget``, no assignment ``infeasible``, and a witness must pass
+    the verifier's ``check`` (a VerificationReport field) or SoundnessError is raised."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    budget = Budget((cfg or SearchConfig()).node_limit)
-    try:
-        assignment = engine(g, t, budget)
-    except OutOfBudget:
-        return SearchOutcome(EXHAUSTED, None, budget.nodes)
+    limit = (cfg or SearchConfig()).node_limit
+    assignment, nodes = engine(g, t, limit)
+    if limit is not None and nodes > limit:
+        return SearchOutcome(EXHAUSTED, None, nodes)
     if assignment is None:
-        return SearchOutcome(INFEASIBLE, None, budget.nodes)
+        return SearchOutcome(INFEASIBLE, None, nodes)
     witness = EdgeColoring(colors=assignment, t=t)
     if not getattr(verify(g, witness), check):
         raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that fails {check}")
-    return SearchOutcome(WITNESS, witness, budget.nodes)
+    return SearchOutcome(WITNESS, witness, nodes)
 
 
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -173,32 +171,6 @@ def asratian_kamalian_bound(diam: int, max_degree: int, bipartite: bool) -> int:
     return (diam if bipartite else diam + 1) * (max_degree - 1) + 1
 
 
-def _diameter_and_bipartite(g: Graph) -> tuple[int, bool] | None:
-    """One BFS per vertex gives the diameter; a connected graph is bipartite
-    exactly when no edge joins two vertices at the same BFS depth. Returns
-    None for a graph without edges or one that is not connected, where the
-    theorem bounds do not apply."""
-    if not g.edges:
-        return None
-    diam = 0
-    bipartite = True
-    for root in g.vertices:
-        depth = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif depth[w] == depth[v]:
-                    bipartite = False
-        if len(depth) < len(g.vertices):
-            return None
-        diam = max(diam, max(depth.values()))
-    return diam, bipartite
-
-
 def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     """The largest t a span scan asks about, and where that cap comes from.
 
@@ -223,7 +195,7 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
             raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
         return (cfg.t_max, "t_max") if cfg.t_max <= len(g.edges) else (len(g.edges), "edges")
     bounds = [(len(g.edges), "edges")]
-    shape = _diameter_and_bipartite(g)  # None unless g is connected with an edge
+    shape = g.diameter_and_bipartite  # None unless g is connected with an edge
     if shape is not None:
         diam, bipartite = shape
         source = "asratian_kamalian_bipartite" if bipartite else "asratian_kamalian"

@@ -1,10 +1,14 @@
 """Straightforward references that the tests hold the fast code to.
 
-``find_interval_t`` always runs ``edge_dfs``; the tests reach the
-independent reference engine, ``start_assignment``, through ``run_engine``
-to check ``edge_dfs`` against it. ``build_graph`` is the plain graph builder
-that ``ringcol.graphs.build_graph`` must match: it makes a new ``Vertex``
-for every label and endpoint and validates in the same order.
+``start_assignment`` is the independent engine that the tests check
+``edge_dfs`` against; nothing in the package runs it. It enumerates, per
+vertex in BFS order, the lowest color of its spectrum, one admissible range
+per vertex (earlier neighbours' windows must overlap its own; the designated
+edge obeys the reflection cap), then decides an exact assignment of each
+edge to a color in both endpoints' windows by fewest-options-first
+backtracking on index arrays and int bitmasks. ``ringcol.graphs.build_graph``
+must match the plain ``build_graph`` here, which makes a new ``Vertex`` for
+every label and endpoint and validates in the same order.
 
 ``edge_dfs`` and ``proper_dfs`` are the plain forms of the two depth-first
 searches, which the fast ones must match node for node: per-vertex used
@@ -13,8 +17,43 @@ color at each depth, ``bit_count`` for the coverage prune, a ``range`` scan
 for the next proper color, and ``Budget.spend`` at every node.
 """
 
-from ringcol import EdgeColoring, Graph, ParameterError, SoundnessError, Vertex, make_edge, verify
-from ringcol.engines import Budget, OutOfBudget, _indexed_edge_order
+from collections import deque
+from functools import wraps
+
+from ringcol import Edge, Graph, ParameterError, SearchConfig, SoundnessError, Vertex, make_edge, search
+from ringcol.engines import _indexed_edge_order
+
+
+class OutOfBudget(Exception):
+    pass
+
+
+class Budget:
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int | None) -> None:
+        self.nodes = 0
+        self.limit = limit
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise OutOfBudget
+
+
+def counted(engine):
+    """``engine(g, t, budget)`` as ``(g, t, limit) -> (assignment, nodes)``,
+    stopping with ``(None, limit + 1)`` at the first node past the limit."""
+
+    @wraps(engine)
+    def run(g, t, limit):
+        budget = Budget(limit)
+        try:
+            return engine(g, t, budget), budget.nodes
+        except OutOfBudget:
+            return None, budget.nodes
+
+    return run
 
 
 def build_graph(n, k, vertices, edges):
@@ -54,21 +93,13 @@ def build_graph(n, k, vertices, edges):
 
 
 def run_engine(engine, g, t, node_limit=None):
-    """(status, nodes, witness) of one engine at span t, in the statuses of
-    ``find_interval_t``; a witness is re-checked with the verifier."""
-    budget = Budget(node_limit)
-    try:
-        found = engine(g, t, budget)
-    except OutOfBudget:
-        return "exhausted_budget", budget.nodes, None
-    if found is None:
-        return "infeasible", budget.nodes, None
-    witness = EdgeColoring(found, t)
-    if not verify(g, witness).is_interval_coloring:
-        raise SoundnessError(f"{engine.__name__} produced a non-interval witness at t={t}")
-    return "witness", budget.nodes, witness
+    """(status, nodes, witness) of one engine at span t, from the query body
+    of ``find_interval_t``: a witness is re-checked with the verifier."""
+    outcome = search._query(g, t, SearchConfig(node_limit=node_limit), engine, "is_interval_coloring")
+    return outcome.status, outcome.nodes_explored, outcome.witness
 
 
+@counted
 def edge_dfs(g, t, budget):
     """The same search as ``ringcol.engines.edge_dfs``: same nodes, same witness."""
     edges, us, vs, deg = _indexed_edge_order(g)
@@ -126,6 +157,7 @@ def edge_dfs(g, t, budget):
         i += 1
 
 
+@counted
 def proper_dfs(g, t, budget):
     """The same search as ``ringcol.engines.proper_dfs``: same nodes, same witness."""
     edges, us, vs, deg = _indexed_edge_order(g)
@@ -167,11 +199,182 @@ def proper_dfs(g, t, budget):
 
 
 def trace(engine, g, t, node_limit=None):
-    """(outcome, nodes, witness items in order) of one raw engine call, for
+    """(witness items in order or None, nodes) of one raw engine call, for
     comparing two engines node for node; nothing is verified here."""
-    budget = Budget(node_limit)
-    try:
-        found = engine(g, t, budget)
-    except OutOfBudget:
-        return "exhausted_budget", budget.nodes, None
-    return ("none" if found is None else "found"), budget.nodes, None if found is None else list(found.items())
+    found, nodes = engine(g, t, node_limit)
+    return (None if found is None else list(found.items())), nodes
+
+
+def _bfs_vertex_order(g: Graph) -> list[Vertex]:
+    order: list[Vertex] = []
+    seen: set[Vertex] = set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return order
+
+
+@counted
+def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+    verts = [v for v in _bfs_vertex_order(g) if g.degree(v) > 0]
+    nv = len(verts)
+    if nv == 0:
+        return None
+    deg = [g.degree(v) for v in verts]
+    if any(d > t for d in deg):
+        return None  # no spectrum window fits: the start space is empty
+
+    pos = {v: i for i, v in enumerate(verts)}
+    earlier: list[list[int]] = [[] for _ in range(nv)]
+    for e in g.edges:
+        iu, iv = pos[e.u], pos[e.v]
+        if iu > iv:
+            iu, iv = iv, iu
+        earlier[iv].append(iu)
+
+    e0 = min(g.edges)
+    cap = (t + 1) // 2
+    e0_first, e0_last = sorted((pos[e0.u], pos[e0.v]))
+
+    start = [0] * nv
+    cover = [0] * (t + 2)
+
+    def covers_palette() -> bool:
+        return all(cover[c] > 0 for c in range(1, t + 1))
+
+    def parity_ok() -> bool:
+        # Each vertex must use every color of its window exactly once, so the
+        # edges of one color form a perfect matching on the vertices whose
+        # window contains it: an odd count is an immediate contradiction.
+        return all(cover[c] % 2 == 0 for c in range(1, t + 1))
+
+    def start_range(i: int) -> tuple[int, int]:
+        # Every earlier neighbour j leaves the shared edge a usable color
+        # only if the windows overlap: s_j - d + 1 <= s <= s_j + d_j - 1.
+        d = deg[i]
+        lo, hi = 1, t - d + 1
+        for j in earlier[i]:
+            sj = start[j]
+            lo = max(lo, sj - d + 1)
+            hi = min(hi, sj + deg[j] - 1)
+        if i == e0_last:
+            if start[e0_first] > cap:
+                return 1, 0  # designated edge forced above the reflection cap
+            hi = min(hi, cap)
+        return lo, hi
+
+    # Depth i holds vertex i: the next start to try there and the last
+    # admissible one, fixed when the depth is entered.
+    next_s = [0] * nv
+    last_s = [0] * nv
+    next_s[0], last_s[0] = start_range(0)
+    i = 0
+    while True:
+        if i == nv:
+            if covers_palette() and parity_ok():
+                found = _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
+                if found is not None:
+                    return found
+        elif next_s[i] <= last_s[i]:
+            budget.spend()
+            s = start[i] = next_s[i]
+            next_s[i] = s + 1
+            for c in range(s, s + deg[i]):
+                cover[c] += 1
+            i += 1
+            if i < nv:
+                next_s[i], last_s[i] = start_range(i)
+            continue
+        elif i == 0:
+            return None
+        i -= 1  # back up: withdraw the start of the previous vertex
+        s = start[i]
+        for c in range(s, s + deg[i]):
+            cover[c] -= 1
+
+
+def _assign_in_windows(
+    g: Graph,
+    t: int,
+    budget: Budget,
+    pos: dict[Vertex, int],
+    start: list[int],
+    deg: list[int],
+    e0: Edge,
+    cap: int,
+) -> dict[Edge, int] | None:
+    """Exact assignment once every spectrum window is fixed: each edge takes a
+    color in the intersection of its endpoints' windows, all colors distinct
+    at every vertex. Window sizes equal degrees, so a solution uses each
+    window color exactly once and is an interval coloring by construction.
+
+    Edges are indexed by their place in the sorted ``g.edges`` and vertices
+    by ``pos``. An edge's domain and a vertex's used colors are int bitmasks
+    (bit c is color c), so the options of a free edge are
+    ``dom & ~(used[u] | used[v])``. Each node branches on the first free edge
+    (in edge order) with at most one option, else on the first edge with the
+    fewest options, and tries its colors in increasing order; node counts
+    depend on this tie rule. The free edges stay in a sorted list: a chosen
+    edge leaves it and returns to the same slot when its colors run out. An
+    explicit stack of (edge, slot, color bit, untried bits) frames drives
+    the search, so its depth is not bounded by Python's recursion limit.
+    """
+    free: list[tuple[int, int, int, int]] = []  # (edge index, pos of u, pos of v, domain)
+    for i, e in enumerate(g.edges):
+        iu, iv = pos[e.u], pos[e.v]
+        lo = max(start[iu], start[iv])
+        hi = min(start[iu] + deg[iu] - 1, start[iv] + deg[iv] - 1)
+        if e == e0:
+            hi = min(hi, cap)
+        if lo > hi:
+            return None
+        free.append((i, iu, iv, (1 << (hi + 1)) - (1 << lo)))
+
+    used = [0] * len(start)
+    stack: list[list] = []  # [free entry, slot in free, color bit, untried bits]
+    spend = budget.spend
+    while free:
+        best_n = t + 1  # more than any option count
+        for k, entry in enumerate(free):
+            _, iu, iv, dom = entry
+            opts = dom & ~(used[iu] | used[iv])
+            n = opts.bit_count()
+            if n < best_n:
+                best, slot, best_opts, best_n = entry, k, opts, n
+                if n <= 1:
+                    break
+        if best_opts:
+            del free[slot]
+            stack.append([best, slot, 0, best_opts])
+        # Try the next color of the top frame, backing up past frames whose
+        # colors are exhausted (their edges return to their slots).
+        while stack:
+            frame = stack[-1]
+            _, iu, iv, _ = frame[0]
+            bit = frame[2]
+            if bit:
+                used[iu] ^= bit
+                used[iv] ^= bit
+            rest = frame[3]
+            if rest:
+                spend()
+                bit = rest & -rest
+                frame[2], frame[3] = bit, rest ^ bit
+                used[iu] |= bit
+                used[iv] |= bit
+                break
+            stack.pop()
+            free.insert(frame[1], frame[0])
+        else:
+            return None
+    edges = g.edges
+    return {edges[frame[0][0]]: frame[2].bit_length() - 1 for frame in stack}

@@ -30,9 +30,8 @@ from ringcol import (
     widest_constructed_t,
 )
 from ringcol.cli import main
-from ringcol.engines import start_assignment
 
-from reference import run_engine
+from reference import run_engine, start_assignment
 
 GRID_N = range(1, 6)
 GRID_K = (4, 6, 8, 10)

@@ -18,7 +18,6 @@ from ringcol import (
 from ringcol import cli
 from ringcol.cli import main
 from ringcol.io import (
-    bound_report_to_dict,
     coloring_from_dict,
     coloring_to_dict,
     dot_source,
@@ -281,8 +280,8 @@ def test_bounds_exact_explicit_t_max_wins(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["W"] == {"value": 3, "status": "exact"}
     assert (doc["t_max"], doc["t_max_source"]) == (4, "t_max")
-    report = bound_report_to_dict(compute_W(ring_graph(RingParams(1, 4))))
-    assert (report["t_max"], report["t_max_source"]) == (3, "asratian_kamalian_bipartite")
+    report = compute_W(ring_graph(RingParams(1, 4)))
+    assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
 
 
 def test_bounds_exact_triangle(tmp_path, capsys):

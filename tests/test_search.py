@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ringcol import (
     BudgetExhaustedError,
     EdgeColoring,
+    Graph,
     ParameterError,
     RingParams,
     SearchConfig,
@@ -28,10 +29,9 @@ from ringcol import (
     verify,
 )
 from ringcol import engines, search
-from ringcol.engines import start_assignment
 
 import reference
-from reference import run_engine
+from reference import run_engine, start_assignment
 from strategies import small_graphs
 
 
@@ -111,6 +111,30 @@ def test_budget_cutoff_is_never_reported_as_infeasible():
     assert outcome.nodes_explored == 11  # the first over-budget node aborts
 
 
+def test_engines_return_their_node_count_and_stop_one_past_the_limit():
+    big = ring_graph(RingParams(8, 16))
+    assert engines.edge_dfs(big, 40, 5_000) == (None, 5_001)
+    assert engines.proper_dfs(big, 16, 1_000) == (None, 1_001)  # its witness takes 1 024 nodes
+    # C5 at t=2 is refuted on node 4: a count at the limit is no cut
+    assert engines.proper_dfs(cycle(5), 2, 3) == engines.proper_dfs(cycle(5), 2, 4) == (None, 4)
+    edgeless = build_graph(1, 1, [Vertex(1, 1)], [])
+    assert engines.edge_dfs(edgeless, 1, None) == (None, 0)
+    assert engines.proper_dfs(edgeless, 1, None) == ({}, 0)
+
+
+@pytest.mark.parametrize("query, n, k, t, status, nodes", [
+    (find_interval_t, 2, 6, 9, "witness", 2_641),
+    (find_proper_t, 2, 3, 4, "witness", 33),
+    (find_proper_t, 1, 5, 2, "infeasible", 4),
+])
+def test_an_answer_on_the_last_allowed_node_stands(query, n, k, t, status, nodes):
+    g = ring_graph(RingParams(n, k))
+    at = query(g, t, SearchConfig(node_limit=nodes))
+    assert (at.status, at.nodes_explored) == (status, nodes)
+    below = query(g, t, SearchConfig(node_limit=nodes - 1))
+    assert (below.status, below.nodes_explored) == ("exhausted_budget", nodes)
+
+
 def test_compute_w_budget_is_inconclusive():
     g = ring_graph(RingParams(2, 4))
     report = compute_w(g, SearchConfig(node_limit=5))
@@ -184,9 +208,9 @@ def test_window_assignment_needs_no_recursion_on_1024_edges():
     pos = {v: i for i, v in enumerate(g.vertices)}
     start = [min(known.colors[e] for e in g.adjacency[v]) for v in g.vertices]
     deg = [g.degree(v) for v in g.vertices]
-    budget = engines.Budget(None)
+    budget = reference.Budget(None)
     # cap = t keeps the known windows admissible for the designated edge
-    found = engines._assign_in_windows(g, known.t, budget, pos, start, deg, min(g.edges), known.t)
+    found = reference._assign_in_windows(g, known.t, budget, pos, start, deg, min(g.edges), known.t)
     assert verify(g, EdgeColoring(found, known.t)).is_interval_coloring
     assert budget.nodes == len(g.edges) == 1_024
 
@@ -255,9 +279,13 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
         return original(g, t, cfg)
 
     monkeypatch.setattr(search, "find_interval_t", counting)
+    shape = vars(Graph)["diameter_and_bipartite"]  # the BFS behind the scan cap
+    bfs, shapes = shape.func, []
+    monkeypatch.setattr(shape, "func", lambda g: shapes.append(g) or bfs(g))
     g = ring_graph(RingParams(2, 4))
     profile = span_profile(g)
     assert asked == [4, 7, 5, 6]
+    assert shapes == [g]  # one BFS for both scans' caps
     assert [t for t, _ in profile.trail] == asked
     assert (profile.w.value, profile.w.status) == (4, "exact")
     assert (profile.W.value, profile.W.status) == (7, "exact")
@@ -391,10 +419,10 @@ def test_continuity_scan_results():
 def test_engine_witness_is_reverified(monkeypatch):
     g = cycle(4)
     bad = {e: 1 for e in g.edges}
-    monkeypatch.setattr(search, "edge_dfs", lambda g, t, budget: dict(bad))
+    monkeypatch.setattr(search, "edge_dfs", lambda g, t, limit: (dict(bad), 1))
     with pytest.raises(SoundnessError):
         find_interval_t(g, 2)
-    monkeypatch.setattr(search, "proper_dfs", lambda g, t, budget: dict(bad))
+    monkeypatch.setattr(search, "proper_dfs", lambda g, t, limit: (dict(bad), 1))
     with pytest.raises(SoundnessError):
         find_proper_t(g, 2)
 
@@ -474,7 +502,7 @@ def test_connected_edge_order_matches_the_reference(g):
 
 
 @given(g=small_graphs(max_edges=12))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_engines_agree_on_small_graphs(g):
     # covers disconnected graphs and isolated vertices
     for t in range(1, len(g.edges) + 1):
