@@ -15,8 +15,9 @@ Exit codes (stable, also listed in the README):
     5  I/O failure (unreadable file, invalid JSON syntax)
 
 The searching commands (``search``, ``bounds-exact``, ``sweep`` and
-``construct --t``) run ``ringcol.search``'s one engine, ``edge_dfs``, and
-take only a node budget (``--node-limit``) and, for the span scans, a cap
+``construct --t``) run ``ringcol.search``'s queries (a composition lift
+where one reaches t, else the one engine, ``edge_dfs``) and take only a
+node budget (``--node-limit``) and, for the span scans, a cap
 (``--t-max``). All code paths are deterministic: identical invocations
 write byte-identical artifacts. The environment variable
 ``RINGCOL_NODE_LIMIT`` supplies a default search budget for commands that

@@ -23,6 +23,7 @@ __all__ = [
     "Vertex",
     "Edge",
     "Graph",
+    "Composition",
     "RingParams",
     "make_edge",
     "build_graph",
@@ -134,6 +135,44 @@ class Graph:
                 return None
             diam = max(diam, max(depth.values()))
         return diam, bipartite
+
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[Vertex, ...], ...]:
+        """The false-twin classes: vertices with identical neighbour sets,
+        each class in vertex order and the classes ordered by their smallest
+        vertex. Twins are never adjacent (a vertex is not its own neighbour),
+        and two classes are either completely joined or not joined at all,
+        so a graph whose classes all have n vertices is the composition
+        H[K̄_n] of its quotient H (see ``composition``)."""
+        classes: dict[tuple[Vertex, ...], list[Vertex]] = {}
+        for v in self.vertices:
+            classes.setdefault(self.neighbors(v), []).append(v)  # neighbors() is sorted
+        return tuple(tuple(members) for members in classes.values())
+
+    @cached_property
+    def composition(self) -> Composition | None:
+        """The graph as H[K̄_n] when every twin class has the same size
+        n >= 2, else None. The quotient H has one vertex per class, labelled
+        by the class's smallest vertex, so it lives within these label
+        bounds."""
+        classes = self.twin_classes
+        n = len(classes[0]) if classes else 0
+        if n < 2 or any(len(members) != n for members in classes):
+            return None
+        position = {v: (members[0], p) for members in classes for p, v in enumerate(members, 1)}
+        reps = [members[0] for members in classes]
+        edges = {make_edge(u, position[w][0]) for u in reps for w in self.neighbors(u)}
+        return Composition(build_graph(self.n, self.k, reps, edges), n, position)
+
+
+class Composition(NamedTuple):
+    """A graph G = H[K̄_n]: the quotient H, the class size n, and for every
+    vertex of G its vertex in H (its class's smallest vertex) and its
+    1-based position inside the class."""
+
+    quotient: Graph
+    n: int
+    position: Mapping[Vertex, tuple[Vertex, int]]
 
 
 def build_graph(

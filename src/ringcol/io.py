@@ -162,6 +162,7 @@ def report_to_dict(r: VerificationReport) -> dict[str, Any]:
 def outcome_to_dict(o: SearchOutcome) -> dict[str, Any]:
     return {
         "status": o.status,
+        "source": o.source,
         "nodes_explored": o.nodes_explored,
         "witness": coloring_to_dict(o.witness) if o.witness is not None else None,
     }

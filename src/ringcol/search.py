@@ -8,13 +8,24 @@ complete) space was exhausted. A node budget, when configured, turns into
 the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
-``find_interval_t`` settles one t with ``edge_dfs`` and ``find_proper_t``
-decides proper t-colorability for the chromatic index with ``proper_dfs``
-(see ``ringcol.engines``); ``_query`` alone reads a node count above the
-limit as ``exhausted_budget``. The span scans (``span_profile``,
-``compute_w``, ``compute_W``, ``continuity_scan``) ask a series of such
-queries, up to the cap that ``scan_cap`` reports; ``span_profile`` also
-settles the chromatic index, so one call answers a whole (n, k) cell.
+``find_interval_t`` settles one t in two steps. When g is a composition
+H[K̄_n] (every false-twin class has n >= 2 vertices) and t = n*s or
+t = n(s + 1) - 1, it first asks ``edge_dfs`` for an interval s-coloring of
+the quotient H and lifts it to g: edge (u, p)(v, q) gets
+n(alpha(uv) - 1) + ((p + q) mod n) + 1 (Latin lift) or
+n(alpha(uv) - 1) + p + q - 1 (staircase lift), with p, q the endpoints'
+positions inside their classes (see ``ringcol.composition``). Otherwise,
+or when H has no interval s-coloring, ``edge_dfs`` searches g itself. The
+quotient's nodes count toward the same node limit and the same
+``nodes_explored``, g's search gets what is left, and ``infeasible`` only
+ever comes from exhausting g. ``SearchOutcome.source`` records which step
+answered. ``find_proper_t`` decides proper t-colorability for the chromatic
+index with ``proper_dfs`` (see ``ringcol.engines``); ``_query`` alone reads
+a node count above the limit as ``exhausted_budget``. The span scans
+(``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
+series of such queries, up to the cap that ``scan_cap`` reports;
+``span_profile`` also settles the chromatic index, so one call answers a
+whole (n, k) cell.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -22,13 +33,14 @@ reproducible node counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, verify
+from .composition import composition_lift
 from .engines import edge_dfs, proper_dfs
-from .errors import BudgetExhaustedError, ParameterError, SoundnessError
+from .errors import BudgetExhaustedError, ColoringError, ParameterError, SoundnessError
 from .graphs import Graph
 
 __all__ = [
@@ -51,6 +63,8 @@ __all__ = [
 WITNESS = "witness"
 INFEASIBLE = "infeasible"
 EXHAUSTED = "exhausted_budget"
+SEARCH = "search"
+LIFT = "composition_lift"
 
 
 @dataclass(frozen=True)
@@ -83,12 +97,15 @@ class SearchOutcome:
 
     ``infeasible`` is a proof by exhaustion; a budget cutoff always surfaces
     as ``exhausted_budget`` instead. A ``witness`` has already passed the
-    independent verifier.
+    independent verifier. ``source`` says which step answered:
+    "composition_lift" when the lift of a quotient witness did (or the
+    budget ran out on the quotient), "search" otherwise.
     """
 
     status: str
     witness: EdgeColoring | None
     nodes_explored: int
+    source: str = SEARCH
 
 
 @dataclass(frozen=True)
@@ -118,34 +135,47 @@ class BoundReport:
     trail: tuple[tuple[int, str], ...] = ()
 
 
-def _query(g: Graph, t: int, cfg: SearchConfig | None, engine: Callable[..., tuple], check: str) -> SearchOutcome:
-    """Run one engine query under cfg's node limit: a count above the limit is
-    ``exhausted_budget``, no assignment ``infeasible``, and a witness must pass
-    the verifier's ``check`` (a VerificationReport field) or SoundnessError is raised."""
+def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], check: str,
+           source: str = SEARCH) -> SearchOutcome:
+    """Run one engine query under a node limit: a count above the limit is
+    ``exhausted_budget``, no assignment ``infeasible``, and a witness must be
+    a coloring of g that passes the verifier's ``check`` (a
+    VerificationReport field) or SoundnessError is raised."""
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    limit = (cfg or SearchConfig()).node_limit
     assignment, nodes = engine(g, t, limit)
     if limit is not None and nodes > limit:
-        return SearchOutcome(EXHAUSTED, None, nodes)
+        return SearchOutcome(EXHAUSTED, None, nodes, source)
     if assignment is None:
-        return SearchOutcome(INFEASIBLE, None, nodes)
-    witness = EdgeColoring(colors=assignment, t=t)
-    if not getattr(verify(g, witness), check):
+        return SearchOutcome(INFEASIBLE, None, nodes, source)
+    try:
+        witness = EdgeColoring(colors=assignment, t=t)
+        sound = getattr(verify(g, witness), check)
+    except ColoringError as exc:  # a color outside [1, t], or an edge missing or not in g
+        raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that is no coloring of g: {exc}") from exc
+    if not sound:
         raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that fails {check}")
-    return SearchOutcome(WITNESS, witness, nodes)
+    return SearchOutcome(WITNESS, witness, nodes, source)
 
 
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has an interval t-coloring; produce one if so.
 
     t > |E(g)| is rejected as infeasible without search (palette coverage
-    needs an edge per color); everything else is settled by ``edge_dfs``.
-    Deterministic for fixed inputs and config.
+    needs an edge per color). Otherwise a lifted quotient witness answers
+    when g is a composition that a lift reaches at t, and ``edge_dfs`` on g
+    settles the rest under the budget the quotient left. Deterministic for
+    fixed inputs and config.
     """
     if t > len(g.edges):  # implies t >= 1, so a bad t still raises in _query
         return SearchOutcome(INFEASIBLE, None, 0)
-    return _query(g, t, cfg, edge_dfs, "is_interval_coloring")
+    limit = (cfg or SearchConfig()).node_limit
+    lifted = _query(g, t, limit, composition_lift, "is_interval_coloring", LIFT)
+    if lifted.status != INFEASIBLE:  # a lifted witness, or the budget ran out on the quotient
+        return lifted
+    spent = lifted.nodes_explored  # "infeasible" here only means no lifted witness
+    outcome = _query(g, t, None if limit is None else limit - spent, edge_dfs, "is_interval_coloring")
+    return replace(outcome, nodes_explored=spent + outcome.nodes_explored)
 
 
 def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -156,7 +186,7 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
     all been used. The witness is not an interval coloring in general and is
     checked for properness only.
     """
-    return _query(g, t, cfg, proper_dfs, "is_proper")
+    return _query(g, t, (cfg or SearchConfig()).node_limit, proper_dfs, "is_proper")
 
 
 # ---------------------------------------------------------------------------

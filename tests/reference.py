@@ -95,7 +95,7 @@ def build_graph(n, k, vertices, edges):
 def run_engine(engine, g, t, node_limit=None):
     """(status, nodes, witness) of one engine at span t, from the query body
     of ``find_interval_t``: a witness is re-checked with the verifier."""
-    outcome = search._query(g, t, SearchConfig(node_limit=node_limit), engine, "is_interval_coloring")
+    outcome = search._query(g, t, node_limit, engine, "is_interval_coloring")
     return outcome.status, outcome.nodes_explored, outcome.witness
 
 

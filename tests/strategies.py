@@ -34,3 +34,21 @@ def graph_inputs(draw, max_edges=12):
 def small_graphs(max_edges=12):
     """Graphs built from ``graph_inputs``."""
     return graph_inputs(max_edges).map(lambda args: build_graph(*args))
+
+
+@st.composite
+def compositions(draw, max_quotient_edges=6, sizes=(2, 3)):
+    """(H, n, G): a graph H from ``graph_inputs`` and its composition
+    G = H[K̄_n], in which every vertex of H becomes n pairwise non-adjacent
+    copies, each joined to every copy of its neighbours. G's labels are a
+    random permutation of a (|V(H)| layers, n indices) grid, so a copy's
+    label says nothing about the vertex of H it stands for.
+    """
+    h = build_graph(*draw(graph_inputs(max_quotient_edges)))
+    n = draw(st.sampled_from(sizes))
+    layers = max(1, len(h.vertices))
+    grid = [Vertex(layer, index) for layer in range(1, layers + 1) for index in range(1, n + 1)]
+    image = draw(st.permutations(grid))
+    copies = {x: image[i * n:(i + 1) * n] for i, x in enumerate(h.vertices)}
+    edges = [(a, b) for e in h.edges for a in copies[e.u] for b in copies[e.v]]
+    return h, n, build_graph(n, layers, image[:n * len(h.vertices)], edges)

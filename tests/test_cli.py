@@ -15,7 +15,7 @@ from ringcol import (
     ring_graph,
     span_profile,
 )
-from ringcol import cli
+from ringcol import cli, search
 from ringcol.cli import main
 from ringcol.io import (
     coloring_from_dict,
@@ -217,15 +217,19 @@ def test_search_witness_infeasible_and_budget(tmp_path, capsys):
     run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))
     capsys.readouterr()
 
+    # C4 = K2[K̄2]: the one color of the quotient edge lifts to t = 2 in one node
     assert run(tmp_path, "search", "--graph", str(gpath), "--t", "2") == 0
     outcome = json.loads(capsys.readouterr().out)
-    assert outcome["status"] == "witness"
+    assert (outcome["status"], outcome["source"], outcome["nodes_explored"]) == ("witness", "composition_lift", 1)
     assert outcome["witness"]["t"] == 2
 
+    # t = 4 would need a 2-coloring of K2: the search on C4 refutes it
     assert run(tmp_path, "search", "--graph", str(gpath), "--t", "4") == 1
-    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+    outcome = json.loads(capsys.readouterr().out)
+    assert (outcome["status"], outcome["source"]) == ("infeasible", "search")
+    assert set(outcome) == {"status", "source", "nodes_explored", "witness"}
 
-    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "3", "--node-limit", "1") == 4
+    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "4", "--node-limit", "1") == 4
     assert json.loads(capsys.readouterr().out)["status"] == "exhausted_budget"
 
 
@@ -319,6 +323,27 @@ def test_bounds_exact_exit_follows_the_profile_settled(tmp_path, capsys, monkeyp
     code = run(tmp_path, "bounds-exact", "--n", str(n), "--k", str(k), *flags)
     assert [p.settled for p in profiles.values()] == [settled]
     assert code == (0 if settled else 4)
+
+
+def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
+    # ring(3,4) = K_{6,6} = K2[K̄6]: the staircase lift of the quotient edge's one color is an
+    # 11-coloring at the Asratian-Kamalian cap, so W = 11 is exact with no search of ring(3,4) at t = 11
+    searched = []
+    plain = search.edge_dfs
+
+    def recording(g, t, limit):
+        searched.append((len(g.edges), t))
+        return plain(g, t, limit)
+
+    monkeypatch.setattr(search, "edge_dfs", recording)
+    profiles = _recorded_profiles(monkeypatch)
+    assert run(tmp_path, "bounds-exact", "--n", "3", "--k", "4") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["W"] == {"value": 11, "status": "exact"}
+    assert doc["w"] == {"value": 6, "status": "exact"}
+    assert (doc["continuity"], doc["t_max"], doc["t_max_source"]) == ("ok", 11, "asratian_kamalian_bipartite")
+    assert sorted(searched) == [(36, 7), (36, 8), (36, 9), (36, 10)]  # only the t no lift reaches
+    assert profiles[(3, 4)].nodes_explored == 24_714
 
 
 def test_bounds_exact_clamps_a_huge_t_max_to_the_edge_count(tmp_path, capsys):

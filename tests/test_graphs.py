@@ -150,6 +150,39 @@ def test_build_graph_rejects_unknown_endpoints_and_bad_labels():
 
 
 # ---------------------------------------------------------------------------
+# false-twin classes
+# ---------------------------------------------------------------------------
+
+
+def test_twin_classes_of_rings():
+    assert ring_graph(n=3, k=6).twin_classes == tuple(
+        tuple(Vertex(layer, index) for index in (1, 2, 3)) for layer in range(1, 7)
+    )
+    # ring(n, 4) = K_{2n,2n}: layers 1 and 3 share their neighbours, and so do 2 and 4
+    assert ring_graph(n=1, k=4).twin_classes == ((Vertex(1, 1), Vertex(3, 1)), (Vertex(2, 1), Vertex(4, 1)))
+    assert ring_graph(n=1, k=5).twin_classes == tuple((v,) for v in ring_graph(n=1, k=5).vertices)
+
+
+def test_isolated_vertices_are_twins():
+    a, b, c, d = Vertex(1, 1), Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)
+    g = build_graph(2, 2, [a, b, c, d], [(a, c)])
+    assert g.twin_classes == ((a,), (b, d), (c,))
+
+
+@given(args=graph_inputs())
+@settings(max_examples=100, deadline=None)
+def test_twin_classes_partition_by_neighbourhood(args):
+    g = build_graph(*args)
+    classes = g.twin_classes
+    assert sorted(v for members in classes for v in members) == list(g.vertices)
+    assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+    for members in classes:
+        assert list(members) == sorted(members)
+        assert len({frozenset(g.neighbors(v)) for v in members}) == 1
+    assert len({frozenset(g.neighbors(members[0])) for members in classes}) == len(classes)
+
+
+# ---------------------------------------------------------------------------
 # build_graph against the plain reference builder
 # ---------------------------------------------------------------------------
 

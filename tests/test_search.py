@@ -28,11 +28,11 @@ from ringcol import (
     spectrum,
     verify,
 )
-from ringcol import engines, search
+from ringcol import composition, engines, search
 
 import reference
 from reference import run_engine, start_assignment
-from strategies import small_graphs
+from strategies import compositions, small_graphs
 
 
 def cycle(k):
@@ -123,7 +123,8 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
 
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
-    (find_interval_t, 2, 6, 9, "witness", 2_641),
+    (find_interval_t, 2, 6, 9, "witness", 8),  # lifted from C6 at s = 4: the quotient's nodes count
+    (find_interval_t, 2, 3, 7, "infeasible", 7_071),  # C3 has no 3-coloring (5 nodes), ring(2,3) 7 066 more
     (find_proper_t, 2, 3, 4, "witness", 33),
     (find_proper_t, 1, 5, 2, "infeasible", 4),
 ])
@@ -136,10 +137,13 @@ def test_an_answer_on_the_last_allowed_node_stands(query, n, k, t, status, nodes
 
 
 def test_compute_w_budget_is_inconclusive():
-    g = ring_graph(RingParams(2, 4))
+    # ring(2,3) = C3[K̄2], and C3 has no interval 2-coloring to lift to t = 4: the budget runs out on
+    # ring(2,3) itself, the quotient's 2 nodes included
+    g = ring_graph(RingParams(2, 3))
     report = compute_w(g, SearchConfig(node_limit=5))
     assert report.value is None
     assert report.status == "inconclusive"
+    assert (report.trail, report.nodes_explored) == (((4, "exhausted_budget"),), 6)
 
 
 def test_compute_chromatic_index_budget_raises():
@@ -172,6 +176,12 @@ _PINNED_NODE_COUNTS = [
     ("edge_dfs", 2, 3, 7, "infeasible", 7_066),
     ("edge_dfs", 2, 6, 9, "witness", 2_641),
     ("edge_dfs", 3, 4, 10, "witness", 16_293),
+    ("edge_dfs", 3, 4, 11, "exhausted_budget", 50_001),
+    ("find_interval_t", 2, 3, 7, "infeasible", 7_071),
+    ("find_interval_t", 2, 6, 9, "witness", 8),
+    ("find_interval_t", 3, 4, 10, "witness", 16_293),
+    ("find_interval_t", 3, 4, 11, "witness", 1),
+    ("find_interval_t", 3, 6, 14, "witness", 8),
     ("find_proper_t", 2, 3, 4, "witness", 33),
     ("find_proper_t", 2, 5, 4, "witness", 150),
     ("find_proper_t", 1, 5, 2, "infeasible", 4),
@@ -189,11 +199,13 @@ _PINNED_NODE_COUNTS = [
 def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes):
     # Node counts depend on the exact search order of each engine (edge
     # order, start ranges, branching tie rule, color order): a change to any
-    # of them shows up here. edge_dfs runs behind find_interval_t;
-    # start_assignment, the reference engine, runs directly.
+    # of them shows up here. edge_dfs and start_assignment, the reference
+    # engine, run directly on the ring. find_interval_t lifts a quotient
+    # witness first where a lift reaches t (ring(2,k) = C_k[K̄2], ring(3,6) =
+    # C6[K̄3], ring(3,4) = K2[K̄6]) and counts the quotient's nodes with the ring's.
     g = ring_graph(RingParams(n, k))
-    if engine == "start_assignment":
-        got = run_engine(start_assignment, g, t, 50_000)[:2]
+    if engine in ("start_assignment", "edge_dfs"):
+        got = run_engine(start_assignment if engine == "start_assignment" else engines.edge_dfs, g, t, 50_000)[:2]
     else:
         query = find_proper_t if engine == "find_proper_t" else find_interval_t
         outcome = query(g, t, SearchConfig(node_limit=50_000))
@@ -221,9 +233,18 @@ def test_start_enumeration_needs_no_recursion_on_1200_vertices():
 
 
 def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
+    # no lift reaches t = 41 on C16[K̄8] (41 and 42 are not multiples of 8), so edge_dfs searches the ring
+    g = ring_graph(RingParams(8, 16))
+    outcome = find_interval_t(g, 41, SearchConfig(node_limit=5_000))
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("exhausted_budget", 5_001, "search")
+
+
+def test_a_lift_answers_on_1024_edges_from_the_quotient_cycle():
+    # t = 40 = 8 * 5: a 5-coloring of C16 found in 27 nodes, Latin-lifted to ring(8,16)
     g = ring_graph(RingParams(8, 16))
     outcome = find_interval_t(g, 40, SearchConfig(node_limit=5_000))
-    assert (outcome.status, outcome.nodes_explored) == ("exhausted_budget", 5_001)
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 27, "composition_lift")
+    assert verify(g, outcome.witness).is_interval_coloring
 
 
 def test_proper_search_needs_no_recursion_on_1024_edges():
@@ -417,7 +438,7 @@ def test_continuity_scan_results():
 
 
 def test_engine_witness_is_reverified(monkeypatch):
-    g = cycle(4)
+    g = cycle(6)  # no twins, so no lift: edge_dfs answers
     bad = {e: 1 for e in g.edges}
     monkeypatch.setattr(search, "edge_dfs", lambda g, t, limit: (dict(bad), 1))
     with pytest.raises(SoundnessError):
@@ -430,6 +451,100 @@ def test_engine_witness_is_reverified(monkeypatch):
 def test_continuity_scan_with_explicit_top():
     scan = continuity_scan(ring_graph(RingParams(2, 4)), t_hi=7)
     assert scan == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
+
+
+# ---------------------------------------------------------------------------
+# composition lift
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k, t, s, rule", [
+    (2, 6, 8, 4, composition.latin_color),  # C6[K̄2]
+    (2, 6, 9, 4, composition.staircase_color),
+    (3, 6, 9, 3, composition.latin_color),  # C6[K̄3]
+    (3, 6, 14, 4, composition.staircase_color),
+    (3, 4, 6, 1, composition.latin_color),  # ring(3,4) = K_{6,6} = K2[K̄6]
+    (3, 4, 11, 1, composition.staircase_color),
+])
+def test_lifted_witnesses_are_the_formulas_over_a_quotient_witness(n, k, t, s, rule):
+    g = ring_graph(RingParams(n, k))
+    assert composition.lift_rule(g.composition.n, t) == (s, rule)
+    alpha, nodes = engines.edge_dfs(g.composition.quotient, s, None)
+    outcome = find_interval_t(g, t)
+    assert (outcome.status, outcome.source, outcome.nodes_explored) == ("witness", "composition_lift", nodes)
+    assert dict(outcome.witness.colors) == composition.lift(g, alpha, rule)
+    assert verify(g, outcome.witness).is_interval_coloring
+
+
+def test_no_lift_rule_below_one_quotient_color_or_between_the_two_spans():
+    assert composition.lift_rule(3, 2) is None  # t + 1 = 3 would ask for s = 0
+    assert composition.lift_rule(3, 7) is None  # neither 7 nor 8 is a multiple of 3
+    assert composition.lift_rule(3, 5) == (1, composition.staircase_color)
+    assert composition.lift_rule(2, 1) is None  # the same at n = 2
+
+
+def test_the_quotient_of_a_composition():
+    h, n, position = ring_graph(RingParams(3, 6)).composition
+    assert (n, h.vertices) == (3, tuple(Vertex(layer, 1) for layer in range(1, 7)))
+    assert h.edges == cycle(6).edges  # one vertex per layer, labelled by its smallest member
+    assert position[Vertex(4, 3)] == (Vertex(4, 1), 3)
+    h, n, _ = complete_bipartite(4).composition
+    assert (n, len(h.vertices), len(h.edges)) == (4, 2, 1)
+    assert cycle(6).composition is None  # every class is a single vertex
+    assert path(3).composition is None  # classes of 2 and 1
+
+
+def test_no_lifted_witness_falls_back_to_the_search_with_the_budget_left():
+    g = ring_graph(RingParams(2, 3))  # C3[K̄2]: C3 has no interval coloring at all
+    lift_nodes = composition.composition_lift(g, 6, None)[1]
+    plain = run_engine(engines.edge_dfs, g, 6)
+    outcome = find_interval_t(g, 6)
+    assert (outcome.status, outcome.source) == ("witness", "search")
+    assert outcome.nodes_explored == lift_nodes + plain[1]
+    assert outcome.witness.colors == plain[2].colors
+    # a limit the quotient uses up exactly leaves the search one node: the first over the limit
+    spent = find_interval_t(g, 6, SearchConfig(node_limit=lift_nodes))
+    assert (spent.status, spent.nodes_explored, spent.source) == ("exhausted_budget", lift_nodes + 1, "search")
+    # a limit the quotient's own search runs into ends the query there
+    ring = ring_graph(RingParams(2, 8))
+    cut = find_interval_t(ring, 10, SearchConfig(node_limit=5))
+    assert (cut.status, cut.nodes_explored, cut.source) == ("exhausted_budget", 6, "composition_lift")
+
+
+@pytest.mark.parametrize("rule, mutant", [
+    ("staircase_color", lambda n, a, p, q: n * (a - 1) + p + q),  # shift one too high
+    ("staircase_color", lambda n, a, p, q: n * (a - 1) + p + q - 2),  # shift one too low
+    ("latin_color", lambda n, a, p, q: n * (a - 1) + (p + q + 1) % n),  # block shifted down by one
+    ("latin_color", lambda n, a, p, q: n * (a - 1) + p % n + 1),  # not a Latin square: improper
+])
+def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, rule, mutant):
+    g = ring_graph(RingParams(2, 6))
+    t = 9 if rule == "staircase_color" else 8
+    assert find_interval_t(g, t).source == "composition_lift"
+    monkeypatch.setattr(composition, rule, mutant)
+    with pytest.raises(SoundnessError, match="composition_lift"):
+        find_interval_t(g, t)
+
+
+@given(composed=compositions())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lifted_queries_agree_with_plain_search_on_compositions(composed):
+    # covers disconnected quotients and isolated vertices; a quotient with twins of its own merges
+    # classes, so the lift may apply with a larger n or not at all
+    h, n, g = composed
+    if h.vertices and len(h.twin_classes) == len(h.vertices):  # H has no twins: its copies are G's classes
+        assert (g.composition.n, len(g.composition.quotient.edges)) == (n, len(h.edges))
+    for t in range(1, len(g.edges) + 1):
+        found, nodes = engines.edge_dfs(g, t, 2_000)
+        if nodes > 2_000:  # undecided by plain search: a lift may still find a witness
+            outcome = find_interval_t(g, t, SearchConfig(node_limit=2_000))
+        else:
+            outcome = find_interval_t(g, t)
+            assert outcome.status == ("infeasible" if found is None else "witness"), t
+            if outcome.source == "search":
+                assert outcome.nodes_explored == composition.composition_lift(g, t, None)[1] + nodes, t
+        if outcome.status == "witness":
+            assert verify(g, outcome.witness).is_interval_coloring, t
 
 
 # ---------------------------------------------------------------------------
