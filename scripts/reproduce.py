@@ -7,7 +7,9 @@ Order of business:
    the even-k ring verify as interval colorings with their stated spans,
    over the whole construction grid;
 2. every vertex spectrum equals its closed form;
-3. a sweep over the (n, k) grid compares the chromatic-index and least-span
+3. ``t_coloring`` verifies at every t of the feasible range [2n, 2n + nk/2 - 1]
+   over the same grid, so the range has no gap by construction;
+4. a sweep over the (n, k) grid compares the chromatic-index and least-span
    formulas against the oracle and scans the feasible range for gaps.
 
 Artifacts (sweep CSV/JSON and the run manifest) land in --out-dir. The
@@ -42,6 +44,7 @@ from ringcol import (
     ring_graph,
     spectrum,
     staircase_coloring,
+    t_coloring,
     used_colors,
     verify,
 )
@@ -75,7 +78,18 @@ def check_constructions() -> bool:
                 spectra_ok &= spectrum(g, c, v).colors == tuple(expected_spectrum(params, v))
     print(f"[{'ok' if span_ok else 'FAIL'}] mirrored staircase spans 2n + nk/2 - 1 on n <= 5, k in {CONSTRUCTION_K}")
     print(f"[{'ok' if spectra_ok else 'FAIL'}] all vertex spectra equal their closed forms")
-    return ok and span_ok and spectra_ok
+
+    range_ok = True
+    for n in CONSTRUCTION_N:
+        for k in CONSTRUCTION_K:
+            params = RingParams(n, k)
+            g = ring_graph(params)
+            for t in range(2 * n, 2 * n + n * k // 2):
+                c = t_coloring(params, t)
+                range_ok &= c.t == t and verify(g, c).is_interval_coloring
+    print(f"[{'ok' if range_ok else 'FAIL'}] t_coloring verifies at every t in [2n, 2n + nk/2 - 1] "
+          f"on n <= 5, k in {CONSTRUCTION_K}")
+    return ok and span_ok and spectra_ok and range_ok
 
 
 def run_sweep(out_dir: Path, n_max: int, k_max: int, node_limit: int | None) -> bool:

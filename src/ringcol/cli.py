@@ -14,12 +14,13 @@ Exit codes (stable, also listed in the README):
     4  search budget exhausted
     5  I/O failure (unreadable file, invalid JSON syntax)
 
-The searching commands (``search``, ``bounds-exact``, ``sweep`` and
-``construct --t``) run ``ringcol.search``'s queries (a composition lift
-where one reaches t, else the one engine, ``edge_dfs``) and take only a
-node budget (``--node-limit``) and, for the span scans, a cap
-(``--t-max``). All code paths are deterministic: identical invocations
-write byte-identical artifacts. The environment variable
+The searching commands (``search``, ``bounds-exact`` and ``sweep``) run
+``ringcol.search``'s queries (a composition lift where one reaches t, else
+the one engine, ``edge_dfs``) and take only a node budget
+(``--node-limit``) and, for the span scans, a cap (``--t-max``).
+``construct`` never searches: ``construct --t`` builds its coloring in
+closed form (``construct.t_coloring``). All code paths are deterministic:
+identical invocations write byte-identical artifacts. The environment variable
 ``RINGCOL_NODE_LIMIT`` supplies a default search budget for commands that
 take ``--node-limit``.
 """
@@ -41,7 +42,6 @@ from . import io as rio
 from .construct import bounds_summary, mirrored_staircase_coloring, t_coloring
 from .coloring import verify
 from .errors import (
-    BudgetExhaustedError,
     ColoringError,
     FormatError,
     ParameterError,
@@ -146,7 +146,7 @@ def cmd_construct(args: argparse.Namespace, artifacts: list[str]) -> int:
     if args.t is None:
         coloring = mirrored_staircase_coloring(params)
     else:
-        coloring = t_coloring(params, args.t, _search_config(args))
+        coloring = t_coloring(params, args.t)
     g = ring_graph(params)
     report = verify(g, coloring)
     rio.dump_json(rio.coloring_to_dict(coloring), args.out)
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=None, help="span to realize (default: the widest constructed)")
     p.add_argument("--out", required=True)
-    p.add_argument("--node-limit", type=int, default=None)
 
     p = add("verify", cmd_verify, "verify a coloring file against a graph file")
     p.add_argument("--graph", required=True)
@@ -363,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, ColoringError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_PARAMETER
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = EXIT_BUDGET
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_IO

@@ -8,81 +8,80 @@ completely joined exactly when their H-vertices are adjacent. The ring is
 one: ring(n, k) = C_k[K̄_n] for k != 4, and ring(n, 4) = K_{2n,2n}, which is
 K_2[K̄_{2n}]. The quotient has no twins of its own, so one level suffices.
 
-Write alpha for an interval s-coloring of H and p, q for the 1-based
-positions of an edge's endpoints inside their classes. Every H-edge uv
-becomes a K_{n,n} between the classes of u and v, colored from the block
-that starts at n(alpha(uv) - 1) + 1:
+Every lift colors from one symmetric n x n block table. For 0 <= j <= n - 1
+and 1-based p, q, let c = ((p + q - 2) mod n) + 1; then F_j(p, q) is c + n
+when c < min(p, j + 1) and c otherwise. F_j is symmetric, because c < p
+exactly when p + q - 1 > n, exactly when c < q. Its row p is the run of n
+consecutive colors starting at min(p, j + 1), and it uses every color
+1..n + j. The two end cases are the circulant Latin square F_0 and the
+staircase F_{n-1}(p, q) = p + q - 1 of ``construct.staircase_coloring``.
 
-* the Latin lift, t = n*s: color n(alpha - 1) + ((p + q) mod n) + 1, so
-  the n edges of one block at a vertex take the block's n colors once each;
-* the staircase lift, t = n(s + 1) - 1: color n(alpha - 1) + p + q - 1, so
-  the n edges of one block at vertex (u, p) take n(alpha - 1) + p up to
-  n*alpha + p - 1 (the staircase of ``construct.staircase_coloring``,
-  shifted by n per step of alpha).
-
-At a vertex the alpha values are d_H(u) consecutive integers, so the blocks
-tile into one run of n*d_H(u) = d_G colors, and every color 1..t lands on
-some edge: the lift is an interval t-coloring. ``search.find_interval_t``
-still re-checks every lifted witness with the verifier.
+Write alpha for an interval s-coloring of H and p, q for the positions of an
+edge's endpoints inside their classes. With (s, j) = divmod(t, n), every
+H-edge uv becomes a K_{n,n} colored n(alpha(uv) - 1) + F_j(p, q). At a
+vertex (u, p) the block of each H-edge is a run of n colors starting at
+n(alpha - 1) + min(p, j + 1), and the alpha values at u are d_H(u)
+consecutive integers, so the runs tile into one run of n*d_H(u) = d_G
+colors. The block of alpha = a covers n(a - 1) + 1 .. n*a + j, so every
+color 1..n*s + j = t lands on some edge: the lift is an interval t-coloring.
+``search.find_interval_t`` still re-checks every lifted witness with the
+verifier, and ``construct.t_coloring`` lifts a closed-form coloring of C_k
+with the same table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 from .engines import edge_dfs
 from .graphs import Edge, Graph, make_edge
 
-__all__ = ["latin_color", "staircase_color", "lift_rule", "lift", "composition_lift"]
-
-ColorRule = Callable[[int, int, int, int], int]
+__all__ = ["block_table", "overfull", "lift", "composition_lift"]
 
 
-def latin_color(n: int, a: int, p: int, q: int) -> int:
-    """The Latin lift's color of edge (u, p)(v, q) when alpha(uv) = a."""
-    return n * (a - 1) + (p + q) % n + 1
+def block_table(n: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """F_j (0 <= j <= n - 1) as rows: ``block_table(n, j)[p - 1][q - 1]``
+    is F_j(p, q)."""
+    rows = []
+    for p in range(1, n + 1):
+        low = min(p, j + 1)
+        cs = ((p + q - 2) % n + 1 for q in range(1, n + 1))
+        rows.append(tuple(c + n if c < low else c for c in cs))
+    return tuple(rows)
 
 
-def staircase_color(n: int, a: int, p: int, q: int) -> int:
-    """The staircase lift's color of edge (u, p)(v, q) when alpha(uv) = a."""
-    return n * (a - 1) + p + q - 1
+def overfull(h: Graph) -> bool:
+    """|E(H)| > Delta(H) * floor(|V(H)| / 2): the Delta matchings of a proper
+    Delta-coloring cannot hold every edge, so chi'(H) = Delta + 1. An
+    interval-colorable graph has chi' = Delta (Asratian–Kamalian: colors mod
+    Delta are proper), so an overfull H has no interval coloring at any t."""
+    return len(h.edges) > h.max_degree() * (len(h.vertices) // 2)
 
 
-def lift_rule(n: int, t: int) -> tuple[int, ColorRule] | None:
-    """The quotient span s and the color rule that lift an interval
-    s-coloring of H to an interval t-coloring of H[K̄_n] (n >= 2), or None
-    when neither lift reaches t. At most one does: n cannot divide both t
-    and t + 1."""
-    if t % n == 0:
-        return t // n, latin_color
-    if (t + 1) % n == 0 and t + 1 > n:  # s >= 1
-        return (t + 1) // n - 1, staircase_color
-    return None
-
-
-def lift(g: Graph, alpha: Mapping[Edge, int], color: ColorRule) -> dict[Edge, int]:
-    """g's edge colors under ``color`` from alpha, an edge coloring of the
-    quotient of ``g.composition`` (which must not be None)."""
+def lift(g: Graph, alpha: Mapping[Edge, int], table: Sequence[Sequence[int]]) -> dict[Edge, int]:
+    """g's edge colors n(alpha(uv) - 1) + table[p - 1][q - 1] from alpha, an
+    edge coloring of the quotient of ``g.composition`` (which must not be
+    None)."""
     n, position = g.composition.n, g.composition.position
     colors = {}
     for e in g.edges:
         (u, p), (v, q) = position[e.u], position[e.v]
-        colors[e] = color(n, alpha[make_edge(u, v)], p, q)
+        colors[e] = n * (alpha[make_edge(u, v)] - 1) + table[p - 1][q - 1]
     return colors
 
 
 def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n] and
-    a lift reaches t, the lift of ``edge_dfs(H, s, limit)``'s witness and
-    that search's nodes. No assignment means no lifted witness, never that g
-    has none: the rule does not apply (0 nodes), H has no interval
-    s-coloring, or the budget ran out on H."""
+    t >= n, the F_j lift of ``edge_dfs(H, s, limit)``'s witness, with
+    (s, j) = divmod(t, n), and that search's nodes. No assignment means no
+    lifted witness, never that g has none: g is no composition, t < n, H is
+    overfull (0 nodes each), H has no interval s-coloring, or the budget ran
+    out on H."""
     composed = g.composition
-    rule = composed and lift_rule(composed.n, t)
-    if not rule:
+    if composed is None or t < composed.n or overfull(composed.quotient):
         return None, 0
-    s, color = rule
+    s, j = divmod(t, composed.n)
     alpha, nodes = edge_dfs(composed.quotient, s, limit)
     if alpha is None:
         return None, nodes
-    return lift(g, alpha, color), nodes
+    return lift(g, alpha, block_table(composed.n, j)), nodes

@@ -4,27 +4,31 @@ Two explicit constructions live here:
 
 * a staircase coloring of K_{n,n} that colors edge (p, q) with p + q - 1,
   giving an interval (2n-1)-coloring of the complete bipartite layer pair;
-* a mirrored staircase coloring of the ring graph for even k, which places
-  shifted copies of that staircase on each layer pair, with shifts climbing
-  by n per pair from the wrap pair up to the middle pair and mirrored on the
-  way back down. It uses t = 2n + n*k/2 - 1 colors, the widest interval
-  coloring this package can build directly.
+* ``t_coloring``, an interval t-coloring of the ring for even k and every t
+  in the feasible range [2n, 2n + n*k/2 - 1]. It is the composition lift of
+  ``ringcol.composition`` on the layer partition, ring(n, k) = C_k[K̄_n]:
+  with (s, j) = divmod(t, n), layer pair (i, i+1) carries the block table
+  F_j shifted by n(alpha_i - 1) for a closed-form interval s-coloring alpha
+  of C_k. No t needs a search.
+
+At the top of the range F_j is the staircase and alpha climbs by one per
+pair from the wrap pair (k, 1) up to the middle pair and mirrors on the way
+back down: that is the mirrored staircase, ``mirrored_staircase_coloring``.
 
 The closed-form facts (chromatic index by parity, least span 2n, the widest
 known span, and the feasible range in between) are assembled by
-``bounds_summary``. For a t strictly inside the feasible range no direct
-construction is known here, so ``t_coloring`` delegates to the exhaustive
-search oracle for a witness instead of guessing.
+``bounds_summary``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import search
 from .coloring import EdgeColoring
-from .errors import BudgetExhaustedError, ParameterError, ParityError, SoundnessError
-from .graphs import Edge, RingParams, Vertex, make_edge, ring_graph
+from .composition import block_table
+from .errors import ParameterError, ParityError, SoundnessError
+from .graphs import Edge, RingParams, Vertex, make_edge
+from .search import asratian_kamalian_bound
 
 __all__ = [
     "BoundsSummary",
@@ -58,39 +62,15 @@ def widest_constructed_t(params: RingParams) -> int:
 
 
 def mirrored_staircase_coloring(params: RingParams) -> EdgeColoring:
-    """Interval (2n + n*k/2 - 1)-coloring of ring_graph(params) for even k.
+    """Interval (2n + n*k/2 - 1)-coloring of ring_graph(params) for even k:
+    ``t_coloring`` at the top of the range.
 
-    Rule order: the wrap pair (k, 1) carries the plain staircase; then for
+    The wrap pair (k, 1) carries the plain staircase p + q - 1; for
     i = 1 .. k/2 - 1 the pairs (i, i+1) and (k-i, k-i+1) both carry the
-    staircase shifted by i*n; finally the middle pair (k/2, k/2+1) carries
-    the staircase shifted by n*k/2. For even k these pairs partition the
-    edge set, which is checked at the end.
+    staircase shifted by i*n; the middle pair (k/2, k/2+1) carries it
+    shifted by n*k/2.
     """
-    n, k = params.n, params.k
-    if k % 2 != 0:
-        raise ParityError(f"construction needs an even layer count, got k={k}")
-
-    colors: dict[Edge, int] = {}
-    # one Vertex per label, shared by every edge that touches it
-    layers = {layer: [Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)}
-
-    def paint_pair(lo_layer: int, hi_layer: int, shift: int) -> None:
-        for p, a in enumerate(layers[lo_layer], 1):
-            for q, b in enumerate(layers[hi_layer], 1):
-                e = make_edge(a, b)
-                if e in colors:
-                    raise SoundnessError(f"edge {e} colored twice")
-                colors[e] = p + q - 1 + shift
-
-    paint_pair(k, 1, 0)
-    for i in range(1, k // 2):
-        paint_pair(i, i + 1, i * n)
-        paint_pair(k - i, k - i + 1, i * n)
-    paint_pair(k // 2, k // 2 + 1, n * k // 2)
-
-    if len(colors) != n * n * k:
-        raise SoundnessError("the layer-pair rules must color every edge exactly once")
-    return EdgeColoring(colors=colors, t=widest_constructed_t(params))
+    return t_coloring(params, widest_constructed_t(params))
 
 
 def expected_spectrum(params: RingParams, v: Vertex) -> range:
@@ -150,7 +130,7 @@ def bounds_summary(params: RingParams) -> BoundsSummary:
 
     w = 2 * n if colorable else None
     W_lower = widest_constructed_t(params) if (colorable and k % 2 == 0) else None
-    at_theorem_cap = W_lower == search.asratian_kamalian_bound(k // 2, 2 * n, bipartite=True)
+    at_theorem_cap = W_lower == asratian_kamalian_bound(k // 2, 2 * n, bipartite=True)
     W_exact = W_lower if at_theorem_cap else None
     feasible = (2 * n, W_lower) if W_lower is not None else None
     return BoundsSummary(
@@ -165,34 +145,39 @@ def bounds_summary(params: RingParams) -> BoundsSummary:
     )
 
 
-def t_coloring(params: RingParams, t: int, cfg: search.SearchConfig | None = None) -> EdgeColoring:
+def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     """An interval t-coloring of ring_graph(params) for any feasible t.
 
-    The top of the range comes straight from the construction; all other t
-    are answered by the exhaustive search oracle, which is guaranteed a
-    witness exists anywhere in the range. Raises ParityError for odd k,
-    ParameterError for t outside [2n, 2n + n*k/2 - 1], and
-    BudgetExhaustedError if a configured search budget runs out (it never
-    silently claims infeasibility). A search that calls a t in the range
-    infeasible contradicts the construction and raises SoundnessError.
+    With d = min(i, k - i) + 1 for layer pair (i, i+1) (the wrap pair is
+    i = k, so d = 1) and (s, j) = divmod(t, n), alpha_i = d when d <= s and
+    s - (d - s) mod 2 otherwise is an interval s-coloring of C_k for every
+    2 <= s <= k/2 + 1: d changes by one from pair to pair, alpha follows it
+    up to s and then alternates between s - 1 and s, and it takes every
+    value 1..s. Edge ((i, p), (i+1, q)) gets n(alpha_i - 1) + F_j(p, q)
+    (``composition.block_table``). Raises ParityError for odd k and
+    ParameterError for t outside [2n, 2n + n*k/2 - 1].
     """
-    n = params.n
+    n, k = params.n, params.k
     top = widest_constructed_t(params)
     if not 2 * n <= t <= top:
         raise ParameterError(f"t={t} outside the feasible range [{2 * n}, {top}]")
-    if t == top:
-        return mirrored_staircase_coloring(params)
+    s, j = divmod(t, n)
+    table = block_table(n, j)
 
-    outcome = search.find_interval_t(ring_graph(params), t, cfg)
-    if outcome.status == "witness":
-        assert outcome.witness is not None
-        return outcome.witness
-    if outcome.status == "exhausted_budget":
-        raise BudgetExhaustedError(
-            f"search budget exhausted before finding a t={t} coloring "
-            f"(nodes={outcome.nodes_explored})"
-        )
-    raise SoundnessError(
-        f"search reports t={t} infeasible for (n={n}, k={params.k}); "
-        "this contradicts the feasible range and indicates a bug"
-    )
+    colors: dict[Edge, int] = {}
+    # one Vertex per label, shared by every edge that touches it
+    layers = {layer: [Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)}
+    for i in range(1, k + 1):
+        d = min(i, k - i) + 1
+        shift = n * ((d if d <= s else s - (d - s) % 2) - 1)
+        here, there = layers[i], layers[i % k + 1]
+        for a, row in zip(here, table):
+            for b, color in zip(there, row):
+                e = make_edge(a, b)
+                if e in colors:
+                    raise SoundnessError(f"edge {e} colored twice")
+                colors[e] = shift + color
+
+    if len(colors) != n * n * k:
+        raise SoundnessError("the layer-pair rules must color every edge exactly once")
+    return EdgeColoring(colors=colors, t=t)

@@ -9,13 +9,13 @@ the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
 ``find_interval_t`` settles one t in two steps. When g is a composition
-H[K̄_n] (every false-twin class has n >= 2 vertices) and t = n*s or
-t = n(s + 1) - 1, it first asks ``edge_dfs`` for an interval s-coloring of
-the quotient H and lifts it to g: edge (u, p)(v, q) gets
-n(alpha(uv) - 1) + ((p + q) mod n) + 1 (Latin lift) or
-n(alpha(uv) - 1) + p + q - 1 (staircase lift), with p, q the endpoints'
-positions inside their classes (see ``ringcol.composition``). Otherwise,
-or when H has no interval s-coloring, ``edge_dfs`` searches g itself. The
+H[K̄_n] (every false-twin class has n >= 2 vertices), t >= n and H is not
+overfull, it first asks ``edge_dfs`` for an interval s-coloring of the
+quotient H, with (s, j) = divmod(t, n), and lifts it to g: edge
+(u, p)(v, q) gets n(alpha(uv) - 1) + F_j(p, q), with p, q the endpoints'
+positions inside their classes and F_j the block table of
+``ringcol.composition``. Otherwise, or when H has no interval s-coloring,
+``edge_dfs`` searches g itself. The
 quotient's nodes count toward the same node limit and the same
 ``nodes_explored``, g's search gets what is left, and ``infeasible`` only
 ever comes from exhausting g. ``SearchOutcome.source`` records which step
@@ -163,7 +163,7 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
 
     t > |E(g)| is rejected as infeasible without search (palette coverage
     needs an edge per color). Otherwise a lifted quotient witness answers
-    when g is a composition that a lift reaches at t, and ``edge_dfs`` on g
+    when g is a composition whose quotient has one at t // n, and ``edge_dfs`` on g
     settles the rest under the budget the quotient left. Deterministic for
     fixed inputs and config.
     """

@@ -140,6 +140,14 @@ def test_construct_out_of_range_t(tmp_path):
     assert run(tmp_path, "construct", "--n", "1", "--k", "4", "--t", "9", "--out", str(tmp_path / "c.json")) == 2
 
 
+def test_construct_takes_no_node_limit(tmp_path, capsys):
+    # every t of the range is built in closed form: there is no search to budget
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "construct", "--n", "2", "--k", "4", "--t", "5", "--out", "c.json", "--node-limit", "10")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --node-limit 10" in capsys.readouterr().err
+
+
 def test_verify_names_the_violating_vertex(tmp_path, capsys):
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     run(tmp_path, "generate", "--n", "2", "--k", "4", "--out", str(gpath))
@@ -326,8 +334,8 @@ def test_bounds_exact_exit_follows_the_profile_settled(tmp_path, capsys, monkeyp
 
 
 def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
-    # ring(3,4) = K_{6,6} = K2[K̄6]: the staircase lift of the quotient edge's one color is an
-    # 11-coloring at the Asratian-Kamalian cap, so W = 11 is exact with no search of ring(3,4) at t = 11
+    # ring(3,4) = K_{6,6} = K2[K̄6]: the F_j lifts of the quotient edge's one color answer every t from
+    # 6 to the Asratian-Kamalian cap 11 (j = 0..5), so W = 11 is exact with no search of ring(3,4) at all
     searched = []
     plain = search.edge_dfs
 
@@ -342,8 +350,8 @@ def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
     assert doc["W"] == {"value": 11, "status": "exact"}
     assert doc["w"] == {"value": 6, "status": "exact"}
     assert (doc["continuity"], doc["t_max"], doc["t_max_source"]) == ("ok", 11, "asratian_kamalian_bipartite")
-    assert sorted(searched) == [(36, 7), (36, 8), (36, 9), (36, 10)]  # only the t no lift reaches
-    assert profiles[(3, 4)].nodes_explored == 24_714
+    assert searched == []
+    assert profiles[(3, 4)].nodes_explored == 65  # one quotient node per t, and 59 for chi' = 6
 
 
 def test_bounds_exact_clamps_a_huge_t_max_to_the_edge_count(tmp_path, capsys):

@@ -3,12 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
-    BudgetExhaustedError,
     ParameterError,
     ParityError,
     RingParams,
     SearchConfig,
-    SoundnessError,
     Vertex,
     bounds_summary,
     complete_bipartite,
@@ -25,7 +23,6 @@ from ringcol import (
     verify,
     widest_constructed_t,
 )
-from ringcol import search
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +280,28 @@ def test_t_coloring_range_and_parity_errors():
         t_coloring(RingParams(2, 5), 4)
 
 
-def test_t_coloring_budget_error_is_loud():
-    with pytest.raises(BudgetExhaustedError):
-        t_coloring(RingParams(2, 4), 5, SearchConfig(node_limit=1))
+def test_mirrored_staircase_is_the_papers_rule_edge_by_edge():
+    # the paper's rule, written out on its own: edge ((i, p), (i+1, q)) gets p + q - 1 + shift(i), the
+    # wrap pair (k, 1) unshifted, pairs i and k - i shifted by i*n, and the middle pair by n*k/2
+    for n in range(1, 6):
+        for k in (4, 6, 8, 10):
+            shift = {k: 0, k // 2: n * k // 2}
+            for i in range(1, k // 2):
+                shift[i] = shift[k - i] = i * n
+            c = mirrored_staircase_coloring(RingParams(n, k))
+            assert len(c.colors) == n * n * k
+            for i in range(1, k + 1):
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        e = make_edge(Vertex(i, p), Vertex(i % k + 1, q))
+                        assert c.colors[e] == p + q - 1 + shift[i], (n, k, e)
 
 
-def test_t_coloring_infeasible_inside_the_range_is_a_soundness_error(monkeypatch):
-    monkeypatch.setattr(search, "find_interval_t", lambda g, t, cfg: search.SearchOutcome("infeasible", None, 0))
-    with pytest.raises(SoundnessError, match="contradicts the feasible range"):
-        t_coloring(RingParams(1, 6), 3)
+def test_t_coloring_verifies_at_every_t_of_the_range():
+    for n in range(1, 5):
+        for k in range(4, 11, 2):
+            params = RingParams(n, k)
+            g = ring_graph(params)
+            for t in range(2 * n, widest_constructed_t(params) + 1):
+                c = t_coloring(params, t)
+                assert c.t == t and verify(g, c).is_interval_coloring, (n, k, t)

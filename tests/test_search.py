@@ -124,7 +124,7 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
     (find_interval_t, 2, 6, 9, "witness", 8),  # lifted from C6 at s = 4: the quotient's nodes count
-    (find_interval_t, 2, 3, 7, "infeasible", 7_071),  # C3 has no 3-coloring (5 nodes), ring(2,3) 7 066 more
+    (find_interval_t, 2, 3, 7, "infeasible", 7_066),  # C3 is overfull, so no lift: ring(2,3) alone
     (find_proper_t, 2, 3, 4, "witness", 33),
     (find_proper_t, 1, 5, 2, "infeasible", 4),
 ])
@@ -137,8 +137,8 @@ def test_an_answer_on_the_last_allowed_node_stands(query, n, k, t, status, nodes
 
 
 def test_compute_w_budget_is_inconclusive():
-    # ring(2,3) = C3[K̄2], and C3 has no interval 2-coloring to lift to t = 4: the budget runs out on
-    # ring(2,3) itself, the quotient's 2 nodes included
+    # ring(2,3) = C3[K̄2], and C3 is overfull, so no lift is tried: the budget runs out on ring(2,3)
+    # itself
     g = ring_graph(RingParams(2, 3))
     report = compute_w(g, SearchConfig(node_limit=5))
     assert report.value is None
@@ -177,9 +177,9 @@ _PINNED_NODE_COUNTS = [
     ("edge_dfs", 2, 6, 9, "witness", 2_641),
     ("edge_dfs", 3, 4, 10, "witness", 16_293),
     ("edge_dfs", 3, 4, 11, "exhausted_budget", 50_001),
-    ("find_interval_t", 2, 3, 7, "infeasible", 7_071),
+    ("find_interval_t", 2, 3, 7, "infeasible", 7_066),
     ("find_interval_t", 2, 6, 9, "witness", 8),
-    ("find_interval_t", 3, 4, 10, "witness", 16_293),
+    ("find_interval_t", 3, 4, 10, "witness", 1),
     ("find_interval_t", 3, 4, 11, "witness", 1),
     ("find_interval_t", 3, 6, 14, "witness", 8),
     ("find_proper_t", 2, 3, 4, "witness", 33),
@@ -201,8 +201,9 @@ def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes)
     # order, start ranges, branching tie rule, color order): a change to any
     # of them shows up here. edge_dfs and start_assignment, the reference
     # engine, run directly on the ring. find_interval_t lifts a quotient
-    # witness first where a lift reaches t (ring(2,k) = C_k[K̄2], ring(3,6) =
-    # C6[K̄3], ring(3,4) = K2[K̄6]) and counts the quotient's nodes with the ring's.
+    # witness first (ring(2,k) = C_k[K̄2], ring(3,6) = C6[K̄3], ring(3,4) =
+    # K2[K̄6]; not over ring(2,3)'s overfull C3) and counts the quotient's
+    # nodes with the ring's.
     g = ring_graph(RingParams(n, k))
     if engine in ("start_assignment", "edge_dfs"):
         got = run_engine(start_assignment if engine == "start_assignment" else engines.edge_dfs, g, t, 50_000)[:2]
@@ -233,14 +234,15 @@ def test_start_enumeration_needs_no_recursion_on_1200_vertices():
 
 
 def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
-    # no lift reaches t = 41 on C16[K̄8] (41 and 42 are not multiples of 8), so edge_dfs searches the ring
+    # t = 80 on C16[K̄8] asks C16 for s = 10 > W(C16) = 9 colors: the quotient is refuted in
+    # 10 717 nodes and edge_dfs searches the ring on the 9 283 left
     g = ring_graph(RingParams(8, 16))
-    outcome = find_interval_t(g, 41, SearchConfig(node_limit=5_000))
-    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("exhausted_budget", 5_001, "search")
+    outcome = find_interval_t(g, 80, SearchConfig(node_limit=20_000))
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("exhausted_budget", 20_001, "search")
 
 
 def test_a_lift_answers_on_1024_edges_from_the_quotient_cycle():
-    # t = 40 = 8 * 5: a 5-coloring of C16 found in 27 nodes, Latin-lifted to ring(8,16)
+    # t = 40 = 8 * 5: a 5-coloring of C16 found in 27 nodes, lifted by F_0 (a Latin square) to ring(8,16)
     g = ring_graph(RingParams(8, 16))
     outcome = find_interval_t(g, 40, SearchConfig(node_limit=5_000))
     assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 27, "composition_lift")
@@ -458,29 +460,60 @@ def test_continuity_scan_with_explicit_top():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, k, t, s, rule", [
-    (2, 6, 8, 4, composition.latin_color),  # C6[K̄2]
-    (2, 6, 9, 4, composition.staircase_color),
-    (3, 6, 9, 3, composition.latin_color),  # C6[K̄3]
-    (3, 6, 14, 4, composition.staircase_color),
-    (3, 4, 6, 1, composition.latin_color),  # ring(3,4) = K_{6,6} = K2[K̄6]
-    (3, 4, 11, 1, composition.staircase_color),
+def test_block_tables_are_symmetric_runs_covering_n_plus_j_colors():
+    for n in range(1, 16):
+        for j in range(n):
+            table = composition.block_table(n, j)
+            for p, row in enumerate(table, 1):
+                start = min(p, j + 1)
+                assert sorted(row) == list(range(start, start + n)), (n, j, p)
+                assert row == tuple(table[q - 1][p - 1] for q in range(1, n + 1)), (n, j, p)
+            assert {c for row in table for c in row} == set(range(1, n + j + 1)), (n, j)
+        # at j = 0 every row is 1..n, a Latin square; at j = n - 1 the table is the staircase p + q - 1
+        staircase = tuple(tuple(p + q - 1 for q in range(1, n + 1)) for p in range(1, n + 1))
+        assert composition.block_table(n, n - 1) == staircase
+
+
+def _table_id(size, j):
+    """The id of F_j among size x size tables: its ends keep the names of the Latin and staircase blocks."""
+    return {0: "latin_color", size - 1: "staircase_color"}.get(j, f"F_{j}")
+
+
+@pytest.mark.parametrize("n, k, t, s, j", [
+    pytest.param(n, k, t, s, j, id=f"{n}-{k}-{t}-{s}-{_table_id(2 * n if k == 4 else n, j)}")
+    for n, k, t, s, j in [
+        (2, 6, 8, 4, 0),  # C6[K̄2]
+        (2, 6, 9, 4, 1),
+        (3, 6, 9, 3, 0),  # C6[K̄3]
+        (3, 6, 14, 4, 2),
+        (3, 6, 7, 2, 1),
+        (3, 6, 10, 3, 1),
+        (3, 6, 13, 4, 1),
+        (3, 4, 6, 1, 0),  # ring(3,4) = K_{6,6} = K2[K̄6]
+        (3, 4, 11, 1, 5),
+        (3, 4, 7, 1, 1),
+        (3, 4, 8, 1, 2),
+        (3, 4, 9, 1, 3),
+        (3, 4, 10, 1, 4),
+    ]
 ])
-def test_lifted_witnesses_are_the_formulas_over_a_quotient_witness(n, k, t, s, rule):
+def test_lifted_witnesses_are_the_formulas_over_a_quotient_witness(n, k, t, s, j):
     g = ring_graph(RingParams(n, k))
-    assert composition.lift_rule(g.composition.n, t) == (s, rule)
+    assert divmod(t, g.composition.n) == (s, j)
     alpha, nodes = engines.edge_dfs(g.composition.quotient, s, None)
     outcome = find_interval_t(g, t)
     assert (outcome.status, outcome.source, outcome.nodes_explored) == ("witness", "composition_lift", nodes)
-    assert dict(outcome.witness.colors) == composition.lift(g, alpha, rule)
+    assert dict(outcome.witness.colors) == composition.lift(g, alpha, composition.block_table(g.composition.n, j))
     assert verify(g, outcome.witness).is_interval_coloring
 
 
-def test_no_lift_rule_below_one_quotient_color_or_between_the_two_spans():
-    assert composition.lift_rule(3, 2) is None  # t + 1 = 3 would ask for s = 0
-    assert composition.lift_rule(3, 7) is None  # neither 7 nor 8 is a multiple of 3
-    assert composition.lift_rule(3, 5) == (1, composition.staircase_color)
-    assert composition.lift_rule(2, 1) is None  # the same at n = 2
+def test_no_lift_below_one_quotient_color_or_over_an_overfull_quotient():
+    assert composition.composition_lift(ring_graph(RingParams(3, 6)), 2, None) == (None, 0)  # s = 0
+    # C3 is overfull (3 edges, 1 per matching): ring(2,3) = C3[K̄2] never searches its quotient
+    g = ring_graph(RingParams(2, 3))
+    assert composition.overfull(g.composition.quotient)
+    assert all(composition.composition_lift(g, t, None) == (None, 0) for t in range(1, len(g.edges) + 1))
+    assert not composition.overfull(cycle(4))  # even cycles have interval colorings
 
 
 def test_the_quotient_of_a_composition():
@@ -494,9 +527,19 @@ def test_the_quotient_of_a_composition():
     assert path(3).composition is None  # classes of 2 and 1
 
 
+def _ring_2_3_beside_a_square():
+    """(C3 + K2)[K̄2]: ring(2,3) with a disjoint K_{2,2} on layers 4 and 5. The quotient is not
+    overfull (4 edges, 2 matchings of 2), yet its C3 has no interval coloring at any s."""
+    ring = ring_graph(RingParams(2, 3))
+    square = [Vertex(layer, i) for layer in (4, 5) for i in (1, 2)]
+    edges = [tuple(e) for e in ring.edges] + [(a, b) for a in square[:2] for b in square[2:]]
+    return build_graph(2, 5, ring.vertices + tuple(square), edges)
+
+
 def test_no_lifted_witness_falls_back_to_the_search_with_the_budget_left():
-    g = ring_graph(RingParams(2, 3))  # C3[K̄2]: C3 has no interval coloring at all
+    g = _ring_2_3_beside_a_square()
     lift_nodes = composition.composition_lift(g, 6, None)[1]
+    assert lift_nodes == 5
     plain = run_engine(engines.edge_dfs, g, 6)
     outcome = find_interval_t(g, 6)
     assert (outcome.status, outcome.source) == ("witness", "search")
@@ -511,17 +554,25 @@ def test_no_lifted_witness_falls_back_to_the_search_with_the_budget_left():
     assert (cut.status, cut.nodes_explored, cut.source) == ("exhausted_budget", 6, "composition_lift")
 
 
-@pytest.mark.parametrize("rule, mutant", [
-    ("staircase_color", lambda n, a, p, q: n * (a - 1) + p + q),  # shift one too high
-    ("staircase_color", lambda n, a, p, q: n * (a - 1) + p + q - 2),  # shift one too low
-    ("latin_color", lambda n, a, p, q: n * (a - 1) + (p + q + 1) % n),  # block shifted down by one
-    ("latin_color", lambda n, a, p, q: n * (a - 1) + p % n + 1),  # not a Latin square: improper
+def _first_row_shifted(table, by):
+    return (tuple(c + by for c in table[0]), *table[1:])
+
+
+_TABLE = composition.block_table  # the mutants below wrap the real table while it is patched
+
+
+# "latin_color" runs the mutant at j = 0 (t = 8 on C6[K̄2]), "staircase_color" at j = n - 1 (t = 9)
+@pytest.mark.parametrize("end, mutant", [
+    ("latin_color", lambda n, j: _TABLE(n, j + 1)),  # min(p, j + 2) in place of min(p, j + 1)
+    ("latin_color", lambda n, j: _first_row_shifted(_TABLE(n, j), 1)),
+    ("staircase_color", lambda n, j: _first_row_shifted(_TABLE(n, j), 1)),
+    ("staircase_color", lambda n, j: _first_row_shifted(_TABLE(n, j), -1)),
 ])
-def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, rule, mutant):
+def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, end, mutant):
     g = ring_graph(RingParams(2, 6))
-    t = 9 if rule == "staircase_color" else 8
+    t = 8 if end == "latin_color" else 9
     assert find_interval_t(g, t).source == "composition_lift"
-    monkeypatch.setattr(composition, rule, mutant)
+    monkeypatch.setattr(composition, "block_table", mutant)
     with pytest.raises(SoundnessError, match="composition_lift"):
         find_interval_t(g, t)
 
@@ -628,6 +679,22 @@ def test_engines_agree_on_small_graphs(g):
         assert len(statuses - {"exhausted_budget"}) <= 1, (t, statuses)
     # Vizing: max degree + 1 colors always suffice for a simple graph
     assert find_proper_t(g, g.max_degree() + 1).status == "witness"
+
+
+def _overfull(g):
+    return len(g.edges) > g.max_degree() * (len(g.vertices) // 2)
+
+
+@given(g=small_graphs(max_edges=12).filter(_overfull))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_overfull_graphs_have_no_interval_coloring(g):
+    # the rule composition_lift uses to skip a quotient: chi' = Delta + 1 on an overfull graph, and an
+    # interval coloring taken mod Delta would be a proper Delta-coloring
+    assert composition.overfull(g)
+    for t in range(1, len(g.edges) + 1):
+        found, nodes = engines.edge_dfs(g, t, 20_000)
+        if nodes <= 20_000:
+            assert found is None, t
 
 
 @given(g=small_graphs(max_edges=12), limit=st.integers(1, 300))
