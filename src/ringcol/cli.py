@@ -20,9 +20,7 @@ the one engine, ``edge_dfs``) and take only a node budget
 (``--node-limit``) and, for the span scans, a cap (``--t-max``).
 ``construct`` never searches: ``construct --t`` builds its coloring in
 closed form (``construct.t_coloring``). All code paths are deterministic:
-identical invocations write byte-identical artifacts. The environment variable
-``RINGCOL_NODE_LIMIT`` supplies a default search budget for commands that
-take ``--node-limit``.
+identical invocations write byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import argparse
 import csv
 import io as _stdio
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -50,7 +47,6 @@ from .errors import (
 from .graphs import RingParams, ring_graph
 from .search import SearchConfig, find_interval_t, span_profile
 
-ENV_NODE_LIMIT = "RINGCOL_NODE_LIMIT"
 T_MAX_HELP = (
     "largest t the span scans ask about (default: the smallest of |E|, the Asratian-Kamalian "
     "bound and the Giaro-Kubale-Malafiejski bound 2|V|-4 on the greatest span; pass |E| to "
@@ -64,28 +60,6 @@ EXIT_PARAMETER = 2
 EXIT_PARITY = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
-
-SWEEP_COLUMNS = [
-    "n",
-    "k",
-    "num_vertices",
-    "num_edges",
-    "max_degree",
-    "nk_even",
-    "chi_formula",
-    "chi_oracle",
-    "chi_agree",
-    "w_formula",
-    "w_oracle",
-    "w_status",
-    "w_agree",
-    "W_lower_formula",
-    "W_oracle",
-    "W_status",
-    "continuity",
-    "nodes_explored",
-]
-
 
 @dataclass
 class RunManifest:
@@ -102,22 +76,8 @@ def _append_manifest(path: str | Path, manifest: RunManifest) -> None:
         fh.write(line + "\n")
 
 
-def _default_node_limit() -> int | None:
-    raw = os.environ.get(ENV_NODE_LIMIT)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{ENV_NODE_LIMIT} must be an integer, got {raw!r}") from exc
-    return value
-
-
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    node_limit = getattr(args, "node_limit", None)
-    if node_limit is None:
-        node_limit = _default_node_limit()
-    return SearchConfig(t_max=getattr(args, "t_max", None), node_limit=node_limit)
+    return SearchConfig(t_max=getattr(args, "t_max", None), node_limit=args.node_limit)
 
 
 def _print_json(doc: Any) -> None:
@@ -247,8 +207,9 @@ def cmd_sweep(args: argparse.Namespace, artifacts: list[str]) -> int:
         for k in range(3, args.k_max + 1)
     ]
 
+    columns = list(rows[0])  # every row has _sweep_cell's keys, in its order
     buf = _stdio.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     csv_path = f"{args.out}.csv"
@@ -256,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace, artifacts: list[str]) -> int:
     Path(csv_path).write_text(buf.getvalue(), encoding="utf-8")
     rio.dump_json(
         {
-            "columns": SWEEP_COLUMNS,
+            "columns": columns,
             "grid": {"n_max": args.n_max, "k_max": args.k_max},
             "node_limit": cfg.node_limit,
             "cells": rows,

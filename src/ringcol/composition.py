@@ -2,8 +2,8 @@
 
 G is the composition H[K̄_n] of its quotient H when its false-twin classes
 (``Graph.twin_classes``) all have the same size n >= 2 (``Graph.composition``
-is then not None): each class is a copy
-of the edgeless K̄_n standing for one vertex of H, and two classes are
+is then not None and maps each vertex of H to its class): each class is a
+copy of the edgeless K̄_n standing for one vertex of H, and two classes are
 completely joined exactly when their H-vertices are adjacent. The ring is
 one: ring(n, k) = C_k[K̄_n] for k != 4, and ring(n, 4) = K_{2n,2n}, which is
 K_2[K̄_{2n}]. The quotient has no twins of its own, so one level suffices.
@@ -14,19 +14,25 @@ when c < min(p, j + 1) and c otherwise. F_j is symmetric, because c < p
 exactly when p + q - 1 > n, exactly when c < q. Its row p is the run of n
 consecutive colors starting at min(p, j + 1), and it uses every color
 1..n + j. The two end cases are the circulant Latin square F_0 and the
-staircase F_{n-1}(p, q) = p + q - 1 of ``construct.staircase_coloring``.
+staircase F_{n-1}(p, q) = p + q - 1.
 
-Write alpha for an interval s-coloring of H and p, q for the positions of an
-edge's endpoints inside their classes. With (s, j) = divmod(t, n), every
-H-edge uv becomes a K_{n,n} colored n(alpha(uv) - 1) + F_j(p, q). At a
-vertex (u, p) the block of each H-edge is a run of n colors starting at
-n(alpha - 1) + min(p, j + 1), and the alpha values at u are d_H(u)
-consecutive integers, so the runs tile into one run of n*d_H(u) = d_G
-colors. The block of alpha = a covers n(a - 1) + 1 .. n*a + j, so every
-color 1..n*s + j = t lands on some edge: the lift is an interval t-coloring.
-``search.find_interval_t`` still re-checks every lifted witness with the
-verifier, and ``construct.t_coloring`` lifts a closed-form coloring of C_k
-with the same table.
+Write alpha for an interval s-coloring of H. With (s, j) = divmod(t, n),
+``lift`` turns every H-edge uv into a K_{n,n}: the p-th member of u's class
+and the q-th member of v's get n(alpha(uv) - 1) + F_j(p, q), whichever way
+round uv is read, since F_j is symmetric. At a vertex (u, p) the block of
+each H-edge is a run of n colors starting at n(alpha - 1) + min(p, j + 1),
+and the alpha values at u are d_H(u) consecutive integers, so the runs tile
+into one run of n*d_H(u) = d_G colors. The block of alpha = a covers
+n(a - 1) + 1 .. n*a + j, so every color 1..n*s + j = t lands on some edge:
+the lift is an interval t-coloring. ``lift`` is the one place that rule is
+written: ``composition_lift`` applies it to a quotient witness that
+``edge_dfs`` found, ``search.find_interval_t`` re-checks every such witness
+with the verifier, and ``ringcol.construct`` applies it to closed-form
+colorings of C_k and K_2.
+
+``composition_lift`` searches no quotient that the theorems below rule out:
+an overfull one, or a connected one asked for more colors than the
+Asratian–Kamalian bound on its greatest span allows.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .engines import edge_dfs
-from .graphs import Edge, Graph, make_edge
+from .graphs import Edge, Graph, Vertex, make_edge
 
-__all__ = ["block_table", "overfull", "lift", "composition_lift"]
+__all__ = ["block_table", "overfull", "asratian_kamalian_bound", "lift", "composition_lift"]
 
 
 def block_table(n: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -58,15 +64,30 @@ def overfull(h: Graph) -> bool:
     return len(h.edges) > h.max_degree() * (len(h.vertices) // 2)
 
 
-def lift(g: Graph, alpha: Mapping[Edge, int], table: Sequence[Sequence[int]]) -> dict[Edge, int]:
-    """g's edge colors n(alpha(uv) - 1) + table[p - 1][q - 1] from alpha, an
-    edge coloring of the quotient of ``g.composition`` (which must not be
-    None)."""
-    n, position = g.composition.n, g.composition.position
+def asratian_kamalian_bound(diam: int, max_degree: int, bipartite: bool) -> int:
+    """Asratian–Kamalian (J. Combin. Theory B 62, 1994): a connected
+    interval-colorable graph of diameter diam has W <= diam*(Delta-1) + 1 when
+    it is bipartite and W <= (diam+1)*(Delta-1) + 1 in general."""
+    return (diam if bipartite else diam + 1) * (max_degree - 1) + 1
+
+
+def lift(
+    classes: Mapping[Vertex, Sequence[Vertex]],
+    alpha: Mapping[Edge, int],
+    table: Sequence[Sequence[int]],
+) -> dict[Edge, int]:
+    """The edge colors of the blocks over alpha, an edge coloring of a graph
+    whose vertex u stands for the class ``classes[u]``: for every edge uv of
+    alpha, the p-th member of u's class and the q-th member of v's get
+    n(alpha(uv) - 1) + table[p - 1][q - 1], with n = len(table) and the
+    table symmetric."""
+    n = len(table)
     colors = {}
-    for e in g.edges:
-        (u, p), (v, q) = position[e.u], position[e.v]
-        colors[e] = n * (alpha[make_edge(u, v)] - 1) + table[p - 1][q - 1]
+    for (u, v), a in alpha.items():
+        shift = n * (a - 1)
+        for x, row in zip(classes[u], table):
+            for y, color in zip(classes[v], row):
+                colors[make_edge(x, y)] = shift + color
     return colors
 
 
@@ -75,13 +96,18 @@ def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, in
     t >= n, the F_j lift of ``edge_dfs(H, s, limit)``'s witness, with
     (s, j) = divmod(t, n), and that search's nodes. No assignment means no
     lifted witness, never that g has none: g is no composition, t < n, H is
-    overfull (0 nodes each), H has no interval s-coloring, or the budget ran
-    out on H."""
+    overfull, H is connected and s exceeds its Asratian–Kamalian bound (0
+    nodes each), H has no interval s-coloring, or the budget ran out on H."""
     composed = g.composition
-    if composed is None or t < composed.n or overfull(composed.quotient):
+    if composed is None or t < composed.n:
         return None, 0
+    h = composed.quotient
     s, j = divmod(t, composed.n)
-    alpha, nodes = edge_dfs(composed.quotient, s, limit)
+    shape = h.diameter_and_bipartite  # None unless H is connected with an edge
+    if overfull(h) or (shape is not None and s > asratian_kamalian_bound(shape[0], h.max_degree(), shape[1])):
+        return None, 0
+    alpha, nodes = edge_dfs(h, s, limit)
     if alpha is None:
         return None, nodes
-    return lift(g, alpha, block_table(composed.n, j)), nodes
+    colors = lift(composed.classes, alpha, block_table(composed.n, j))
+    return {e: colors[e] for e in g.edges}, nodes  # keyed by g's own edges, not a new copy of each

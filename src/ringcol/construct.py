@@ -1,15 +1,17 @@
 """Closed-form colorings and bounds for the ring family.
 
-Two explicit constructions live here:
+Two explicit constructions live here, and both color through
+``composition.lift``, the one rule that turns a quotient coloring and a block
+table into edge colors:
 
 * a staircase coloring of K_{n,n} that colors edge (p, q) with p + q - 1,
-  giving an interval (2n-1)-coloring of the complete bipartite layer pair;
+  giving an interval (2n-1)-coloring of the complete bipartite layer pair:
+  the lift of the one-edge K_2 colored 1 through the staircase table F_{n-1};
 * ``t_coloring``, an interval t-coloring of the ring for even k and every t
-  in the feasible range [2n, 2n + n*k/2 - 1]. It is the composition lift of
-  ``ringcol.composition`` on the layer partition, ring(n, k) = C_k[K̄_n]:
-  with (s, j) = divmod(t, n), layer pair (i, i+1) carries the block table
-  F_j shifted by n(alpha_i - 1) for a closed-form interval s-coloring alpha
-  of C_k. No t needs a search.
+  in the feasible range [2n, 2n + n*k/2 - 1]. It lifts a closed-form
+  interval s-coloring alpha of C_k through the layers, ring(n, k) =
+  C_k[K̄_n], with (s, j) = divmod(t, n): layer pair (i, i+1) carries the
+  block table F_j shifted by n(alpha_i - 1). No t needs a search.
 
 At the top of the range F_j is the staircase and alpha climbs by one per
 pair from the wrap pair (k, 1) up to the middle pair and mirrors on the way
@@ -25,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
-from .composition import block_table
+from .composition import asratian_kamalian_bound, block_table, lift
 from .errors import ParameterError, ParityError, SoundnessError
-from .graphs import Edge, RingParams, Vertex, make_edge
-from .search import asratian_kamalian_bound
+from .graphs import RingParams, Vertex, make_edge
 
 __all__ = [
     "BoundsSummary",
@@ -47,10 +48,8 @@ def staircase_coloring(n: int) -> EdgeColoring:
     gets color p + q - 1, so colors run down the anti-diagonals."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    colors: dict[Edge, int] = {}
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            colors[make_edge(Vertex(2, p), Vertex(1, q))] = p + q - 1
+    classes = {Vertex(layer, 1): [Vertex(layer, p) for p in range(1, n + 1)] for layer in (1, 2)}
+    colors = lift(classes, {make_edge(Vertex(1, 1), Vertex(2, 1)): 1}, block_table(n, n - 1))
     return EdgeColoring(colors=colors, t=2 * n - 1)
 
 
@@ -153,8 +152,10 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     s - (d - s) mod 2 otherwise is an interval s-coloring of C_k for every
     2 <= s <= k/2 + 1: d changes by one from pair to pair, alpha follows it
     up to s and then alternates between s - 1 and s, and it takes every
-    value 1..s. Edge ((i, p), (i+1, q)) gets n(alpha_i - 1) + F_j(p, q)
-    (``composition.block_table``). Raises ParityError for odd k and
+    value 1..s. ``composition.lift`` gives edge ((i, p), (i+1, q)) the color
+    n(alpha_i - 1) + F_j(p, q), with layer i as the class of Vertex(i, 1):
+    the layers, not the twin classes of ring_graph(params), which for k = 4
+    are the two sides of K_{2n,2n}. Raises ParityError for odd k and
     ParameterError for t outside [2n, 2n + n*k/2 - 1].
     """
     n, k = params.n, params.k
@@ -162,22 +163,12 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     if not 2 * n <= t <= top:
         raise ParameterError(f"t={t} outside the feasible range [{2 * n}, {top}]")
     s, j = divmod(t, n)
-    table = block_table(n, j)
-
-    colors: dict[Edge, int] = {}
-    # one Vertex per label, shared by every edge that touches it
-    layers = {layer: [Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)}
+    layers = {Vertex(i, 1): [Vertex(i, p) for p in range(1, n + 1)] for i in range(1, k + 1)}
+    alpha = {}
     for i in range(1, k + 1):
         d = min(i, k - i) + 1
-        shift = n * ((d if d <= s else s - (d - s) % 2) - 1)
-        here, there = layers[i], layers[i % k + 1]
-        for a, row in zip(here, table):
-            for b, color in zip(there, row):
-                e = make_edge(a, b)
-                if e in colors:
-                    raise SoundnessError(f"edge {e} colored twice")
-                colors[e] = shift + color
-
+        alpha[make_edge(Vertex(i, 1), Vertex(i % k + 1, 1))] = d if d <= s else s - (d - s) % 2
+    colors = lift(layers, alpha, block_table(n, j))
     if len(colors) != n * n * k:
-        raise SoundnessError("the layer-pair rules must color every edge exactly once")
+        raise SoundnessError("the layer-pair blocks must color every edge exactly once")
     return EdgeColoring(colors=colors, t=t)

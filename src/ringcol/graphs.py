@@ -154,25 +154,24 @@ class Graph:
         """The graph as H[K̄_n] when every twin class has the same size
         n >= 2, else None. The quotient H has one vertex per class, labelled
         by the class's smallest vertex, so it lives within these label
-        bounds."""
-        classes = self.twin_classes
-        n = len(classes[0]) if classes else 0
-        if n < 2 or any(len(members) != n for members in classes):
+        bounds; classes are completely joined, so H's edges are the edges
+        between those smallest vertices."""
+        classes = {members[0]: members for members in self.twin_classes}
+        n = len(self.twin_classes[0]) if classes else 0
+        if n < 2 or any(len(members) != n for members in classes.values()):
             return None
-        position = {v: (members[0], p) for members in classes for p, v in enumerate(members, 1)}
-        reps = [members[0] for members in classes]
-        edges = {make_edge(u, position[w][0]) for u in reps for w in self.neighbors(u)}
-        return Composition(build_graph(self.n, self.k, reps, edges), n, position)
+        edges = {make_edge(u, w) for u in classes for w in self.neighbors(u) if w in classes}
+        return Composition(build_graph(self.n, self.k, classes, edges), n, classes)
 
 
 class Composition(NamedTuple):
-    """A graph G = H[K̄_n]: the quotient H, the class size n, and for every
-    vertex of G its vertex in H (its class's smallest vertex) and its
-    1-based position inside the class."""
+    """A graph G = H[K̄_n]: the quotient H, the class size n, and
+    ``classes``, which maps every vertex of H (its class's smallest vertex)
+    to the members of its class in vertex order."""
 
     quotient: Graph
     n: int
-    position: Mapping[Vertex, tuple[Vertex, int]]
+    classes: Mapping[Vertex, tuple[Vertex, ...]]
 
 
 def build_graph(

@@ -9,17 +9,17 @@ the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
 ``find_interval_t`` settles one t in two steps. When g is a composition
-H[K̄_n] (every false-twin class has n >= 2 vertices), t >= n and H is not
-overfull, it first asks ``edge_dfs`` for an interval s-coloring of the
-quotient H, with (s, j) = divmod(t, n), and lifts it to g: edge
-(u, p)(v, q) gets n(alpha(uv) - 1) + F_j(p, q), with p, q the endpoints'
-positions inside their classes and F_j the block table of
-``ringcol.composition``. Otherwise, or when H has no interval s-coloring,
-``edge_dfs`` searches g itself. The
-quotient's nodes count toward the same node limit and the same
-``nodes_explored``, g's search gets what is left, and ``infeasible`` only
-ever comes from exhausting g. ``SearchOutcome.source`` records which step
-answered. ``find_proper_t`` decides proper t-colorability for the chromatic
+H[K̄_n] (every false-twin class has n >= 2 vertices) and t >= n, it first
+asks ``edge_dfs`` for an interval s-coloring of the quotient H, with
+(s, j) = divmod(t, n), and ``composition.lift`` turns it into g's colors:
+the p-th member of u's class and the q-th of v's get
+n(alpha(uv) - 1) + F_j(p, q). No search of H is made when H is overfull or,
+connected, has s above its Asratian–Kamalian bound. Otherwise, or when H
+has no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
+nodes count toward the same node limit and the same ``nodes_explored``,
+g's search gets what is left, and ``infeasible`` only ever comes from
+exhausting g. ``SearchOutcome.source`` records which step answered.
+``find_proper_t`` decides proper t-colorability for the chromatic
 index with ``proper_dfs`` (see ``ringcol.engines``); ``_query`` alone reads
 a node count above the limit as ``exhausted_budget``. The span scans
 (``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, verify
-from .composition import composition_lift
+from .composition import asratian_kamalian_bound, composition_lift
 from .engines import edge_dfs, proper_dfs
 from .errors import BudgetExhaustedError, ColoringError, ParameterError, SoundnessError
 from .graphs import Graph
@@ -51,7 +51,6 @@ __all__ = [
     "find_interval_t",
     "find_proper_t",
     "scan_cap",
-    "asratian_kamalian_bound",
     "span_profile",
     "compute_w",
     "compute_W",
@@ -194,13 +193,6 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
 # ---------------------------------------------------------------------------
 
 
-def asratian_kamalian_bound(diam: int, max_degree: int, bipartite: bool) -> int:
-    """Asratian–Kamalian (J. Combin. Theory B 62, 1994): a connected
-    interval-colorable graph of diameter diam has W <= diam*(Delta-1) + 1 when
-    it is bipartite and W <= (diam+1)*(Delta-1) + 1 in general."""
-    return (diam if bipartite else diam + 1) * (max_degree - 1) + 1
-
-
 def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     """The largest t a span scan asks about, and where that cap comes from.
 
@@ -208,7 +200,7 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     clamped to |E| ("edges"), since no larger t has an interval coloring.
     Otherwise the cap is the smallest of |E| ("edges"), the
     Asratian–Kamalian bound ("asratian_kamalian_bipartite" or
-    "asratian_kamalian", see ``asratian_kamalian_bound``) and, for a
+    "asratian_kamalian", see ``composition.asratian_kamalian_bound``) and, for a
     connected graph on at least 3 vertices, the Giaro–Kubale–Małafiejski
     bound W <= 2|V| - 4 (Discrete Math. 236, 2001, 131–143;
     "giaro_kubale_malafiejski"). A tie keeps the earlier source in that

@@ -15,6 +15,10 @@ searches, which the fast ones must match node for node: per-vertex used
 colors with the spread window recomputed from the lowest and highest used
 color at each depth, ``bit_count`` for the coverage prune, a ``range`` scan
 for the next proper color, and ``Budget.spend`` at every node.
+
+``lifted_colors`` is the composition lift written edge by edge from the
+definition of the block table F_j, which ``ringcol.composition.lift`` and
+every coloring built on it must match.
 """
 
 from collections import deque
@@ -90,6 +94,25 @@ def build_graph(n, k, vertices, edges):
     if sum(len(inc) for inc in adj.values()) != 2 * len(esorted):
         raise SoundnessError("adjacency lists must hold every edge once per endpoint")
     return Graph(n=n, k=k, vertices=vsorted, edges=esorted, adjacency=adj)
+
+
+def lifted_colors(g, position, alpha, n, j):
+    """g's colors lifted from alpha, an edge coloring of a quotient whose
+    classes have n vertices: ``position`` maps each vertex of g to its
+    quotient vertex and its 1-based place p in the class, and edge
+    (u, p)(v, q) gets n(alpha(uv) - 1) + F_j(p, q), where F_j(p, q) is
+    c + n when c < min(p, j + 1) and c otherwise, for c = ((p + q - 2) mod n) + 1."""
+    colors = {}
+    for e in g.edges:
+        (u, p), (v, q) = position[e.u], position[e.v]
+        c = (p + q - 2) % n + 1
+        colors[e] = n * (alpha[make_edge(u, v)] - 1) + (c + n if c < min(p, j + 1) else c)
+    return colors
+
+
+def twin_positions(g):
+    """vertex -> (its twin class's smallest vertex, its 1-based place in the class)."""
+    return {v: (members[0], p) for members in g.twin_classes for p, v in enumerate(members, 1)}
 
 
 def run_engine(engine, g, t, node_limit=None):

@@ -430,17 +430,19 @@ def test_construct_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_node_limit_env_var_supplies_default_budget(tmp_path, capsys, monkeypatch):
+def test_node_limit_reaches_the_manifest(tmp_path, capsys):
+    # a run's budget is read from its flags alone, so its manifest line replays it
     gpath = tmp_path / "g.json"
     run(tmp_path, "generate", "--n", "1", "--k", "6", "--out", str(gpath))
     capsys.readouterr()
-    monkeypatch.setenv("RINGCOL_NODE_LIMIT", "1")
-    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "3") == 4
+    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "3", "--node-limit", "1") == 4
     assert json.loads(capsys.readouterr().out)["status"] == "exhausted_budget"
-    # an explicit flag beats the environment
-    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "3", "--node-limit", "100000") == 0
-    monkeypatch.setenv("RINGCOL_NODE_LIMIT", "not-a-number")
-    assert run(tmp_path, "search", "--graph", str(gpath), "--t", "3") == 2
+    assert run(tmp_path, "bounds-exact", "--n", "1", "--k", "4", "--node-limit", "7") == 0
+    assert run(tmp_path, "sweep", "--n-max", "1", "--k-max", "4", "--out", str(tmp_path / "s"), "--node-limit", "50") == 0
+    lines = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    assert [(m["command"], m["parameters"].get("node_limit")) for m in lines] == [
+        ("generate", None), ("search", 1), ("bounds-exact", 7), ("sweep", 50)]
+    assert load_json(tmp_path / "s.json")["node_limit"] == 50
 
 
 @pytest.mark.extended

@@ -24,6 +24,8 @@ from ringcol import (
     widest_constructed_t,
 )
 
+import reference
+
 
 # ---------------------------------------------------------------------------
 # staircase coloring of K_{n,n}
@@ -305,3 +307,20 @@ def test_t_coloring_verifies_at_every_t_of_the_range():
             for t in range(2 * n, widest_constructed_t(params) + 1):
                 c = t_coloring(params, t)
                 assert c.t == t and verify(g, c).is_interval_coloring, (n, k, t)
+
+
+def test_t_coloring_is_the_block_rule_over_a_closed_form_of_c_k():
+    # each layer is the class of its first vertex, also at k = 4, where the twin classes of the ring
+    # are the two sides of K_{2n,2n}; alpha is the closed-form interval s-coloring of C_k
+    for n in range(1, 5):
+        for k in range(4, 11, 2):
+            params = RingParams(n, k)
+            g = ring_graph(params)
+            position = {v: (Vertex(v.layer, 1), v.index) for v in g.vertices}
+            for t in range(2 * n, widest_constructed_t(params) + 1):
+                s, j = divmod(t, n)
+                alpha = {}
+                for i in range(1, k + 1):
+                    d = min(i, k - i) + 1
+                    alpha[make_edge(Vertex(i, 1), Vertex(i % k + 1, 1))] = d if d <= s else s - (d - s) % 2
+                assert t_coloring(params, t).colors == reference.lifted_colors(g, position, alpha, n, j), (n, k, t)

@@ -29,6 +29,7 @@ from ringcol import (
     verify,
 )
 from ringcol import composition, engines, search
+from ringcol.composition import asratian_kamalian_bound
 
 import reference
 from reference import run_engine, start_assignment
@@ -234,11 +235,21 @@ def test_start_enumeration_needs_no_recursion_on_1200_vertices():
 
 
 def test_edge_dfs_runs_out_of_budget_instead_of_stack_on_1024_edges():
-    # t = 80 on C16[K̄8] asks C16 for s = 10 > W(C16) = 9 colors: the quotient is refuted in
-    # 10 717 nodes and edge_dfs searches the ring on the 9 283 left
+    # t = 80 on C16[K̄8] asks C16 for s = 10 colors, above its Asratian–Kamalian bound 9: the
+    # quotient is not searched, and edge_dfs searches the ring on the whole budget
     g = ring_graph(RingParams(8, 16))
     outcome = find_interval_t(g, 80, SearchConfig(node_limit=20_000))
     assert (outcome.status, outcome.nodes_explored, outcome.source) == ("exhausted_budget", 20_001, "search")
+
+
+def test_no_quotient_search_above_its_theorem_cap_on_1024_edges():
+    # C16 is connected and bipartite with diameter 8 and degree 2, so no s above 8 * (2 - 1) + 1 = 9
+    # has an interval s-coloring of it: s = 10 at t = 80, 81 and 87 is skipped without a node
+    g = ring_graph(RingParams(8, 16))
+    for t in (80, 81, 87):
+        assert composition.composition_lift(g, t, 20_000) == (None, 0), t
+    outcome = find_interval_t(g, 79, SearchConfig(node_limit=20_000))  # s = 9 = W(C16), j = 7
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 1_144, "composition_lift")
 
 
 def test_a_lift_answers_on_1024_edges_from_the_quotient_cycle():
@@ -308,7 +319,7 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     g = ring_graph(RingParams(2, 4))
     profile = span_profile(g)
     assert asked == [4, 7, 5, 6]
-    assert shapes == [g]  # one BFS for both scans' caps
+    assert shapes == [g, g.composition.quotient]  # one BFS for both scans' caps, one for the lift's K_2
     assert [t for t, _ in profile.trail] == asked
     assert (profile.w.value, profile.w.status) == (4, "exact")
     assert (profile.W.value, profile.W.status) == (7, "exact")
@@ -503,7 +514,7 @@ def test_lifted_witnesses_are_the_formulas_over_a_quotient_witness(n, k, t, s, j
     alpha, nodes = engines.edge_dfs(g.composition.quotient, s, None)
     outcome = find_interval_t(g, t)
     assert (outcome.status, outcome.source, outcome.nodes_explored) == ("witness", "composition_lift", nodes)
-    assert dict(outcome.witness.colors) == composition.lift(g, alpha, composition.block_table(g.composition.n, j))
+    assert dict(outcome.witness.colors) == reference.lifted_colors(g, reference.twin_positions(g), alpha, g.composition.n, j)
     assert verify(g, outcome.witness).is_interval_coloring
 
 
@@ -517,10 +528,11 @@ def test_no_lift_below_one_quotient_color_or_over_an_overfull_quotient():
 
 
 def test_the_quotient_of_a_composition():
-    h, n, position = ring_graph(RingParams(3, 6)).composition
+    h, n, classes = ring_graph(RingParams(3, 6)).composition
     assert (n, h.vertices) == (3, tuple(Vertex(layer, 1) for layer in range(1, 7)))
     assert h.edges == cycle(6).edges  # one vertex per layer, labelled by its smallest member
-    assert position[Vertex(4, 3)] == (Vertex(4, 1), 3)
+    assert list(classes) == list(h.vertices)
+    assert classes[Vertex(4, 1)] == (Vertex(4, 1), Vertex(4, 2), Vertex(4, 3))
     h, n, _ = complete_bipartite(4).composition
     assert (n, len(h.vertices), len(h.edges)) == (4, 2, 1)
     assert cycle(6).composition is None  # every class is a single vertex
@@ -575,6 +587,32 @@ def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, end, mutant):
     monkeypatch.setattr(composition, "block_table", mutant)
     with pytest.raises(SoundnessError, match="composition_lift"):
         find_interval_t(g, t)
+
+
+@given(composed=compositions(), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lift_is_the_block_rule_edge_by_edge_for_every_table(composed, data):
+    _, _, g = composed
+    if g.composition is None:  # a quotient with twins of its own can leave classes of unequal size
+        return
+    h, n, classes = g.composition
+    alpha = {e: data.draw(st.integers(1, 4)) for e in h.edges}  # any coloring: the rule needs no interval
+    for j in range(n):
+        lifted = composition.lift(classes, alpha, composition.block_table(n, j))
+        assert lifted == reference.lifted_colors(g, reference.twin_positions(g), alpha, n, j), j
+
+
+@given(composed=compositions(max_quotient_edges=10))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_no_connected_quotient_has_a_span_above_its_theorem_cap(composed):
+    # the rule composition_lift uses to skip a quotient search, checked by exhausting the quotient
+    _, _, g = composed
+    h = None if g.composition is None else g.composition.quotient
+    if h is None or h.diameter_and_bipartite is None:
+        return
+    diam, bipartite = h.diameter_and_bipartite
+    for s in range(asratian_kamalian_bound(diam, h.max_degree(), bipartite) + 1, len(h.edges) + 1):
+        assert engines.edge_dfs(h, s, None)[0] is None, s
 
 
 @given(composed=compositions())
