@@ -18,7 +18,6 @@ from .construct import (
     widest_constructed_t,
 )
 from .errors import (
-    BudgetExhaustedError,
     ColorRangeError,
     ColoringError,
     ColoringMismatchError,
@@ -44,7 +43,6 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     SpanProfile,
-    chromatic_index_search,
     compute_W,
     compute_chromatic_index,
     compute_w,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BoundsSummary",
-    "BudgetExhaustedError",
     "ColorRangeError",
     "ColoringError",
     "ColoringMismatchError",
@@ -82,7 +79,6 @@ __all__ = [
     "Vertex",
     "bounds_summary",
     "build_graph",
-    "chromatic_index_search",
     "complete_bipartite",
     "compute_W",
     "compute_chromatic_index",

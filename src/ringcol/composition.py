@@ -25,24 +25,23 @@ and the alpha values at u are d_H(u) consecutive integers, so the runs tile
 into one run of n*d_H(u) = d_G colors. The block of alpha = a covers
 n(a - 1) + 1 .. n*a + j, so every color 1..n*s + j = t lands on some edge:
 the lift is an interval t-coloring. ``lift`` is the one place that rule is
-written: ``composition_lift`` applies it to a quotient witness that
+written: ``search.composition_lift`` applies it to a quotient witness that
 ``edge_dfs`` found, ``search.find_interval_t`` re-checks every such witness
 with the verifier, and ``ringcol.construct`` applies it to closed-form
 colorings of C_k and K_2.
 
-``composition_lift`` searches no quotient that the theorems below rule out:
-an overfull one, or a connected one asked for more colors than the
-Asratian–Kamalian bound on its greatest span allows.
+``overfull`` and ``asratian_kamalian_bound`` state the theorems that rule a
+span out; ``search.scan_cap`` is the one place that compares a span with them.
+This module is lift math only and imports no search engine.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .engines import edge_dfs
 from .graphs import Edge, Graph, Vertex, make_edge
 
-__all__ = ["block_table", "overfull", "asratian_kamalian_bound", "lift", "composition_lift"]
+__all__ = ["block_table", "overfull", "asratian_kamalian_bound", "lift"]
 
 
 def block_table(n: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -90,24 +89,3 @@ def lift(
                 colors[make_edge(x, y)] = shift + color
     return colors
 
-
-def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
-    """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n] and
-    t >= n, the F_j lift of ``edge_dfs(H, s, limit)``'s witness, with
-    (s, j) = divmod(t, n), and that search's nodes. No assignment means no
-    lifted witness, never that g has none: g is no composition, t < n, H is
-    overfull, H is connected and s exceeds its Asratian–Kamalian bound (0
-    nodes each), H has no interval s-coloring, or the budget ran out on H."""
-    composed = g.composition
-    if composed is None or t < composed.n:
-        return None, 0
-    h = composed.quotient
-    s, j = divmod(t, composed.n)
-    shape = h.diameter_and_bipartite  # None unless H is connected with an edge
-    if overfull(h) or (shape is not None and s > asratian_kamalian_bound(shape[0], h.max_degree(), shape[1])):
-        return None, 0
-    alpha, nodes = edge_dfs(h, s, limit)
-    if alpha is None:
-        return None, nodes
-    colors = lift(composed.classes, alpha, block_table(composed.n, j))
-    return {e: colors[e] for e in g.edges}, nodes  # keyed by g's own edges, not a new copy of each

@@ -39,10 +39,6 @@ class FormatError(RingcolError, ValueError):
     """A JSON document does not conform to the documented graph/coloring schema."""
 
 
-class BudgetExhaustedError(RingcolError, RuntimeError):
-    """A search hit its node budget before reaching a definite answer."""
-
-
 class SoundnessError(RingcolError, RuntimeError):
     """An internal soundness check failed, such as a search witness that the
     verifier rejects. This is a bug in the package, never bad input, and the

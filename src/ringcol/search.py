@@ -9,13 +9,11 @@ the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
 ``find_interval_t`` settles one t in two steps. When g is a composition
-H[K̄_n] (every false-twin class has n >= 2 vertices) and t >= n, it first
-asks ``edge_dfs`` for an interval s-coloring of the quotient H, with
-(s, j) = divmod(t, n), and ``composition.lift`` turns it into g's colors:
-the p-th member of u's class and the q-th of v's get
-n(alpha(uv) - 1) + F_j(p, q). No search of H is made when H is overfull or,
-connected, has s above its Asratian–Kamalian bound. Otherwise, or when H
-has no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
+H[K̄_n] (every false-twin class has n >= 2 vertices) and t >= n,
+``composition_lift`` asks ``edge_dfs`` for an interval s-coloring of the
+quotient H, with (s, j) = divmod(t, n), unless s is above ``scan_cap(H)``,
+and ``composition.lift`` turns it into g's colors. Otherwise, or when H has
+no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
 nodes count toward the same node limit and the same ``nodes_explored``,
 g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
@@ -23,9 +21,9 @@ exhausting g. ``SearchOutcome.source`` records which step answered.
 index with ``proper_dfs`` (see ``ringcol.engines``); ``_query`` alone reads
 a node count above the limit as ``exhausted_budget``. The span scans
 (``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
-series of such queries, up to the cap that ``scan_cap`` reports;
-``span_profile`` also settles the chromatic index, so one call answers a
-whole (n, k) cell.
+series of such queries, up to the cap that ``scan_cap`` reports (the one
+place a span meets a theorem bound); ``span_profile`` also settles the
+chromatic index, so one call answers a whole (n, k) cell.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -38,10 +36,10 @@ from functools import cached_property
 from typing import Callable
 
 from .coloring import EdgeColoring, verify
-from .composition import asratian_kamalian_bound, composition_lift
+from .composition import asratian_kamalian_bound, block_table, lift, overfull
 from .engines import edge_dfs, proper_dfs
-from .errors import BudgetExhaustedError, ColoringError, ParameterError, SoundnessError
-from .graphs import Graph
+from .errors import ColoringError, ParameterError, SoundnessError
+from .graphs import Edge, Graph
 
 __all__ = [
     "SearchConfig",
@@ -54,7 +52,6 @@ __all__ = [
     "span_profile",
     "compute_w",
     "compute_W",
-    "chromatic_index_search",
     "compute_chromatic_index",
     "continuity_scan",
 ]
@@ -70,12 +67,11 @@ LIFT = "composition_lift"
 class SearchConfig:
     """The span cap and node budget of one feasibility query or span scan.
 
-    ``t_max`` caps span scans. When it is None the cap is the smallest of
-    |E(G)| (every palette color needs an edge, so no interval t-coloring with
-    t > |E| exists) and, for a connected graph, the theorem bounds on the
-    greatest span (see ``scan_cap``). An explicit value wins up to |E| and is
-    clamped to |E| above it: ``t_max=len(g.edges)`` forces the scan to
-    exhaust every t up to |E| without citing a theorem. It never affects a single
+    ``t_max`` caps span scans. When it is None, ``scan_cap`` derives the cap
+    from theorems: 0 for an overfull graph, else at most |E(G)|. An explicit
+    value wins up to |E| and is clamped to |E| above it:
+    ``t_max=len(g.edges)`` forces the scan to exhaust every t up to |E|
+    without citing a theorem. It never affects a single
     ``find_interval_t`` query. ``node_limit`` bounds the number of decision
     nodes per query (None = unbounded).
     """
@@ -113,7 +109,8 @@ class BoundReport:
 
     ``trail`` records the per-t statuses in scan order. ``t_max`` is the cap
     that was in force and ``t_max_source`` where it came from: "t_max" (set
-    in the SearchConfig), "edges" (|E|, the trivial cap), or
+    in the SearchConfig), "edges" (|E|, the trivial cap), "overfull" (cap 0:
+    an overfull graph has no interval coloring, so no t is asked), or
     "asratian_kamalian_bipartite" / "asratian_kamalian" /
     "giaro_kubale_malafiejski" (a theorem bound on the greatest span of a
     connected interval-colorable graph, which then stands in for exhausting
@@ -157,6 +154,27 @@ def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], ch
     return SearchOutcome(WITNESS, witness, nodes, source)
 
 
+def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
+    """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n] and
+    t >= n, the F_j lift of ``edge_dfs(H, s, limit)``'s witness, with
+    (s, j) = divmod(t, n), and that search's nodes. No assignment means no
+    lifted witness, never that g has none: g is no composition, t < n, s is
+    above ``scan_cap(H)`` (0 nodes each), H has no interval s-coloring, or
+    the budget ran out on H."""
+    composed = g.composition
+    if composed is None or t < composed.n:
+        return None, 0
+    h = composed.quotient
+    s, j = divmod(t, composed.n)
+    if s > scan_cap(h)[0]:
+        return None, 0
+    alpha, nodes = edge_dfs(h, s, limit)
+    if alpha is None:
+        return None, nodes
+    colors = lift(composed.classes, alpha, block_table(composed.n, j))
+    return {e: colors[e] for e in g.edges}, nodes  # keyed by g's own edges, not a new copy of each
+
+
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has an interval t-coloring; produce one if so.
 
@@ -198,33 +216,36 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
 
     An explicit ``cfg.t_max`` wins ("t_max") up to |E|; above |E| it is
     clamped to |E| ("edges"), since no larger t has an interval coloring.
-    Otherwise the cap is the smallest of |E| ("edges"), the
+    Otherwise an overfull graph (``composition.overfull``) has cap 0
+    ("overfull"), and any other the smallest of |E| ("edges"), the
     Asratian–Kamalian bound ("asratian_kamalian_bipartite" or
-    "asratian_kamalian", see ``composition.asratian_kamalian_bound``) and, for a
-    connected graph on at least 3 vertices, the Giaro–Kubale–Małafiejski
-    bound W <= 2|V| - 4 (Discrete Math. 236, 2001, 131–143;
-    "giaro_kubale_malafiejski"). A tie keeps the earlier source in that
-    order. Above either theorem bound a connected graph has no interval
-    coloring at any t, so a scan that stops there still settles w and W.
+    "asratian_kamalian", see ``composition.asratian_kamalian_bound``) and,
+    for a connected graph on at least 3 vertices, the
+    Giaro–Kubale–Małafiejski bound W <= 2|V| - 4 (Discrete Math. 236, 2001,
+    131–143; "giaro_kubale_malafiejski"); a tie keeps the earlier source.
+    No graph has an interval coloring at any t above this cap, so a
+    scan that stops there still settles w and W.
 
     Raises ParameterError when an explicit ``t_max`` is below the maximum
     degree: a scan would then ask no t at all and report a graph that may
     well be interval-colorable as "not_interval_colorable".
     """
-    cfg = cfg or SearchConfig()
-    if cfg.t_max is not None:
+    if cfg is not None and cfg.t_max is not None:
         if cfg.t_max < g.max_degree():
             raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
         return (cfg.t_max, "t_max") if cfg.t_max <= len(g.edges) else (len(g.edges), "edges")
-    bounds = [(len(g.edges), "edges")]
+    if overfull(g):
+        return 0, "overfull"
+    cap, source = len(g.edges), "edges"
     shape = g.diameter_and_bipartite  # None unless g is connected with an edge
     if shape is not None:
         diam, bipartite = shape
-        source = "asratian_kamalian_bipartite" if bipartite else "asratian_kamalian"
-        bounds.append((asratian_kamalian_bound(diam, g.max_degree(), bipartite), source))
-        if len(g.vertices) >= 3:
-            bounds.append((2 * len(g.vertices) - 4, "giaro_kubale_malafiejski"))
-    return min(bounds, key=lambda bound: bound[0])  # the first of equal caps wins
+        ak = asratian_kamalian_bound(diam, g.max_degree(), bipartite)
+        if ak < cap:
+            cap, source = ak, "asratian_kamalian_bipartite" if bipartite else "asratian_kamalian"
+        if len(g.vertices) >= 3 and 2 * len(g.vertices) - 4 < cap:
+            cap, source = 2 * len(g.vertices) - 4, "giaro_kubale_malafiejski"
+    return cap, source
 
 
 class _SpanScan:
@@ -301,7 +322,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     (W), and then over the t strictly between them not yet asked. It runs
     ``compute_w``, ``compute_W`` and ``continuity_scan`` in turn on one table
     that lives only inside this call, so node counts never depend on call
-    history. ``chromatic_index_search`` then settles chi'.
+    history. ``compute_chromatic_index`` then settles chi'.
     """
     memo: dict[int, SearchOutcome] = {}
     w = compute_w(g, cfg, memo=memo)
@@ -309,7 +330,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     continuity = None
     if w.value is not None and W.value is not None:
         continuity = tuple(continuity_scan(g, cfg, t_hi=W.value, memo=memo))
-    chi_prime, chi_nodes = chromatic_index_search(g, cfg)
+    chi_prime, chi_nodes = compute_chromatic_index(g, cfg)
     trail = tuple((t, outcome.status) for t, outcome in memo.items())
     nodes = chi_nodes + sum(o.nodes_explored for o in memo.values())
     return SpanProfile(chi_prime, w, W, continuity, trail, nodes)
@@ -387,17 +408,17 @@ def continuity_scan(
     return [(t, scan.status(t)) for t in range(scan.t_lo, t_hi + 1)]
 
 
-def chromatic_index_search(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
+def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
     """Least number of colors in any proper edge coloring, by search at the
     degree bound and, when that is exhausted as infeasible, one above it
-    (Vizing). Returns (value, nodes spent); value is None when a budget cut
-    a query short."""
-    cfg = cfg or SearchConfig()
+    (Vizing). An overfull graph starts one above: its Delta matchings cannot
+    hold every edge. Returns (value, nodes spent); value is None when a
+    budget cut a query short."""
     if not g.edges:
         return 0, 0
     delta = g.max_degree()
     nodes = 0
-    for t in (delta, delta + 1):
+    for t in range(delta + 1 if overfull(g) else delta, delta + 2):
         outcome = find_proper_t(g, t, cfg)
         nodes += outcome.nodes_explored
         if outcome.status == WITNESS:
@@ -405,15 +426,3 @@ def chromatic_index_search(g: Graph, cfg: SearchConfig | None = None) -> tuple[i
         if outcome.status == EXHAUSTED:
             return None, nodes
     raise SoundnessError("no proper coloring with max_degree + 1 colors; not a simple graph?")
-
-
-def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> int:
-    """The chromatic index as ``chromatic_index_search`` finds it.
-
-    Raises BudgetExhaustedError instead of guessing when a budget cuts a
-    query short.
-    """
-    value, nodes = chromatic_index_search(g, cfg)
-    if value is None:
-        raise BudgetExhaustedError(f"budget exhausted deciding the chromatic index (nodes={nodes})")
-    return value

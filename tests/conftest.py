@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 
@@ -13,19 +11,13 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "extended: long exhaustive runs, enabled with --extended or RINGCOL_EXTENDED=1"
-    )
-
-
-def _extended_enabled(config) -> bool:
-    return config.getoption("--extended") or os.environ.get("RINGCOL_EXTENDED") == "1"
+    config.addinivalue_line("markers", "extended: long exhaustive runs, enabled with --extended")
 
 
 def pytest_collection_modifyitems(config, items):
-    if _extended_enabled(config):
+    if config.getoption("--extended"):
         return
-    skip = pytest.mark.skip(reason="extended check; enable with --extended or RINGCOL_EXTENDED=1")
+    skip = pytest.mark.skip(reason="extended check; enable with --extended")
     for item in items:
         if "extended" in item.keywords:
             item.add_marker(skip)

@@ -304,6 +304,21 @@ def test_bounds_exact_triangle(tmp_path, capsys):
     assert doc["chi_prime"] == {"value": 3, "status": "exact"}
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_bounds_exact_settles_an_odd_ring_by_the_overfull_rule(tmp_path, capsys, monkeypatch, k):
+    # ring(3,k) with nk odd has 9k edges, more than 6 matchings of floor(3k/2) hold: no interval
+    # coloring at any t, so the scan asks no t, and chi' is asked at Delta + 1 = 7 only
+    asked = []
+    monkeypatch.setattr(search, "find_interval_t", lambda *a: asked.append(a))
+    assert run(tmp_path, "bounds-exact", "--n", "3", "--k", str(k)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["w"] == doc["W"] == {"value": None, "status": "exact"}
+    assert doc["chi_prime"] == {"value": 7, "status": "exact"}
+    assert (doc["interval_colorable"], doc["continuity"]) == (False, "n/a")
+    assert (doc["t_max"], doc["t_max_source"]) == (0, "overfull")
+    assert asked == []
+
+
 def test_bounds_exact_budget_exit(tmp_path, capsys):
     assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--node-limit", "10") == 4
 
@@ -340,7 +355,7 @@ def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
     plain = search.edge_dfs
 
     def recording(g, t, limit):
-        searched.append((len(g.edges), t))
+        searched.append((g, t))
         return plain(g, t, limit)
 
     monkeypatch.setattr(search, "edge_dfs", recording)
@@ -350,7 +365,9 @@ def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
     assert doc["W"] == {"value": 11, "status": "exact"}
     assert doc["w"] == {"value": 6, "status": "exact"}
     assert (doc["continuity"], doc["t_max"], doc["t_max_source"]) == ("ok", 11, "asratian_kamalian_bipartite")
-    assert searched == []
+    g = ring_graph(RingParams(3, 4))
+    assert [t for h, t in searched if h == g] == []
+    assert [(len(h.edges), t) for h, t in searched] == [(1, 1)] * 6  # the K_2 quotient, once per t
     assert profiles[(3, 4)].nodes_explored == 65  # one quotient node per t, and 59 for chi' = 6
 
 

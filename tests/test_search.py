@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
-    BudgetExhaustedError,
     EdgeColoring,
     Graph,
     ParameterError,
@@ -12,7 +11,6 @@ from ringcol import (
     SoundnessError,
     Vertex,
     build_graph,
-    chromatic_index_search,
     complete_bipartite,
     compute_W,
     compute_chromatic_index,
@@ -29,7 +27,6 @@ from ringcol import (
     verify,
 )
 from ringcol import composition, engines, search
-from ringcol.composition import asratian_kamalian_bound
 
 import reference
 from reference import run_engine, start_assignment
@@ -147,10 +144,9 @@ def test_compute_w_budget_is_inconclusive():
     assert (report.trail, report.nodes_explored) == (((4, "exhausted_budget"),), 6)
 
 
-def test_compute_chromatic_index_budget_raises():
-    g = complete_bipartite(3)
-    with pytest.raises(BudgetExhaustedError):
-        compute_chromatic_index(g, SearchConfig(node_limit=2))
+def test_compute_chromatic_index_budget_gives_no_value():
+    value, nodes = compute_chromatic_index(complete_bipartite(3), SearchConfig(node_limit=2))
+    assert value is None and nodes > 2
 
 
 def test_compute_W_budget_degrades_to_lower_bound():
@@ -247,7 +243,7 @@ def test_no_quotient_search_above_its_theorem_cap_on_1024_edges():
     # has an interval s-coloring of it: s = 10 at t = 80, 81 and 87 is skipped without a node
     g = ring_graph(RingParams(8, 16))
     for t in (80, 81, 87):
-        assert composition.composition_lift(g, t, 20_000) == (None, 0), t
+        assert search.composition_lift(g, t, 20_000) == (None, 0), t
     outcome = find_interval_t(g, 79, SearchConfig(node_limit=20_000))  # s = 9 = W(C16), j = 7
     assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 1_144, "composition_lift")
 
@@ -326,7 +322,7 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     assert (profile.W.t_max, profile.W.t_max_source) == (7, "asratian_kamalian_bipartite")
     assert profile.continuity_status == "ok"
     # every query of the cell: chi' (proper) and the four interval queries
-    assert profile.nodes_explored == chromatic_index_search(g)[1] + profile.w.nodes_explored + (
+    assert profile.nodes_explored == compute_chromatic_index(g)[1] + profile.w.nodes_explored + (
         profile.W.nodes_explored + sum(original(g, t).nodes_explored for t in (5, 6))
     )
 
@@ -360,7 +356,7 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
     assert profile.continuity == ((4, "witness"), (5, "witness"), (6, "witness"))
     asked = [t for t, _ in made]
     assert sorted(asked) == sorted(set(asked)), "span_profile asked some t twice"
-    assert profile.nodes_explored == chromatic_index_search(g)[1] + sum(nodes for _, nodes in made)
+    assert profile.nodes_explored == compute_chromatic_index(g)[1] + sum(nodes for _, nodes in made)
 
 
 def test_views_share_answers_through_a_memo():
@@ -380,12 +376,18 @@ def test_scan_cap_sources():
     assert scan_cap(g) == (3, "asratian_kamalian_bipartite")
     assert scan_cap(g, SearchConfig(t_max=4)) == (4, "t_max")
     assert scan_cap(g, SearchConfig(t_max=10**9)) == (4, "edges")  # no t above |E| is asked
-    assert scan_cap(cycle(3)) == (2, "giaro_kubale_malafiejski")  # 2|V| - 4 = 2 < 3 = |E|
+    assert scan_cap(cycle(3)) == (0, "overfull")  # 3 edges, 1 per matching: no t is asked
+    assert scan_cap(ring_graph(RingParams(3, 3))) == (0, "overfull")  # nk odd: 27 edges > 6 * 4
+    assert scan_cap(cycle(3), SearchConfig(t_max=3)) == (3, "t_max")  # an explicit cap still wins
     assert scan_cap(ring_graph(RingParams(2, 3))) == (8, "giaro_kubale_malafiejski")  # below AK's 10
     assert scan_cap(path(3)) == (2, "edges")  # 2|V| - 4 ties |E|: no theorem needed
     two_paths = build_graph(1, 4, [Vertex(i, 1) for i in range(1, 5)],
                             [(Vertex(1, 1), Vertex(2, 1)), (Vertex(3, 1), Vertex(4, 1))])
     assert scan_cap(two_paths) == (2, "edges")  # disconnected: the theorem does not apply
+    triangles = build_graph(3, 3, [Vertex(layer, i) for layer in (1, 2, 3) for i in (1, 2, 3)],
+                            [(Vertex(a, i), Vertex(b, i)) for i in (1, 2, 3) for a, b in ((1, 2), (2, 3), (1, 3))])
+    assert triangles.diameter_and_bipartite is None
+    assert scan_cap(triangles) == (0, "overfull")  # 9 edges > 2 * floor(9 / 2): no theorem on W needed
 
 
 def test_scan_cap_rejects_an_explicit_cap_below_the_max_degree():
@@ -403,25 +405,41 @@ def _cap_corpus():
     return graphs
 
 
-def test_nothing_above_the_scan_cap_is_feasible():
-    # guards the cited theorems: a mis-stated bound shows up as a witness here. The worst
-    # refutation takes 100 212 nodes (ring(2,4), t = 9); the budget turns a runaway search
-    # into a failure instead of a hang
+def _feasible_above_the_scan_cap(g):
+    """The first (t, engine) above ``scan_cap(g)`` that is not refuted, or None. The worst
+    refutation takes 100 212 nodes (ring(2,4), t = 9); the budget turns a runaway search
+    into a failure instead of a hang."""
     budget = SearchConfig(node_limit=1_000_000)
+    cap, _ = scan_cap(g)
+    for t in range(cap + 1, len(g.edges) + 1):
+        if find_interval_t(g, t, budget).status != "infeasible":
+            return t, "edge_dfs"
+        # start_assignment needs about 11 s per 16-edge graph (K4,4 and ring(2,4), which are
+        # isomorphic); edge_dfs alone covers those
+        if len(g.edges) < 16 and run_engine(start_assignment, g, t)[0] != "infeasible":
+            return t, "start_assignment"
+    return None
+
+
+def test_nothing_above_the_scan_cap_is_feasible():
+    # guards the cited theorems: a mis-stated bound shows up as a witness here. C3, C5 and C7
+    # are overfull, so every t of theirs is exhausted
     for label, g in _cap_corpus():
-        cap, _ = scan_cap(g)
-        for t in range(cap + 1, len(g.edges) + 1):
-            assert find_interval_t(g, t, budget).status == "infeasible", (label, t, "edge_dfs")
-            # start_assignment needs about 11 s per 16-edge graph (K4,4 and ring(2,4), which are
-            # isomorphic); edge_dfs alone covers those
-            if len(g.edges) < 16:
-                assert run_engine(start_assignment, g, t)[0] == "infeasible", (label, t, "start_assignment")
+        assert _feasible_above_the_scan_cap(g) is None, label
+
+
+def test_the_cap_guard_catches_a_mis_stated_overfull_rule(monkeypatch):
+    # >= in place of >: C4 (4 edges, 2 matchings of 2) would pass for overfull and get cap 0,
+    # yet it has an interval 2-coloring
+    monkeypatch.setattr(search, "overfull", lambda g: len(g.edges) >= g.max_degree() * (len(g.vertices) // 2))
+    assert scan_cap(cycle(4)) == (0, "overfull")
+    assert _feasible_above_the_scan_cap(cycle(4)) == (2, "edge_dfs")
 
 
 def test_chromatic_index_small_cases():
-    assert compute_chromatic_index(cycle(3)) == 3
-    assert compute_chromatic_index(cycle(4)) == 2
-    assert compute_chromatic_index(complete_bipartite(3)) == 3
+    assert compute_chromatic_index(cycle(3)) == (3, 3)  # overfull: asked at Delta + 1 only
+    assert compute_chromatic_index(cycle(4))[0] == 2
+    assert compute_chromatic_index(complete_bipartite(3))[0] == 3
 
 
 @pytest.mark.parametrize("label, g, chi", [
@@ -433,7 +451,7 @@ def test_span_profile_settles_the_chromatic_index(label, g, chi):
     assert profile.chi_prime == chi
     assert profile.settled
     interval = sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
-    assert profile.nodes_explored == chromatic_index_search(g)[1] + interval
+    assert profile.nodes_explored == compute_chromatic_index(g)[1] + interval
 
 
 def test_proper_coloring_search_statuses():
@@ -519,11 +537,11 @@ def test_lifted_witnesses_are_the_formulas_over_a_quotient_witness(n, k, t, s, j
 
 
 def test_no_lift_below_one_quotient_color_or_over_an_overfull_quotient():
-    assert composition.composition_lift(ring_graph(RingParams(3, 6)), 2, None) == (None, 0)  # s = 0
+    assert search.composition_lift(ring_graph(RingParams(3, 6)), 2, None) == (None, 0)  # s = 0
     # C3 is overfull (3 edges, 1 per matching): ring(2,3) = C3[K̄2] never searches its quotient
     g = ring_graph(RingParams(2, 3))
     assert composition.overfull(g.composition.quotient)
-    assert all(composition.composition_lift(g, t, None) == (None, 0) for t in range(1, len(g.edges) + 1))
+    assert all(search.composition_lift(g, t, None) == (None, 0) for t in range(1, len(g.edges) + 1))
     assert not composition.overfull(cycle(4))  # even cycles have interval colorings
 
 
@@ -550,7 +568,7 @@ def _ring_2_3_beside_a_square():
 
 def test_no_lifted_witness_falls_back_to_the_search_with_the_budget_left():
     g = _ring_2_3_beside_a_square()
-    lift_nodes = composition.composition_lift(g, 6, None)[1]
+    lift_nodes = search.composition_lift(g, 6, None)[1]
     assert lift_nodes == 5
     plain = run_engine(engines.edge_dfs, g, 6)
     outcome = find_interval_t(g, 6)
@@ -584,7 +602,7 @@ def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, end, mutant):
     g = ring_graph(RingParams(2, 6))
     t = 8 if end == "latin_color" else 9
     assert find_interval_t(g, t).source == "composition_lift"
-    monkeypatch.setattr(composition, "block_table", mutant)
+    monkeypatch.setattr(search, "block_table", mutant)
     with pytest.raises(SoundnessError, match="composition_lift"):
         find_interval_t(g, t)
 
@@ -610,8 +628,7 @@ def test_no_connected_quotient_has_a_span_above_its_theorem_cap(composed):
     h = None if g.composition is None else g.composition.quotient
     if h is None or h.diameter_and_bipartite is None:
         return
-    diam, bipartite = h.diameter_and_bipartite
-    for s in range(asratian_kamalian_bound(diam, h.max_degree(), bipartite) + 1, len(h.edges) + 1):
+    for s in range(scan_cap(h)[0] + 1, len(h.edges) + 1):
         assert engines.edge_dfs(h, s, None)[0] is None, s
 
 
@@ -631,7 +648,7 @@ def test_lifted_queries_agree_with_plain_search_on_compositions(composed):
             outcome = find_interval_t(g, t)
             assert outcome.status == ("infeasible" if found is None else "witness"), t
             if outcome.source == "search":
-                assert outcome.nodes_explored == composition.composition_lift(g, t, None)[1] + nodes, t
+                assert outcome.nodes_explored == search.composition_lift(g, t, None)[1] + nodes, t
         if outcome.status == "witness":
             assert verify(g, outcome.witness).is_interval_coloring, t
 
@@ -672,7 +689,7 @@ def test_oracle_matches_formulas_on_even_product_grid():
             g = ring_graph(params)
             w = compute_w(g)
             assert w.value == 2 * n and w.status == "exact"
-            assert compute_chromatic_index(g) == ring_chromatic_index(params)
+            assert compute_chromatic_index(g)[0] == ring_chromatic_index(params)
 
 
 def test_known_bipartite_span_extremes():
@@ -726,8 +743,8 @@ def _overfull(g):
 @given(g=small_graphs(max_edges=12).filter(_overfull))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_overfull_graphs_have_no_interval_coloring(g):
-    # the rule composition_lift uses to skip a quotient: chi' = Delta + 1 on an overfull graph, and an
-    # interval coloring taken mod Delta would be a proper Delta-coloring
+    # the rule behind scan_cap's cap 0: chi' = Delta + 1 on an overfull graph, and an interval
+    # coloring taken mod Delta would be a proper Delta-coloring
     assert composition.overfull(g)
     for t in range(1, len(g.edges) + 1):
         found, nodes = engines.edge_dfs(g, t, 20_000)
