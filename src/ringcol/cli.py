@@ -31,7 +31,7 @@ import io as _stdio
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable
 
@@ -61,21 +61,6 @@ EXIT_PARITY = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict[str, Any]
-    artifact_paths: list[str]
-    exit_status: int
-    wall_time_s: float
-
-
-def _append_manifest(path: str | Path, manifest: RunManifest) -> None:
-    line = json.dumps(asdict(manifest), sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-
-
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(t_max=getattr(args, "t_max", None), node_limit=args.node_limit)
 
@@ -93,10 +78,6 @@ def cmd_generate(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = ring_graph(RingParams(args.n, args.k))
     rio.dump_json(rio.graph_to_dict(g), args.out)
     artifacts.append(args.out)
-    if args.dot:
-        dot_path = str(Path(args.out).with_suffix(".dot"))
-        Path(dot_path).write_text(rio.dot_source(g), encoding="utf-8")
-        artifacts.append(dot_path)
     print(f"wrote {args.out}: {len(g.vertices)} vertices, {len(g.edges)} edges")
     return EXIT_OK
 
@@ -143,7 +124,7 @@ def cmd_search(args: argparse.Namespace, artifacts: list[str]) -> int:
 
 def cmd_bounds(args: argparse.Namespace, artifacts: list[str]) -> int:
     summary = bounds_summary(RingParams(args.n, args.k))
-    _print_json(rio.bounds_to_dict(summary))
+    _print_json(asdict(summary))
     return EXIT_OK
 
 
@@ -261,11 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("generate", cmd_generate, "build a ring graph and write its JSON (and optional DOT)")
+    p = add("generate", cmd_generate, "build a ring graph and write its JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dot", action="store_true", help="also write a .dot file next to --out")
 
     p = add("construct", cmd_construct, "write an interval coloring of the (n, k) ring")
     p.add_argument("--n", type=int, required=True)
@@ -327,20 +307,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_IO
 
-    wall = time.perf_counter() - started
-    manifest = RunManifest(
-        command=args.command,
-        parameters={
+    manifest = {
+        "command": args.command,
+        "parameters": {
             key: value
-            for key, value in sorted(vars(args).items())
+            for key, value in vars(args).items()
             if key not in ("func", "command", "manifest") and value is not None
         },
-        artifact_paths=artifacts,
-        exit_status=status,
-        wall_time_s=round(wall, 6),
-    )
+        "artifact_paths": artifacts,
+        "exit_status": status,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
     try:
-        _append_manifest(args.manifest, manifest)
+        with open(args.manifest, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"warning: could not append manifest: {exc}", file=sys.stderr)
 

@@ -91,9 +91,12 @@ class Graph:
         return len(self.adjacency[v])
 
     def max_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(len(inc) for inc in self.adjacency.values())
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
+        """Δ, scanned once per graph: the scan caps and χ' ask it on every query."""
+        return max(map(len, self.adjacency.values()), default=0)
 
     def is_regular(self) -> bool:
         degrees = {len(inc) for inc in self.adjacency.values()}

@@ -13,9 +13,12 @@ coloring.json::
     { "t": 7,
       "edges": [ {"u": [1, 1], "v": [2, 1], "color": 3}, ... ] }
 
-Report, search-outcome, and bounds documents are produced by the ``*_to_dict``
-helpers below; the CLI wraps them with ``dump_json`` so identical runs write
-byte-identical files.
+Labels are written as they are: ``Vertex`` and ``Edge`` are tuples, and json
+writes a tuple as the same array as a list, so the ``*_to_dict`` helpers put
+vertices, edges and spectra into the document unchanged. Report and
+search-outcome documents come from those helpers too, and the ``bounds``
+document is ``dataclasses.asdict`` of a ``BoundsSummary``; the CLI wraps
+them with ``dump_json`` so identical runs write byte-identical files.
 
 ``dump_json`` writes each document as one line of JSON with sorted keys, so
 CPython encodes it with its C encoder; the CLI's stdout stays indented.
@@ -29,7 +32,6 @@ from pathlib import Path
 from typing import Any
 
 from .coloring import EdgeColoring, VerificationReport
-from .construct import BoundsSummary
 from .errors import FormatError
 from .graphs import Edge, Graph, RingParams, Vertex, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
@@ -41,7 +43,6 @@ __all__ = [
     "coloring_from_dict",
     "report_to_dict",
     "outcome_to_dict",
-    "bounds_to_dict",
     "profile_to_dict",
     "dump_json",
     "load_json",
@@ -49,10 +50,6 @@ __all__ = [
     "load_coloring",
     "dot_source",
 ]
-
-
-def _vertex_pair(v: Vertex) -> list[int]:
-    return [v.layer, v.index]
 
 
 def _as_vertex(obj: Any, what: str, labels: dict[tuple[int, int], Vertex]) -> Vertex:
@@ -83,8 +80,8 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
     return {
         "n": g.n,
         "k": g.k,
-        "vertices": [_vertex_pair(v) for v in g.vertices],
-        "edges": [[_vertex_pair(e.u), _vertex_pair(e.v)] for e in g.edges],
+        "vertices": g.vertices,
+        "edges": g.edges,
     }
 
 
@@ -107,7 +104,7 @@ def coloring_to_dict(c: EdgeColoring) -> dict[str, Any]:
     return {
         "t": c.t,
         "edges": [
-            {"u": _vertex_pair(e.u), "v": _vertex_pair(e.v), "color": c.colors[e]}
+            {"u": e.u, "v": e.v, "color": c.colors[e]}
             for e in sorted(c.colors)
         ],
     }
@@ -129,10 +126,7 @@ def coloring_from_dict(doc: Any) -> EdgeColoring:
         e = make_edge(_as_vertex(entry["u"], "u", labels), _as_vertex(entry["v"], "v", labels))
         if e in colors:
             raise FormatError(f"edge {e} colored twice in document")
-        c = entry["color"]
-        if type(c) is not int:
-            raise FormatError(f"color of {e} must be an integer, got {c!r}")
-        colors[e] = c
+        colors[e] = entry["color"]
     return EdgeColoring(colors=colors, t=t)
 
 
@@ -144,18 +138,14 @@ def report_to_dict(r: VerificationReport) -> dict[str, Any]:
         "covers_palette": r.covers_palette,
         "is_interval_coloring": r.is_interval_coloring,
         "proper_violations": [
-            {
-                "vertex": _vertex_pair(v),
-                "color": c,
-                "edges": [[_vertex_pair(e.u), _vertex_pair(e.v)] for e in edges],
-            }
+            {"vertex": v, "color": c, "edges": edges}
             for v, c, edges in r.proper_violations
         ],
         "gap_vertices": [
-            {"vertex": _vertex_pair(v), "spectrum": list(s.colors)}
+            {"vertex": v, "spectrum": s.colors}
             for v, s in r.gap_vertices
         ],
-        "missing_colors": list(r.missing_colors),
+        "missing_colors": r.missing_colors,
     }
 
 
@@ -165,19 +155,6 @@ def outcome_to_dict(o: SearchOutcome) -> dict[str, Any]:
         "source": o.source,
         "nodes_explored": o.nodes_explored,
         "witness": coloring_to_dict(o.witness) if o.witness is not None else None,
-    }
-
-
-def bounds_to_dict(b: BoundsSummary) -> dict[str, Any]:
-    return {
-        "n": b.n,
-        "k": b.k,
-        "chromatic_index": b.chromatic_index,
-        "interval_colorable": b.interval_colorable,
-        "w": b.w,
-        "W_lower": b.W_lower,
-        "W_exact": b.W_exact,
-        "feasible_t": list(b.feasible_t) if b.feasible_t is not None else None,
     }
 
 

@@ -97,13 +97,29 @@ def test_dot_source_lists_colored_edges():
 # ---------------------------------------------------------------------------
 
 
-def test_generate_writes_graph_and_dot(tmp_path):
-    out = tmp_path / "g.json"
-    assert run(tmp_path, "generate", "--n", "2", "--k", "4", "--out", str(out), "--dot") == 0
-    doc = load_json(out)
+def test_generate_writes_graph_and_dot(tmp_path, capsys):
+    # export-dot is the one way to a .dot file
+    gpath, dpath = tmp_path / "g.json", tmp_path / "g.dot"
+    assert run(tmp_path, "generate", "--n", "2", "--k", "4", "--out", str(gpath)) == 0
+    doc = load_json(gpath)
     assert len(doc["vertices"]) == 8
     assert len(doc["edges"]) == 16
-    assert (tmp_path / "g.dot").exists()
+    assert run(tmp_path, "export-dot", "--graph", str(gpath), "--out", str(dpath)) == 0
+    assert dpath.read_bytes() == dot_source(ring_graph(RingParams(2, 4))).encode("utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "generate", "--n", "2", "--k", "4", "--out", str(gpath), "--dot")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+
+
+def test_generate_writes_the_documented_graph_document(tmp_path):
+    # README's graph document, byte for byte: one line, sorted keys, labels as arrays
+    out = tmp_path / "g.json"
+    assert run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == (
+        '{"edges": [[[1, 1], [2, 1]], [[1, 1], [4, 1]], [[2, 1], [3, 1]], [[3, 1], [4, 1]]], '
+        '"k": 4, "n": 1, "vertices": [[1, 1], [2, 1], [3, 1], [4, 1]]}\n'
+    )
 
 
 def test_generate_is_byte_deterministic(tmp_path):
@@ -165,6 +181,42 @@ def test_verify_names_the_violating_vertex(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert not report["is_proper"]
     assert report["proper_violations"][0]["vertex"] == first["u"]
+
+
+def test_verify_prints_labels_and_spectra_as_arrays(tmp_path, capsys):
+    # compared as text: a tuple in the report would never equal a parsed list
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))
+    coloring = coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))
+    coloring["edges"][0]["color"] = coloring["edges"][1]["color"] = 1  # both at [1, 1]
+    cpath.write_text(json.dumps(coloring))
+    capsys.readouterr()
+
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 1
+    expected = {
+        "t": 3,
+        "is_proper": False,
+        "is_interval": False,
+        "covers_palette": True,
+        "is_interval_coloring": False,
+        "proper_violations": [{"vertex": [1, 1], "color": 1, "edges": [[[1, 1], [2, 1]], [[1, 1], [4, 1]]]}],
+        "gap_vertices": [{"vertex": [1, 1], "spectrum": [1]}, {"vertex": [2, 1], "spectrum": [1, 3]}],
+        "missing_colors": [],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("color", ["3", True, 2.5])
+def test_non_integer_color_exits_2_with_one_manifest_line(tmp_path, capsys, color):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps(graph_to_dict(ring_graph(RingParams(1, 4)))))
+    coloring = coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))
+    coloring["edges"][0]["color"] = color
+    cpath.write_text(json.dumps(coloring))
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [("verify", 2)]
 
 
 def test_verify_rejects_unknown_edge_as_mismatch(tmp_path):

@@ -266,13 +266,6 @@ def test_t_coloring_alternating_c4():
     assert used_colors(c) == {1, 2}
 
 
-def test_t_coloring_intermediate_span_via_search():
-    params = RingParams(1, 6)
-    c = t_coloring(params, 3)
-    assert c.t == 3
-    assert verify(ring_graph(params), c).is_interval_coloring
-
-
 def test_t_coloring_range_and_parity_errors():
     with pytest.raises(ParameterError):
         t_coloring(RingParams(1, 4), 4)
