@@ -6,7 +6,7 @@ verifies the interval property for arbitrary colorings, and brute-forces
 exact least/greatest spans and chromatic indices on desk-scale instances.
 """
 
-from .coloring import EdgeColoring, Spectrum, VerificationReport, spectrum, used_colors, verify
+from .coloring import EdgeColoring, VerificationReport, spectrum, verify
 from .construct import (
     BoundsSummary,
     bounds_summary,
@@ -18,11 +18,8 @@ from .construct import (
     widest_constructed_t,
 )
 from .errors import (
-    ColorRangeError,
     ColoringError,
-    ColoringMismatchError,
     FormatError,
-    IncompleteColoringError,
     ParameterError,
     ParityError,
     RingcolError,
@@ -58,14 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BoundsSummary",
-    "ColorRangeError",
     "ColoringError",
-    "ColoringMismatchError",
     "Edge",
     "EdgeColoring",
     "FormatError",
     "Graph",
-    "IncompleteColoringError",
     "ParameterError",
     "ParityError",
     "RingParams",
@@ -74,7 +68,6 @@ __all__ = [
     "SearchOutcome",
     "SoundnessError",
     "SpanProfile",
-    "Spectrum",
     "VerificationReport",
     "Vertex",
     "bounds_summary",
@@ -96,7 +89,6 @@ __all__ = [
     "spectrum",
     "staircase_coloring",
     "t_coloring",
-    "used_colors",
     "verify",
     "widest_constructed_t",
 ]

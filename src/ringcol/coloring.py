@@ -1,5 +1,10 @@
 """Edge colorings, vertex spectra, and the interval-coloring verifier.
 
+A coloring α of a graph is an ``EdgeColoring``: α(e) is ``colors[e]``. The
+spectrum S(x, α), the set of colors on the edges incident to a vertex x, is
+the sorted tuple ``spectrum(g, α, x)`` returns; ``verify`` builds the same
+tuple inline for each vertex.
+
 A coloring is "interval" when it is proper, every color of the declared
 palette [1, t] appears on some edge, and the colors incident to each vertex
 form a run of d(x) consecutive integers. The verifier checks the three
@@ -13,21 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import (
-    ColorRangeError,
-    ColoringMismatchError,
-    IncompleteColoringError,
-    ParameterError,
-)
+from .errors import ColoringError, ParameterError
 from .graphs import Edge, Graph, Vertex
 
 __all__ = [
     "EdgeColoring",
-    "Spectrum",
     "VerificationReport",
     "spectrum",
     "verify",
-    "used_colors",
 ]
 
 
@@ -44,27 +42,13 @@ class EdgeColoring:
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ParameterError(f"t must be >= 0, got {self.t}")
+        if type(self.t) is not int or self.t < 0:  # `type(t) is int` also rejects bool
+            raise ParameterError(f"t must be an integer >= 0, got {self.t!r}")
         for e, c in self.colors.items():
             if not isinstance(c, int) or isinstance(c, bool):
-                raise ColorRangeError(f"color of {e} must be an integer, got {c!r}")
+                raise ColoringError(f"color of {e} must be an integer, got {c!r}")
             if not 1 <= c <= self.t:
-                raise ColorRangeError(f"color {c} of {e} outside palette [1, {self.t}]")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """The sorted colors on edges incident to one vertex."""
-
-    vertex: Vertex
-    colors: tuple[int, ...]
-
-    def is_consecutive(self) -> bool:
-        """True when the colors form a gap-free run (|s| values spanning |s|)."""
-        if not self.colors:
-            return True
-        return self.colors[-1] - self.colors[0] + 1 == len(self.colors)
+                raise ColoringError(f"color {c} of {e} outside palette [1, {self.t}]")
 
 
 @dataclass(frozen=True)
@@ -81,7 +65,7 @@ class VerificationReport:
     is_interval: bool
     covers_palette: bool
     proper_violations: tuple[tuple[Vertex, int, tuple[Edge, ...]], ...] = ()
-    gap_vertices: tuple[tuple[Vertex, Spectrum], ...] = ()
+    gap_vertices: tuple[tuple[Vertex, tuple[int, ...]], ...] = ()
     missing_colors: tuple[int, ...] = ()
 
     @property
@@ -90,53 +74,44 @@ class VerificationReport:
         return self.is_proper and self.is_interval and self.covers_palette
 
 
-def _check_edges_known(g: Graph, coloring: EdgeColoring) -> None:
-    for e in coloring.colors:
-        if e not in g.edge_set:
-            raise ColoringMismatchError(f"colored edge {e} does not exist in the graph")
+def spectrum(g: Graph, coloring: EdgeColoring, v: Vertex) -> tuple[int, ...]:
+    """S(v, α): the colors on the edges incident to v, sorted ascending.
 
-
-def _check_total(g: Graph, coloring: EdgeColoring) -> None:
-    missing = [e for e in g.edges if e not in coloring.colors]
-    if missing:
-        raise IncompleteColoringError(
-            f"coloring leaves {len(missing)} edge(s) uncolored, first: {missing[0]}"
-        )
-
-
-def spectrum(g: Graph, coloring: EdgeColoring, v: Vertex) -> Spectrum:
-    """Colors on the edges incident to v, sorted ascending.
-
-    Raises IncompleteColoringError if any incident edge is uncolored and
-    KeyError for an unknown vertex.
+    Raises ColoringError if any incident edge is uncolored and KeyError for
+    an unknown vertex.
     """
-    if v not in g.adjacency:
-        raise KeyError(f"unknown vertex {v}")
     incident = g.adjacency[v]
     missing = [e for e in incident if e not in coloring.colors]
     if missing:
-        raise IncompleteColoringError(f"edge {missing[0]} incident to {v} is uncolored")
-    return Spectrum(vertex=v, colors=tuple(sorted({coloring.colors[e] for e in incident})))
+        raise ColoringError(f"edge {missing[0]} incident to {v} is uncolored")
+    return tuple(sorted({coloring.colors[e] for e in incident}))
 
 
 def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     """Check properness, per-vertex consecutiveness, and palette coverage.
 
     The coloring must be total on E(g) and stay inside [1, t]; those are
-    input defects and raise, while the three interval conditions are results
-    and come back in the report with their supporting evidence.
+    input defects and raise ColoringError, while the three interval
+    conditions are results and come back in the report with their
+    supporting evidence.
     """
-    _check_edges_known(g, coloring)
-    _check_total(g, coloring)
+    colors = coloring.colors
+    for e in colors:
+        if e not in g.edge_set:
+            raise ColoringError(f"colored edge {e} does not exist in the graph")
+    missing_edges = [e for e in g.edges if e not in colors]
+    if missing_edges:
+        raise ColoringError(
+            f"coloring leaves {len(missing_edges)} edge(s) uncolored, first: {missing_edges[0]}"
+        )
 
     violations: list[tuple[Vertex, int, tuple[Edge, ...]]] = []
-    gaps: list[tuple[Vertex, Spectrum]] = []
+    gaps: list[tuple[Vertex, tuple[int, ...]]] = []
 
-    colors = coloring.colors
     for v in g.vertices:
         incident = g.adjacency[v]
-        spect = Spectrum(vertex=v, colors=tuple(sorted({colors[e] for e in incident})))
-        if len(spect.colors) != len(incident):
+        spect = tuple(sorted({colors[e] for e in incident}))
+        if len(spect) != len(incident):
             by_color: dict[int, list[Edge]] = {}
             for e in incident:
                 by_color.setdefault(colors[e], []).append(e)
@@ -145,10 +120,10 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
                     violations.append((v, c, tuple(clashing)))
         # d(v) distinct colors spanning exactly d(v) values; collisions shrink
         # the spectrum below d(v), so improper vertices always land here too.
-        if len(spect.colors) != len(incident) or not spect.is_consecutive():
+        if len(spect) != len(incident) or (spect and spect[-1] - spect[0] + 1 != len(spect)):
             gaps.append((v, spect))
 
-    present = set(coloring.colors.values())
+    present = set(colors.values())
     missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
 
     is_proper = not violations
@@ -161,8 +136,3 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
         gap_vertices=tuple(gaps),
         missing_colors=missing,
     )
-
-
-def used_colors(coloring: EdgeColoring) -> set[int]:
-    """The exact set of colors appearing on edges."""
-    return set(coloring.colors.values())

@@ -2,6 +2,7 @@
 
 The CLI maps these onto its documented exit codes, so new error conditions
 should reuse one of the classes below rather than raising bare ValueErrors.
+Every defect of a coloring, whichever it is, raises the one ColoringError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ class RingcolError(Exception):
 
 
 class ParameterError(RingcolError, ValueError):
-    """A parameter is outside its documented domain (n < 1, k < 3, bad t, ...)."""
+    """A parameter is no integer or outside its domain (n < 1, k < 3, bad t, ...)."""
 
 
 class ParityError(ParameterError):
@@ -20,19 +21,8 @@ class ParityError(ParameterError):
 
 
 class ColoringError(RingcolError, ValueError):
-    """Base class for defects of an edge coloring relative to a graph."""
-
-
-class IncompleteColoringError(ColoringError):
-    """The coloring leaves at least one edge of the graph uncolored."""
-
-
-class ColoringMismatchError(ColoringError):
-    """The coloring mentions an edge that does not exist in the graph."""
-
-
-class ColorRangeError(ColoringError):
-    """A color lies outside the declared palette [1, t]."""
+    """Any defect of an edge coloring relative to a graph: an edge uncolored
+    or not in the graph, or a color that is no integer or outside [1, t]."""
 
 
 class FormatError(RingcolError, ValueError):

@@ -62,10 +62,10 @@ class RingParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.k < 3:
-            raise ParameterError(f"k must be >= 3, got {self.k}")
+        if type(self.n) is not int or self.n < 1:  # `type(x) is int` also rejects bool
+            raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
+        if type(self.k) is not int or self.k < 3:
+            raise ParameterError(f"k must be an integer >= 3, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,6 @@ class Graph:
     adjacency: Mapping[Vertex, tuple[Edge, ...]]
 
     def degree(self, v: Vertex) -> int:
-        if v not in self.adjacency:
-            raise KeyError(f"unknown vertex {v}")
         return len(self.adjacency[v])
 
     def max_degree(self) -> int:
@@ -98,16 +96,9 @@ class Graph:
         """Δ, scanned once per graph: the scan caps and χ' ask it on every query."""
         return max(map(len, self.adjacency.values()), default=0)
 
-    def is_regular(self) -> bool:
-        degrees = {len(inc) for inc in self.adjacency.values()}
-        return len(degrees) <= 1
-
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """Neighbors of v in canonical order."""
         return tuple(e.v if e.u == v else e.u for e in self.adjacency[v])
-
-    def has_edge(self, a: Vertex, b: Vertex) -> bool:
-        return make_edge(a, b) in self.edge_set
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

@@ -115,9 +115,6 @@ _ENTRY_KEYS = frozenset(("u", "v", "color"))
 
 def coloring_from_dict(doc: Any) -> EdgeColoring:
     _check_document(doc, "coloring", ("t", "edges"), ("edges",))
-    t = doc["t"]
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise FormatError("coloring t must be an integer")
     colors: dict[Edge, int] = {}
     labels: dict[tuple[int, int], Vertex] = {}
     for entry in doc["edges"]:
@@ -127,7 +124,7 @@ def coloring_from_dict(doc: Any) -> EdgeColoring:
         if e in colors:
             raise FormatError(f"edge {e} colored twice in document")
         colors[e] = entry["color"]
-    return EdgeColoring(colors=colors, t=t)
+    return EdgeColoring(colors=colors, t=doc["t"])
 
 
 def report_to_dict(r: VerificationReport) -> dict[str, Any]:
@@ -142,7 +139,7 @@ def report_to_dict(r: VerificationReport) -> dict[str, Any]:
             for v, c, edges in r.proper_violations
         ],
         "gap_vertices": [
-            {"vertex": v, "spectrum": s.colors}
+            {"vertex": v, "spectrum": s}
             for v, s in r.gap_vertices
         ],
         "missing_colors": r.missing_colors,

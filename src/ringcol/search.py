@@ -80,10 +80,10 @@ class SearchConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_max is not None and self.t_max < 1:
-            raise ParameterError(f"t_max must be >= 1, got {self.t_max}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ParameterError(f"node_limit must be >= 1, got {self.node_limit}")
+        if self.t_max is not None and (type(self.t_max) is not int or self.t_max < 1):  # rejects bool too
+            raise ParameterError(f"t_max must be an integer >= 1, got {self.t_max!r}")
+        if self.node_limit is not None and (type(self.node_limit) is not int or self.node_limit < 1):
+            raise ParameterError(f"node_limit must be an integer >= 1, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,6 @@ def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], ch
     ``exhausted_budget``, no assignment ``infeasible``, and a witness must be
     a coloring of g that passes the verifier's ``check`` (a
     VerificationReport field) or SoundnessError is raised."""
-    if t < 1:
-        raise ParameterError(f"t must be >= 1, got {t}")
     assignment, nodes = engine(g, t, limit)
     if limit is not None and nodes > limit:
         return SearchOutcome(EXHAUSTED, None, nodes, source)
@@ -184,7 +182,9 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     settles the rest under the budget the quotient left. Deterministic for
     fixed inputs and config.
     """
-    if t > len(g.edges):  # implies t >= 1, so a bad t still raises in _query
+    if type(t) is not int or t < 1:  # `type(t) is int` also rejects bool
+        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
+    if t > len(g.edges):
         return SearchOutcome(INFEASIBLE, None, 0)
     limit = (cfg or SearchConfig()).node_limit
     lifted = _query(g, t, limit, composition_lift, "is_interval_coloring", LIFT)
@@ -203,6 +203,8 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
     all been used. The witness is not an interval coloring in general and is
     checked for properness only.
     """
+    if type(t) is not int or t < 1:
+        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
     return _query(g, t, (cfg or SearchConfig()).node_limit, proper_dfs, "is_proper")
 
 

@@ -25,7 +25,6 @@ from ringcol import (
     ring_graph,
     spectrum,
     staircase_coloring,
-    used_colors,
     verify,
     widest_constructed_t,
 )
@@ -60,7 +59,7 @@ def test_criterion_01_construction_validity():
             span = 2 * n + n * k // 2 - 1
             ok &= c.t == span
             ok &= report.is_interval_coloring
-            ok &= used_colors(c) == set(range(1, span + 1))
+            ok &= set(c.colors.values()) == set(range(1, span + 1))
     _report(1, "constructed coloring is interval with span 2n + nk/2 - 1 on the full grid", ok, time.perf_counter() - t0, 2.0)
 
 
@@ -78,7 +77,7 @@ def test_criterion_02_spectrum_closed_forms():
             g = ring_graph(params)
             c = mirrored_staircase_coloring(params)
             for v in g.vertices:
-                got = spectrum(g, c, v).colors
+                got = spectrum(g, c, v)
                 ok &= got == tuple(expected_spectrum(params, v))
                 i, j = v.layer, v.index
                 if i == 1 or i == k:

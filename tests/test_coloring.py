@@ -3,10 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
-    ColorRangeError,
-    ColoringMismatchError,
+    ColoringError,
     EdgeColoring,
-    IncompleteColoringError,
     RingParams,
     Vertex,
     build_graph,
@@ -16,7 +14,6 @@ from ringcol import (
     ring_graph,
     spectrum,
     staircase_coloring,
-    used_colors,
     verify,
 )
 
@@ -39,22 +36,22 @@ def test_spectrum_on_hand_colored_c4():
     g = cycle(4)
     c = cycle_coloring(4, [1, 2, 3, 2], t=3)
     # the corner between the edges colored 2 and 3
-    assert spectrum(g, c, Vertex(3, 1)).colors == (2, 3)
-    assert spectrum(g, c, Vertex(1, 1)).colors == (1, 2)
+    assert spectrum(g, c, Vertex(3, 1)) == (2, 3)
+    assert spectrum(g, c, Vertex(1, 1)) == (1, 2)
 
 
 def test_spectrum_of_degree_one_vertex():
     vs = [Vertex(1, 1), Vertex(2, 1)]
     g = build_graph(1, 2, vs, [(vs[0], vs[1])])
     c = EdgeColoring(colors={make_edge(*vs): 5}, t=5)
-    assert spectrum(g, c, vs[0]).colors == (5,)
+    assert spectrum(g, c, vs[0]) == (5,)
 
 
 def test_spectrum_of_ring_2_4_first_layer():
     params = RingParams(2, 4)
     g = ring_graph(params)
     c = mirrored_staircase_coloring(params)
-    assert spectrum(g, c, Vertex(1, 1)).colors == (1, 2, 3, 4)
+    assert spectrum(g, c, Vertex(1, 1)) == (1, 2, 3, 4)
 
 
 def test_verify_accepts_constructed_c4_coloring():
@@ -84,16 +81,9 @@ def test_verify_flags_gaps_and_missing_colors():
     assert not report.is_interval
     assert not report.covers_palette
     assert report.missing_colors == (2,)
-    gap_specs = {v: s.colors for v, s in report.gap_vertices}
+    gap_specs = dict(report.gap_vertices)
     assert all(colors == (1, 3) for colors in gap_specs.values())
     assert len(gap_specs) == 4
-
-
-def test_used_colors():
-    c4 = mirrored_staircase_coloring(RingParams(1, 4))
-    assert used_colors(c4) == {1, 2, 3}
-    assert used_colors(EdgeColoring(colors={}, t=0)) == set()
-    assert used_colors(staircase_coloring(2)) == {1, 2, 3}
 
 
 def test_partial_coloring_rejected():
@@ -101,18 +91,20 @@ def test_partial_coloring_rejected():
     full = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
     removed, _ = full.popitem()
     partial = EdgeColoring(colors=full, t=2)
-    with pytest.raises(IncompleteColoringError):
+    with pytest.raises(ColoringError):
         verify(g, partial)
-    with pytest.raises(IncompleteColoringError):
+    with pytest.raises(ColoringError):
         spectrum(g, partial, removed.u)
 
 
 def test_color_out_of_range_rejected():
     e = make_edge(Vertex(1, 1), Vertex(2, 1))
-    with pytest.raises(ColorRangeError):
+    with pytest.raises(ColoringError):
         EdgeColoring(colors={e: 0}, t=3)
-    with pytest.raises(ColorRangeError):
+    with pytest.raises(ColoringError):
         EdgeColoring(colors={e: 4}, t=3)
+    with pytest.raises(ColoringError):
+        EdgeColoring(colors={e: 2.0}, t=3)
 
 
 def test_unknown_edge_rejected():
@@ -120,7 +112,7 @@ def test_unknown_edge_rejected():
     stray = make_edge(Vertex(1, 1), Vertex(3, 1))  # a chord C4 does not have
     colors = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
     colors[stray] = 1
-    with pytest.raises(ColoringMismatchError):
+    with pytest.raises(ColoringError):
         verify(g, EdgeColoring(colors=colors, t=2))
 
 
@@ -130,7 +122,7 @@ def test_proper_spectra_have_degree_many_colors(n):
     g = complete_bipartite(n)
     c = staircase_coloring(n)
     for v in g.vertices:
-        assert len(spectrum(g, c, v).colors) == g.degree(v)
+        assert len(spectrum(g, c, v)) == g.degree(v)
 
 
 @given(colors=st.lists(st.integers(1, 6), min_size=5, max_size=5))

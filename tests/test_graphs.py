@@ -36,7 +36,7 @@ def test_ring_1_3_is_triangle():
     g = ring_graph(RingParams(1, 3))
     assert len(g.vertices) == 3
     assert len(g.edges) == 3
-    assert g.is_regular() and g.max_degree() == 2
+    assert {g.degree(v) for v in g.vertices} == {2} and g.max_degree() == 2
 
 
 def test_ring_1_4_is_c4():
@@ -50,7 +50,7 @@ def test_ring_2_4_counts_and_regularity():
     g = ring_graph(RingParams(2, 4))
     assert len(g.vertices) == 8
     assert len(g.edges) == 16
-    assert g.is_regular()
+    assert {g.degree(v) for v in g.vertices} == {4}
     for v in g.vertices:
         assert g.degree(v) == 4
 
@@ -61,7 +61,7 @@ def test_ring_invariants(n, k):
     g = ring_graph(RingParams(n, k))
     assert len(g.vertices) == n * k
     assert len(g.edges) == n * n * k
-    assert g.is_regular()
+    assert {g.degree(v) for v in g.vertices} == {2 * n}
     assert g.max_degree() == 2 * n
     # handshake
     assert sum(g.degree(v) for v in g.vertices) == 2 * len(g.edges)
@@ -82,7 +82,7 @@ def test_complete_bipartite_invariants(n):
     g = complete_bipartite(n)
     assert len(g.vertices) == 2 * n
     assert len(g.edges) == n * n
-    assert g.is_regular() and g.max_degree() == n
+    assert {g.degree(v) for v in g.vertices} == {n} and g.max_degree() == n
     layers = {v.layer for v in g.vertices}
     assert layers == {1, 2}
     for e in g.edges:
@@ -90,7 +90,7 @@ def test_complete_bipartite_invariants(n):
     # every cross pair joined
     for p in range(1, n + 1):
         for q in range(1, n + 1):
-            assert g.has_edge(Vertex(2, p), Vertex(1, q))
+            assert make_edge(Vertex(2, p), Vertex(1, q)) in g.edge_set
 
 
 def test_complete_bipartite_small_cases():
@@ -118,7 +118,7 @@ def test_degree_of_unknown_vertex_raises():
 def test_path_on_three_vertices_not_regular():
     vs = [Vertex(1, 1), Vertex(2, 1), Vertex(3, 1)]
     g = build_graph(1, 3, vs, [(vs[0], vs[1]), (vs[1], vs[2])])
-    assert not g.is_regular()
+    assert sorted(g.degree(v) for v in g.vertices) == [1, 1, 2]
     assert g.max_degree() == 2
 
 

@@ -60,7 +60,7 @@ def test_c4_alternating_witness_at_two_colors():
     w = outcome.witness
     assert verify(g, w).is_interval_coloring
     for v in g.vertices:
-        assert spectrum(g, w, v).colors == (1, 2)
+        assert spectrum(g, w, v) == (1, 2)
 
 
 def test_c4_infeasible_at_four_colors():
@@ -95,6 +95,34 @@ def test_bad_parameters_rejected():
         SearchConfig(node_limit=0)
     with pytest.raises(ParameterError):
         SearchConfig(t_max=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ring_graph(RingParams(2.5, 4)),
+        lambda: ring_graph(n=2, k=4.0),
+        lambda: RingParams(True, 4),
+        lambda: span_profile(cycle(4), SearchConfig(t_max=7.5)),
+        lambda: SearchConfig(node_limit=True),
+        lambda: find_interval_t(cycle(4), 4.0),
+        lambda: find_interval_t(cycle(4), True),
+        lambda: find_interval_t(cycle(4), "3"),
+        lambda: find_proper_t(cycle(4), 2.0),
+        lambda: find_proper_t(cycle(4), True),
+        lambda: EdgeColoring({}, "3"),
+        lambda: EdgeColoring({cycle(4).edges[0]: 1}, True),
+    ],
+    ids=[
+        "RingParams-n-float", "ring_graph-k-float", "RingParams-n-bool", "t_max-float", "node_limit-bool",
+        "find_interval_t-float", "find_interval_t-bool", "find_interval_t-str", "find_proper_t-float",
+        "find_proper_t-bool", "EdgeColoring-t-str", "EdgeColoring-t-bool",
+    ],
+)
+def test_non_integer_parameters_raise_parameter_error(call):
+    # a float, str or bool is refused as a ParameterError, never a bare TypeError or a silent 1
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
 
 
 # ---------------------------------------------------------------------------
