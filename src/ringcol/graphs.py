@@ -176,19 +176,20 @@ def build_graph(
 ) -> Graph:
     """Validate labels, canonicalize edges, and assemble an immutable Graph.
 
-    Raises ParameterError on out-of-bounds labels, duplicate vertices,
-    duplicate edges, loops, or edges touching unknown vertices.
+    Raises ParameterError on label bounds or labels that are no integers,
+    out-of-bounds labels, duplicate vertices, duplicate edges, loops, or
+    edges touching unknown vertices.
     """
-    if n < 1 or k < 1:
-        raise ParameterError(f"label bounds must be positive, got n={n}, k={k}")
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:  # `type(x) is int` also rejects bool
+        raise ParameterError(f"label bounds must be integers >= 1, got n={n!r}, k={k!r}")
 
     # One Vertex object per label: edge endpoints resolve through this map,
     # so the edges and adjacency of a large graph share nk label objects.
     label: dict[Vertex, Vertex] = {}
     for raw in vertices:
         v = Vertex(*raw)
-        if not (1 <= v.layer <= k and 1 <= v.index <= n):
-            raise ParameterError(f"vertex {v} outside label bounds (k={k}, n={n})")
+        if not (type(v.layer) is int and type(v.index) is int and 1 <= v.layer <= k and 1 <= v.index <= n):
+            raise ParameterError(f"vertex {v} is no integer label within the bounds (k={k}, n={n})")
         if v in label:
             raise ParameterError(f"duplicate vertex {v}")
         label[v] = v
@@ -255,8 +256,8 @@ def complete_bipartite(n: int) -> Graph:
     seed coloring in :mod:`ringcol.construct` puts its staircase on exactly
     this layer pair.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     vertices = [Vertex(layer, index) for layer in (1, 2) for index in range(1, n + 1)]
     edges = [
         (Vertex(2, p), Vertex(1, q))

@@ -87,9 +87,6 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 def graph_from_dict(doc: Any) -> Graph:
     _check_document(doc, "graph", ("n", "k", "vertices", "edges"), ("vertices", "edges"))
-    n, k = doc["n"], doc["k"]
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, k)):
-        raise FormatError("graph n and k must be integers")
     labels: dict[tuple[int, int], Vertex] = {}
     vertices = [_as_vertex(v, "vertex", labels) for v in doc["vertices"]]
     edges = []
@@ -97,7 +94,7 @@ def graph_from_dict(doc: Any) -> Graph:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"edge must be a pair of vertices, got {pair!r}")
         edges.append((_as_vertex(pair[0], "edge endpoint", labels), _as_vertex(pair[1], "edge endpoint", labels)))
-    return build_graph(n, k, vertices, edges)
+    return build_graph(doc["n"], doc["k"], vertices, edges)  # it refuses an n or k that is no integer
 
 
 def coloring_to_dict(c: EdgeColoring) -> dict[str, Any]:

@@ -19,11 +19,12 @@ g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
 ``find_proper_t`` decides proper t-colorability for the chromatic
 index with ``proper_dfs`` (see ``ringcol.engines``); ``_query`` alone reads
-a node count above the limit as ``exhausted_budget``. The span scans
-(``span_profile``, ``compute_w``, ``compute_W``, ``continuity_scan``) ask a
-series of such queries, up to the cap that ``scan_cap`` reports (the one
-place a span meets a theorem bound); ``span_profile`` also settles the
-chromatic index, so one call answers a whole (n, k) cell.
+a node count above the limit as ``exhausted_budget``. ``span_profile`` asks
+every t from the maximum degree up to the cap that ``scan_cap`` reports (the
+one place a span meets a theorem bound) once, in increasing order, reads w,
+W and continuity off that list, and settles the chromatic index, so one
+call answers a whole (n, k) cell. ``compute_w``, ``compute_W`` and
+``continuity_scan`` apply the same rules to one span and stop early.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -32,8 +33,7 @@ reproducible node counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .coloring import EdgeColoring, verify
 from .composition import asratian_kamalian_bound, block_table, lift, overfull
@@ -107,10 +107,11 @@ class SearchOutcome:
 class BoundReport:
     """Result of a span scan (least or greatest feasible t).
 
-    ``trail`` records the per-t statuses in scan order. ``t_max`` is the cap
-    that was in force and ``t_max_source`` where it came from: "t_max" (set
-    in the SearchConfig), "edges" (|E|, the trivial cap), "overfull" (cap 0:
-    an overfull graph has no interval coloring, so no t is asked), or
+    ``trail`` records the per-t statuses in scan order: upward for w,
+    downward for W. ``t_max`` is the cap that was in force and
+    ``t_max_source`` where it came from: "t_max" (set in the SearchConfig),
+    "edges" (|E|, the trivial cap), "overfull" (cap 0: an overfull graph has
+    no interval coloring, so no t is asked), or
     "asratian_kamalian_bipartite" / "asratian_kamalian" /
     "giaro_kubale_malafiejski" (a theorem bound on the greatest span of a
     connected interval-colorable graph, which then stands in for exhausting
@@ -118,9 +119,9 @@ class BoundReport:
     (value settled by exhaustion up to the cap), "lower_bound_only" (witness
     found but some larger t hit the budget), "inconclusive" (budget ran out
     before any answer), and "not_interval_colorable" (every t up to the cap
-    exhausted as infeasible). ``nodes_explored`` counts the nodes of the
-    queries this scan made itself; a t already answered earlier in the same
-    span profile is read from its table and costs nothing.
+    exhausted as infeasible). ``nodes_explored`` counts the queries the
+    answer rests on, the t in ``trail``: for w those from the maximum degree
+    up to w, for W those from the cap down to W.
     """
 
     value: int | None
@@ -250,41 +251,13 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     return cap, source
 
 
-class _SpanScan:
-    """One scan's view of a span table for g under cfg. A t missing from the
-    table is asked through the module-level ``find_interval_t`` and added to
-    it; ``nodes`` counts only the queries this scan made itself."""
-
-    def __init__(self, g: Graph, cfg: SearchConfig | None, memo: dict[int, SearchOutcome] | None) -> None:
-        self.g = g
-        self.cfg = cfg or SearchConfig()
-        self.memo = {} if memo is None else memo
-        self.t_lo = max(1, g.max_degree())
-        self.nodes = 0
-
-    @cached_property
-    def cap(self) -> tuple[int, str]:
-        return scan_cap(self.g, self.cfg)
-
-    def status(self, t: int) -> str:
-        if t not in self.memo:
-            outcome = find_interval_t(self.g, t, self.cfg)
-            self.nodes += outcome.nodes_explored
-            self.memo[t] = outcome
-        return self.memo[t].status
-
-    def report(self, value: int | None, status: str, trail: list[tuple[int, str]]) -> BoundReport:
-        t_max, source = self.cap
-        return BoundReport(value, status, t_max, source, self.nodes, tuple(trail))
-
-
 @dataclass(frozen=True)
 class SpanProfile:
     """Everything the oracle says about one graph: the chromatic index
     (``chi_prime``; None when a budget cut its search short), ``w`` and ``W``
     as BoundReports, and the statuses of every t in [max degree, W]
     (``continuity``; None unless both w and W were found). ``trail`` lists
-    each interval query, in the order asked; ``nodes_explored`` counts the
+    each interval query, in increasing t; ``nodes_explored`` counts the
     nodes of every query, the proper ones for ``chi_prime`` included."""
 
     chi_prime: int | None
@@ -316,98 +289,90 @@ class SpanProfile:
         return self.chi_prime is not None and self.w.status in definite and self.W.status in definite
 
 
+def _report(value: int | None, status: str, cap: tuple[int, str],
+            read: list[tuple[int, SearchOutcome]]) -> BoundReport:
+    return BoundReport(value, status, *cap, sum(o.nodes_explored for _, o in read),
+                       tuple((t, o.status) for t, o in read))
+
+
+def _least(cap: tuple[int, str], asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+    """w's rule, read upward: the first witness is w, unless a budget cut
+    comes first."""
+    read = []
+    for t, outcome in asked:
+        read.append((t, outcome))
+        if outcome.status == WITNESS:
+            return _report(t, "exact", cap, read)
+        if outcome.status == EXHAUSTED:
+            return _report(None, "inconclusive", cap, read)
+    return _report(None, "not_interval_colorable", cap, read)
+
+
+def _greatest(cap: tuple[int, str], asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+    """W's rule, read downward from the cap: the first witness is W.
+    Feasibility is not monotone in t, so W is exact only when every t above
+    it was exhausted; a budget cut above it degrades W to lower_bound_only."""
+    read, cut = [], False
+    for t, outcome in asked:
+        read.append((t, outcome))
+        if outcome.status == WITNESS:
+            return _report(t, "lower_bound_only" if cut else "exact", cap, read)
+        cut = cut or outcome.status == EXHAUSTED
+    return _report(None, "inconclusive" if cut else "not_interval_colorable", cap, read)
+
+
+def _span_ts(g: Graph, top: int) -> range:
+    """The t a span scan asks, up to top: none below the maximum degree, since
+    no smaller t can host a max-degree vertex's spectrum."""
+    return range(max(1, g.max_degree()), top + 1)
+
+
+def _ask(g: Graph, cfg: SearchConfig | None, ts: Iterable[int]) -> Iterator[tuple[int, SearchOutcome]]:
+    """(t, find_interval_t(g, t, cfg)) for each t in ts, asked lazily."""
+    return ((t, find_interval_t(g, t, cfg)) for t in ts)
+
+
 def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     """chi', w, W and continuity of g: the one call that answers a cell.
 
-    The span scan asks each t at most once: upward from the maximum degree
-    to the first witness (w), downward from the cap to the first witness
-    (W), and then over the t strictly between them not yet asked. It runs
-    ``compute_w``, ``compute_W`` and ``continuity_scan`` in turn on one table
-    that lives only inside this call, so node counts never depend on call
-    history. ``compute_chromatic_index`` then settles chi'.
+    Every t from the maximum degree up to ``scan_cap`` is asked once, in
+    increasing order, and w, W and continuity are read off that one list:
+    w is its first witness (unless a budget cut comes first), W its last
+    (``lower_bound_only`` if some t above it hit the budget), and
+    continuity its prefix up to W. Each BoundReport equals what
+    ``compute_w`` or ``compute_W`` report for g alone.
+    ``compute_chromatic_index`` then settles chi'.
     """
-    memo: dict[int, SearchOutcome] = {}
-    w = compute_w(g, cfg, memo=memo)
-    W = compute_W(g, cfg, memo=memo)
+    cap = scan_cap(g, cfg)
+    asked = list(_ask(g, cfg, _span_ts(g, cap[0])))
+    w, W = _least(cap, asked), _greatest(cap, reversed(asked))
     continuity = None
     if w.value is not None and W.value is not None:
-        continuity = tuple(continuity_scan(g, cfg, t_hi=W.value, memo=memo))
+        continuity = tuple((t, o.status) for t, o in asked if t <= W.value)
     chi_prime, chi_nodes = compute_chromatic_index(g, cfg)
-    trail = tuple((t, outcome.status) for t, outcome in memo.items())
-    nodes = chi_nodes + sum(o.nodes_explored for o in memo.values())
-    return SpanProfile(chi_prime, w, W, continuity, trail, nodes)
+    trail = tuple((t, o.status) for t, o in asked)
+    return SpanProfile(chi_prime, w, W, continuity, trail, chi_nodes + sum(o.nodes_explored for _, o in asked))
 
 
-def compute_w(
-    g: Graph,
-    cfg: SearchConfig | None = None,
-    *,
-    memo: dict[int, SearchOutcome] | None = None,
-) -> BoundReport:
-    """Least t with an interval t-coloring, scanning upward from the maximum
-    degree (no smaller t can host a max-degree vertex's spectrum) to the
-    first witness.
-
-    ``memo`` (t -> SearchOutcome for the same g and cfg) lets the scans of
-    one ``span_profile`` share their answers: a t found there is read, not
-    asked again, and new answers are added. The report's ``nodes_explored``
-    counts only the queries this call made.
-    """
-    scan = _SpanScan(g, cfg, memo)
-    trail: list[tuple[int, str]] = []
-    for t in range(scan.t_lo, scan.cap[0] + 1):
-        status = scan.status(t)
-        trail.append((t, status))
-        if status == WITNESS:
-            return scan.report(t, "exact", trail)
-        if status == EXHAUSTED:
-            return scan.report(None, "inconclusive", trail)
-    return scan.report(None, "not_interval_colorable", trail)
+def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
+    """Least t with an interval t-coloring, asking upward from the maximum
+    degree and stopping at the first witness or budget cut."""
+    cap = scan_cap(g, cfg)
+    return _least(cap, _ask(g, cfg, _span_ts(g, cap[0])))
 
 
-def compute_W(
-    g: Graph,
-    cfg: SearchConfig | None = None,
-    *,
-    memo: dict[int, SearchOutcome] | None = None,
-) -> BoundReport:
-    """Greatest t with an interval t-coloring, scanning downward from the
-    cap that ``scan_cap`` reports (``memo`` as in ``compute_w``).
-
-    Feasibility is not monotone in t, so every t above the answer must be
-    exhausted on its own before the answer is called exact; budget hits on
-    the way down degrade the claim to lower_bound_only.
-    """
-    scan = _SpanScan(g, cfg, memo)
-    trail: list[tuple[int, str]] = []
-    saw_budget_hit = False
-    for t in range(scan.cap[0], scan.t_lo - 1, -1):
-        status = scan.status(t)
-        trail.append((t, status))
-        if status == WITNESS:
-            return scan.report(t, "lower_bound_only" if saw_budget_hit else "exact", trail)
-        if status == EXHAUSTED:
-            saw_budget_hit = True
-    return scan.report(None, "inconclusive" if saw_budget_hit else "not_interval_colorable", trail)
+def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
+    """Greatest t with an interval t-coloring, asking downward from the cap
+    that ``scan_cap`` reports and stopping at the first witness."""
+    cap = scan_cap(g, cfg)
+    return _greatest(cap, _ask(g, cfg, reversed(_span_ts(g, cap[0]))))
 
 
-def continuity_scan(
-    g: Graph,
-    cfg: SearchConfig | None = None,
-    *,
-    t_hi: int,
-    memo: dict[int, SearchOutcome] | None = None,
-) -> list[tuple[int, str]]:
-    """Statuses of every t from the maximum degree up to t_hi (``memo`` as
-    in ``compute_w``); ``span_profile`` passes the greatest span W, whose
-    witness it already holds.
-
-    For regular interval-colorable graphs every returned status is expected
-    to be a witness; a gap would falsify the continuity property this scan
-    exists to confirm.
-    """
-    scan = _SpanScan(g, cfg, memo)
-    return [(t, scan.status(t)) for t in range(scan.t_lo, t_hi + 1)]
+def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> list[tuple[int, str]]:
+    """Statuses of every t from the maximum degree up to t_hi. On a regular
+    interval-colorable graph each should be a witness: a gap would falsify
+    the continuity property this scan exists to confirm."""
+    return [(t, o.status) for t, o in _ask(g, cfg, _span_ts(g, t_hi))]
 
 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:

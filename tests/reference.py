@@ -62,14 +62,14 @@ def counted(engine):
 
 def build_graph(n, k, vertices, edges):
     """The same Graph as ``ringcol.build_graph``, or the same exception."""
-    if n < 1 or k < 1:
-        raise ParameterError(f"label bounds must be positive, got n={n}, k={k}")
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise ParameterError(f"label bounds must be integers >= 1, got n={n!r}, k={k!r}")
 
     vseen = set()
     for raw in vertices:
         v = Vertex(*raw)
-        if not (1 <= v.layer <= k and 1 <= v.index <= n):
-            raise ParameterError(f"vertex {v} outside label bounds (k={k}, n={n})")
+        if not (type(v.layer) is int and type(v.index) is int and 1 <= v.layer <= k and 1 <= v.index <= n):
+            raise ParameterError(f"vertex {v} is no integer label within the bounds (k={k}, n={n})")
         if v in vseen:
             raise ParameterError(f"duplicate vertex {v}")
         vseen.add(v)

@@ -232,6 +232,18 @@ def test_non_integer_t_exits_2_with_one_manifest_line(tmp_path, capsys, t):
     assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [("verify", 2)]
 
 
+def test_graph_file_with_a_bool_n_exits_2_with_one_manifest_line(tmp_path, capsys):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    doc = graph_to_dict(ring_graph(RingParams(1, 4)))
+    doc["n"] = True
+    gpath.write_text(json.dumps(doc))
+    cpath.write_text(json.dumps(coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))))
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 2
+    assert "must be integers" in capsys.readouterr().err
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [("verify", 2)]
+
+
 def test_verify_rejects_unknown_edge_as_mismatch(tmp_path):
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))

@@ -109,6 +109,25 @@ def test_params_validation():
         complete_bipartite(0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_graph(2.5, 4, [], []),
+        lambda: build_graph(2, True, [], []),
+        lambda: build_graph(2, 4, [(1.5, 1)], []),
+        lambda: build_graph(2, 4, [(1, True)], []),
+        lambda: complete_bipartite(True),
+        lambda: complete_bipartite(2.5),
+    ],
+    ids=["build_graph-n-float", "build_graph-k-bool", "build_graph-layer-float", "build_graph-index-bool",
+         "complete_bipartite-bool", "complete_bipartite-float"],
+)
+def test_non_integer_labels_raise_parameter_error(call):
+    # as RingParams does: a float or bool is refused, never accepted or met with a bare TypeError
+    with pytest.raises(ParameterError, match="integer"):
+        call()
+
+
 def test_degree_of_unknown_vertex_raises():
     g = ring_graph(RingParams(1, 3))
     with pytest.raises(KeyError):

@@ -342,8 +342,8 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     monkeypatch.setattr(shape, "func", lambda g: shapes.append(g) or bfs(g))
     g = ring_graph(RingParams(2, 4))
     profile = span_profile(g)
-    assert asked == [4, 7, 5, 6]
-    assert shapes == [g, g.composition.quotient]  # one BFS for both scans' caps, one for the lift's K_2
+    assert asked == [4, 5, 6, 7]
+    assert shapes == [g, g.composition.quotient]  # one BFS for the profile's cap, one for the lift's K_2
     assert [t for t, _ in profile.trail] == asked
     assert (profile.w.value, profile.w.status) == (4, "exact")
     assert (profile.W.value, profile.W.status) == (7, "exact")
@@ -387,16 +387,18 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
     assert profile.nodes_explored == compute_chromatic_index(g)[1] + sum(nodes for _, nodes in made)
 
 
-def test_views_share_answers_through_a_memo():
-    g = ring_graph(RingParams(2, 4))
-    memo = {}
-    first = compute_W(g, memo=memo)
-    again = compute_W(g, memo=memo)
-    assert (again.value, again.status, again.trail) == (first.value, first.status, first.trail)
-    assert first.nodes_explored > 0 and again.nodes_explored == 0
-    assert continuity_scan(g, t_hi=first.value, memo=memo) == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
-    assert list(memo) == [7, 4, 5, 6]
-    assert compute_w(g, memo=memo).nodes_explored == 0
+@given(g=small_graphs(), limit=st.none() | st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+def test_span_profile_reads_what_the_scans_report(g, limit):
+    # one ascending pass over [max degree, cap] yields the same reports, node counts included, as
+    # the scans that stop early; budgets from 1 to 300 nodes put cuts below, between and above witnesses
+    cfg = SearchConfig(node_limit=limit)
+    profile = span_profile(g, cfg)
+    assert profile.w == compute_w(g, cfg)
+    assert profile.W == compute_W(g, cfg)
+    assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), scan_cap(g, cfg)[0] + 1))
+    if profile.w.value is not None and profile.W.value is not None:
+        assert profile.continuity == tuple(continuity_scan(g, cfg, t_hi=profile.W.value))
 
 
 def test_scan_cap_sources():
