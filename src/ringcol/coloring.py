@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ColoringError, ParameterError
+from .errors import ColoringError, check_int, is_int
 from .graphs import Edge, Graph, Vertex
 
 __all__ = [
@@ -42,10 +42,9 @@ class EdgeColoring:
     t: int
 
     def __post_init__(self) -> None:
-        if type(self.t) is not int or self.t < 0:  # `type(t) is int` also rejects bool
-            raise ParameterError(f"t must be an integer >= 0, got {self.t!r}")
+        check_int("t", self.t, 0)
         for e, c in self.colors.items():
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise ColoringError(f"color of {e} must be an integer, got {c!r}")
             if not 1 <= c <= self.t:
                 raise ColoringError(f"color {c} of {e} outside palette [1, {self.t}]")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .composition import asratian_kamalian_bound, block_table, lift
-from .errors import ParameterError, ParityError, SoundnessError
-from .graphs import RingParams, Vertex, make_edge
+from .errors import ParameterError, ParityError, SoundnessError, check_int
+from .graphs import RingParams, Vertex, as_vertex, make_edge
 
 __all__ = [
     "BoundsSummary",
@@ -46,8 +46,7 @@ __all__ = [
 def staircase_coloring(n: int) -> EdgeColoring:
     """Interval (2n-1)-coloring of complete_bipartite(n): edge ((2,p),(1,q))
     gets color p + q - 1, so colors run down the anti-diagonals."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_int("n", n, 1)
     classes = {Vertex(layer, 1): [Vertex(layer, p) for p in range(1, n + 1)] for layer in (1, 2)}
     colors = lift(classes, {make_edge(Vertex(1, 1), Vertex(2, 1)): 1}, block_table(n, n - 1))
     return EdgeColoring(colors=colors, t=2 * n - 1)
@@ -84,7 +83,7 @@ def expected_spectrum(params: RingParams, v: Vertex) -> range:
     n, k = params.n, params.k
     if k % 2 != 0:
         raise ParityError(f"closed-form spectra need an even layer count, got k={k}")
-    i, j = v.layer, v.index
+    i, j = v = as_vertex(v)
     if not (1 <= i <= k and 1 <= j <= n):
         raise ParameterError(f"vertex {v} outside the (n={n}, k={k}) ring")
     m = min(i - 1, k - i)
@@ -156,11 +155,11 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     n(alpha_i - 1) + F_j(p, q), with layer i as the class of Vertex(i, 1):
     the layers, not the twin classes of ring_graph(params), which for k = 4
     are the two sides of K_{2n,2n}. Raises ParityError for odd k and
-    ParameterError for t outside [2n, 2n + n*k/2 - 1].
+    ParameterError for a t that is no integer or outside [2n, 2n + n*k/2 - 1].
     """
     n, k = params.n, params.k
     top = widest_constructed_t(params)
-    if not 2 * n <= t <= top:
+    if not 2 * n <= check_int("t", t, 1) <= top:
         raise ParameterError(f"t={t} outside the feasible range [{2 * n}, {top}]")
     s, j = divmod(t, n)
     layers = {Vertex(i, 1): [Vertex(i, p) for p in range(1, n + 1)] for i in range(1, k + 1)}

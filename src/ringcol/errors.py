@@ -2,7 +2,8 @@
 
 The CLI maps these onto its documented exit codes, so new error conditions
 should reuse one of the classes below rather than raising bare ValueErrors.
-Every defect of a coloring, whichever it is, raises the one ColoringError.
+Every defect of a coloring, whichever it is, raises the one ColoringError,
+and every integer (a parameter or a color) is read by the one rule ``is_int``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,18 @@ class RingcolError(Exception):
 
 class ParameterError(RingcolError, ValueError):
     """A parameter is no integer or outside its domain (n < 1, k < 3, bad t, ...)."""
+
+
+def is_int(value: object) -> bool:
+    """The integer rule: an ``int`` itself, so a bool, IntEnum, float or str is none."""
+    return type(value) is int
+
+
+def check_int(name: str, value: object, low: int) -> int:
+    """``value`` if it is an integer (``is_int``) >= low, else ParameterError."""
+    if not is_int(value) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 class ParityError(ParameterError):

@@ -1,8 +1,8 @@
 """Graph data model and generators for layered ring graphs and K_{n,n}.
 
-Vertices are labeled by 1-based (layer, index) pairs. A graph declares its
-label bounds (k layers, up to n vertices per layer) and is immutable after
-construction, so colorings and reports can hold references to it safely.
+Vertices are labeled by 1-based (layer, index) pairs of integers (``as_vertex``).
+A graph declares its label bounds (k layers, up to n vertices per layer) and is
+immutable after construction, so colorings and reports can hold it safely.
 
 The central family here is the "ring graph": k layers of n vertices arranged
 in a ring, with every cyclically consecutive pair of layers joined completely.
@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ParameterError, SoundnessError
+from .errors import ParameterError, SoundnessError, check_int
 
 __all__ = [
     "Vertex",
@@ -25,6 +26,7 @@ __all__ = [
     "Graph",
     "Composition",
     "RingParams",
+    "as_vertex",
     "make_edge",
     "build_graph",
     "ring_graph",
@@ -47,6 +49,19 @@ class Edge(NamedTuple):
     v: Vertex
 
 
+def as_vertex(raw: object, known: Mapping[Vertex, Vertex] = MappingProxyType({})) -> Vertex:
+    """The Vertex a label spells: a Vertex, tuple or JSON list of two ints (layer,
+    index), else ParameterError. The label's object in ``known`` comes back if it
+    has one, so the labels of one graph or document share one object each."""
+    # `type(x) is int` is errors.is_int, inlined: every edge endpoint of a file comes here
+    if isinstance(raw, (tuple, list)) and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
+        if type(raw) is Vertex:
+            return known.get(raw, raw)
+        key = (raw[0], raw[1])  # a plain tuple finds the equal Vertex without making one
+        return known.get(key) or Vertex(*key)
+    raise ParameterError(f"a vertex label must be a (layer, index) pair of integers, got {raw!r}")
+
+
 def make_edge(a: Vertex, b: Vertex) -> Edge:
     """Canonicalize an undirected edge. Loops are rejected."""
     if a == b:
@@ -62,10 +77,8 @@ class RingParams:
     k: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:  # `type(x) is int` also rejects bool
-            raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
-        if type(self.k) is not int or self.k < 3:
-            raise ParameterError(f"k must be an integer >= 3, got {self.k!r}")
+        check_int("n", self.n, 1)
+        check_int("k", self.k, 3)
 
 
 @dataclass(frozen=True)
@@ -171,25 +184,25 @@ class Composition(NamedTuple):
 def build_graph(
     n: int,
     k: int,
-    vertices: Iterable[Vertex],
-    edges: Iterable[tuple[Vertex, Vertex]],
+    vertices: Iterable[object],
+    edges: Iterable[tuple[object, object]],
 ) -> Graph:
     """Validate labels, canonicalize edges, and assemble an immutable Graph.
 
-    Raises ParameterError on label bounds or labels that are no integers,
+    ``as_vertex`` reads every vertex and edge endpoint. Raises ParameterError
+    on label bounds or labels that are no integers, an edge that is no pair,
     out-of-bounds labels, duplicate vertices, duplicate edges, loops, or
     edges touching unknown vertices.
     """
-    if type(n) is not int or type(k) is not int or n < 1 or k < 1:  # `type(x) is int` also rejects bool
-        raise ParameterError(f"label bounds must be integers >= 1, got n={n!r}, k={k!r}")
+    check_int("n", n, 1)
+    check_int("k", k, 1)
 
-    # One Vertex object per label: edge endpoints resolve through this map,
-    # so the edges and adjacency of a large graph share nk label objects.
+    # one Vertex object per label (a caller's Vertex is kept), which as_vertex gives each endpoint
     label: dict[Vertex, Vertex] = {}
     for raw in vertices:
-        v = Vertex(*raw)
-        if not (type(v.layer) is int and type(v.index) is int and 1 <= v.layer <= k and 1 <= v.index <= n):
-            raise ParameterError(f"vertex {v} is no integer label within the bounds (k={k}, n={n})")
+        v = as_vertex(raw)
+        if not (1 <= v.layer <= k and 1 <= v.index <= n):
+            raise ParameterError(f"vertex {v} outside the label bounds (k={k}, n={n})")
         if v in label:
             raise ParameterError(f"duplicate vertex {v}")
         label[v] = v
@@ -198,13 +211,12 @@ def build_graph(
     # sorted list is linear where sorting the set is not
     edge_list: list[Edge] = []
     eseen: set[Edge] = set()
-    for a, b in edges:
+    for pair in edges:
         try:
-            u, w = label[a], label[b]
-        except (KeyError, TypeError):  # an unknown label, or an unhashable list
-            u, w = Vertex(*a), Vertex(*b)
-            u, w = label.get(u, u), label.get(w, w)
-        e = make_edge(u, w)
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ParameterError(f"an edge must be a pair of vertex labels, got {pair!r}") from None
+        e = make_edge(as_vertex(a, label), as_vertex(b, label))
         if e.u not in label or e.v not in label:
             raise ParameterError(f"edge {e} touches an unknown vertex")
         if e in eseen:
@@ -230,13 +242,13 @@ def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int
     """The 2n-regular graph on k layers of n vertices, consecutive layers
     (cyclically) joined completely.
 
-    Accepts either a RingParams or explicit n=, k= keywords. The result has
-    n*k vertices and n^2*k edges.
+    Accepts either a RingParams or explicit n=, k= keywords, not both. The
+    result has n*k vertices and n^2*k edges.
     """
     if params is None:
-        if n is None or k is None:
-            raise ParameterError("ring_graph needs RingParams or both n= and k=")
-        params = RingParams(n, k)
+        params = RingParams(n, k)  # refuses a missing n or k
+    elif n is not None or k is not None:
+        raise ParameterError(f"ring_graph takes RingParams or n= and k=, not both: got {params}, n={n!r}, k={k!r}")
     n, k = params.n, params.k
 
     layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
@@ -256,12 +268,6 @@ def complete_bipartite(n: int) -> Graph:
     seed coloring in :mod:`ringcol.construct` puts its staircase on exactly
     this layer pair.
     """
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    vertices = [Vertex(layer, index) for layer in (1, 2) for index in range(1, n + 1)]
-    edges = [
-        (Vertex(2, p), Vertex(1, q))
-        for p in range(1, n + 1)
-        for q in range(1, n + 1)
-    ]
-    return build_graph(n, 2, vertices, edges)
+    check_int("n", n, 1)
+    first, second = ([Vertex(layer, index) for index in range(1, n + 1)] for layer in (1, 2))
+    return build_graph(n, 2, first + second, [(b, a) for b in second for a in first])

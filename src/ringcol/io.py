@@ -13,12 +13,14 @@ coloring.json::
     { "t": 7,
       "edges": [ {"u": [1, 1], "v": [2, 1], "color": 3}, ... ] }
 
-Labels are written as they are: ``Vertex`` and ``Edge`` are tuples, and json
-writes a tuple as the same array as a list, so the ``*_to_dict`` helpers put
-vertices, edges and spectra into the document unchanged. Report and
-search-outcome documents come from those helpers too, and the ``bounds``
-document is ``dataclasses.asdict`` of a ``BoundsSummary``; the CLI wraps
-them with ``dump_json`` so identical runs write byte-identical files.
+A label is a (layer, index) pair of integers, written as it is: ``Vertex``
+and ``Edge`` are tuples, which json writes as arrays, so the ``*_to_dict``
+helpers put vertices, edges and spectra into the document unchanged. It is
+read by the library's one rule, ``graphs.as_vertex``, so a malformed label
+in a file raises ParameterError as in a call. Report and search-outcome documents
+come from those helpers too, and the ``bounds`` document is
+``dataclasses.asdict`` of a ``BoundsSummary``; the CLI wraps them with
+``dump_json`` so identical runs write byte-identical files.
 
 ``dump_json`` writes each document as one line of JSON with sorted keys, so
 CPython encodes it with its C encoder; the CLI's stdout stays indented.
@@ -33,7 +35,7 @@ from typing import Any
 
 from .coloring import EdgeColoring, VerificationReport
 from .errors import FormatError
-from .graphs import Edge, Graph, RingParams, Vertex, build_graph, make_edge
+from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
 
 __all__ = [
@@ -50,18 +52,6 @@ __all__ = [
     "load_coloring",
     "dot_source",
 ]
-
-
-def _as_vertex(obj: Any, what: str, labels: dict[tuple[int, int], Vertex]) -> Vertex:
-    """The Vertex for a [layer, index] pair, one object per label in ``labels``."""
-    # JSON gives plain ints; `type(x) is int` also rejects bool
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or type(obj[0]) is not int or type(obj[1]) is not int:
-        raise FormatError(f"{what} must be a [layer, index] pair of integers, got {obj!r}")
-    key = (obj[0], obj[1])
-    v = labels.get(key)
-    if v is None:
-        v = labels[key] = Vertex(*key)
-    return v
 
 
 def _check_document(doc: Any, what: str, keys: tuple[str, ...], lists: tuple[str, ...]) -> None:
@@ -87,14 +77,7 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 def graph_from_dict(doc: Any) -> Graph:
     _check_document(doc, "graph", ("n", "k", "vertices", "edges"), ("vertices", "edges"))
-    labels: dict[tuple[int, int], Vertex] = {}
-    vertices = [_as_vertex(v, "vertex", labels) for v in doc["vertices"]]
-    edges = []
-    for pair in doc["edges"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"edge must be a pair of vertices, got {pair!r}")
-        edges.append((_as_vertex(pair[0], "edge endpoint", labels), _as_vertex(pair[1], "edge endpoint", labels)))
-    return build_graph(doc["n"], doc["k"], vertices, edges)  # it refuses an n or k that is no integer
+    return build_graph(doc["n"], doc["k"], doc["vertices"], doc["edges"])
 
 
 def coloring_to_dict(c: EdgeColoring) -> dict[str, Any]:
@@ -113,11 +96,12 @@ _ENTRY_KEYS = frozenset(("u", "v", "color"))
 def coloring_from_dict(doc: Any) -> EdgeColoring:
     _check_document(doc, "coloring", ("t", "edges"), ("edges",))
     colors: dict[Edge, int] = {}
-    labels: dict[tuple[int, int], Vertex] = {}
+    labels: dict[Vertex, Vertex] = {}  # one Vertex per label: a ring(32,32) file spells each 64 times
     for entry in doc["edges"]:
         if not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys():
             raise FormatError(f"coloring entry must have u, v, color, got {entry!r}")
-        e = make_edge(_as_vertex(entry["u"], "u", labels), _as_vertex(entry["v"], "v", labels))
+        u, v = as_vertex(entry["u"], labels), as_vertex(entry["v"], labels)
+        e = make_edge(labels.setdefault(u, u), labels.setdefault(v, v))
         if e in colors:
             raise FormatError(f"edge {e} colored twice in document")
         colors[e] = entry["color"]

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 from .coloring import EdgeColoring, verify
 from .composition import asratian_kamalian_bound, block_table, lift, overfull
 from .engines import edge_dfs, proper_dfs
-from .errors import ColoringError, ParameterError, SoundnessError
+from .errors import ColoringError, ParameterError, SoundnessError, check_int
 from .graphs import Edge, Graph
 
 __all__ = [
@@ -80,10 +80,10 @@ class SearchConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_max is not None and (type(self.t_max) is not int or self.t_max < 1):  # rejects bool too
-            raise ParameterError(f"t_max must be an integer >= 1, got {self.t_max!r}")
-        if self.node_limit is not None and (type(self.node_limit) is not int or self.node_limit < 1):
-            raise ParameterError(f"node_limit must be an integer >= 1, got {self.node_limit!r}")
+        if self.t_max is not None:
+            check_int("t_max", self.t_max, 1)
+        if self.node_limit is not None:
+            check_int("node_limit", self.node_limit, 1)
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     settles the rest under the budget the quotient left. Deterministic for
     fixed inputs and config.
     """
-    if type(t) is not int or t < 1:  # `type(t) is int` also rejects bool
-        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
+    check_int("t", t, 1)
     if t > len(g.edges):
         return SearchOutcome(INFEASIBLE, None, 0)
     limit = (cfg or SearchConfig()).node_limit
@@ -204,8 +203,7 @@ def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOu
     all been used. The witness is not an interval coloring in general and is
     checked for properness only.
     """
-    if type(t) is not int or t < 1:
-        raise ParameterError(f"t must be an integer >= 1, got {t!r}")
+    check_int("t", t, 1)
     return _query(g, t, (cfg or SearchConfig()).node_limit, proper_dfs, "is_proper")
 
 

@@ -8,7 +8,9 @@ edge obeys the reflection cap), then decides an exact assignment of each
 edge to a color in both endpoints' windows by fewest-options-first
 backtracking on index arrays and int bitmasks. ``ringcol.graphs.build_graph``
 must match the plain ``build_graph`` here, which makes a new ``Vertex`` for
-every label and endpoint and validates in the same order.
+every label and endpoint, checks every one of them for two ``int`` entries
+(a float or bool equal to an integer label included), and validates in the
+same order with the same messages.
 
 ``edge_dfs`` and ``proper_dfs`` are the plain forms of the two depth-first
 searches, which the fast ones must match node for node: per-vertex used
@@ -62,21 +64,29 @@ def counted(engine):
 
 def build_graph(n, k, vertices, edges):
     """The same Graph as ``ringcol.build_graph``, or the same exception."""
-    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
-        raise ParameterError(f"label bounds must be integers >= 1, got n={n!r}, k={k!r}")
+    for name, bound in (("n", n), ("k", k)):
+        if type(bound) is not int or bound < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {bound!r}")
+
+    def label(raw):
+        if not (isinstance(raw, (tuple, list)) and len(raw) == 2 and all(type(x) is int for x in raw)):
+            raise ParameterError(f"a vertex label must be a (layer, index) pair of integers, got {raw!r}")
+        return Vertex(*raw)
 
     vseen = set()
     for raw in vertices:
-        v = Vertex(*raw)
-        if not (type(v.layer) is int and type(v.index) is int and 1 <= v.layer <= k and 1 <= v.index <= n):
-            raise ParameterError(f"vertex {v} is no integer label within the bounds (k={k}, n={n})")
+        v = label(raw)
+        if not (1 <= v.layer <= k and 1 <= v.index <= n):
+            raise ParameterError(f"vertex {v} outside the label bounds (k={k}, n={n})")
         if v in vseen:
             raise ParameterError(f"duplicate vertex {v}")
         vseen.add(v)
 
     eseen = set()
-    for a, b in edges:
-        e = make_edge(Vertex(*a), Vertex(*b))
+    for pair in edges:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ParameterError(f"an edge must be a pair of vertex labels, got {pair!r}")
+        e = make_edge(label(pair[0]), label(pair[1]))
         if e.u not in vseen or e.v not in vseen:
             raise ParameterError(f"edge {e} touches an unknown vertex")
         if e in eseen:

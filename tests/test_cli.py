@@ -55,6 +55,8 @@ def test_coloring_round_trip():
     back = coloring_from_dict(json.loads(json.dumps(doc)))
     assert back.t == c.t
     assert back.colors == c.colors
+    # one Vertex object per label, however many entries spell it
+    assert len({id(v) for e in back.colors for v in e}) == len({v for e in back.colors for v in e})
 
 
 @st.composite
@@ -239,7 +241,31 @@ def test_graph_file_with_a_bool_n_exits_2_with_one_manifest_line(tmp_path, capsy
     gpath.write_text(json.dumps(doc))
     cpath.write_text(json.dumps(coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))))
     assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 2
-    assert "must be integers" in capsys.readouterr().err
+    assert "must be an integer" in capsys.readouterr().err
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [("verify", 2)]
+
+
+@pytest.mark.parametrize(
+    "document, spoil",
+    [
+        ("graph", lambda g, c: g["vertices"].__setitem__(0, [1, True])),
+        ("graph", lambda g, c: g["edges"][0].__setitem__(0, [1.0, 1])),
+        ("graph", lambda g, c: g["edges"][0].pop()),
+        ("coloring", lambda g, c: c["edges"][0].__setitem__("u", [1, "1"])),
+    ],
+    ids=["graph-vertex-bool", "graph-endpoint-float", "graph-one-label-edge", "coloring-u-str"],
+)
+def test_malformed_label_exits_2_with_one_manifest_line(tmp_path, capsys, document, spoil):
+    # graph and coloring files are read by the library's one label rule
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    graph = json.loads(json.dumps(graph_to_dict(ring_graph(RingParams(1, 4)))))
+    coloring = json.loads(json.dumps(coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))))
+    spoil(graph, coloring)
+    gpath.write_text(json.dumps(graph))
+    cpath.write_text(json.dumps(coloring))
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 2
+    assert "pair of" in capsys.readouterr().err
     lines = (tmp_path / "runs.jsonl").read_text().splitlines()
     assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [("verify", 2)]
 

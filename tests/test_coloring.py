@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,8 +105,10 @@ def test_color_out_of_range_rejected():
         EdgeColoring(colors={e: 0}, t=3)
     with pytest.raises(ColoringError):
         EdgeColoring(colors={e: 4}, t=3)
-    with pytest.raises(ColoringError):
-        EdgeColoring(colors={e: 2.0}, t=3)
+    # colors follow the package's one integer rule: an int subclass is none
+    for color in (2.0, True, IntEnum("Color", "RED BLUE").BLUE, "2"):
+        with pytest.raises(ColoringError, match="must be an integer"):
+            EdgeColoring(colors={e: color}, t=3)
 
 
 def test_unknown_edge_rejected():

@@ -274,6 +274,25 @@ def test_t_coloring_range_and_parity_errors():
         t_coloring(RingParams(2, 5), 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: staircase_coloring(True),
+        lambda: staircase_coloring(2.5),
+        lambda: staircase_coloring("3"),
+        lambda: t_coloring(RingParams(2, 4), "5"),
+        lambda: expected_spectrum(RingParams(2, 4), Vertex(1.0, 1)),
+        lambda: expected_spectrum(RingParams(2, 4), Vertex(True, 1)),
+    ],
+    ids=["staircase-bool", "staircase-float", "staircase-str", "t_coloring-str-t",
+         "expected_spectrum-float-layer", "expected_spectrum-bool-layer"],
+)
+def test_constructions_refuse_what_is_no_integer(call):
+    # the integer rule and the label rule of the package, never a bare TypeError or a silent answer
+    with pytest.raises(ParameterError, match="integer"):
+        call()
+
+
 def test_mirrored_staircase_is_the_papers_rule_edge_by_edge():
     # the paper's rule, written out on its own: edge ((i, p), (i+1, q)) gets p + q - 1 + shift(i), the
     # wrap pair (k, 1) unshifted, pairs i and k - i shifted by i*n, and the middle pair by n*k/2

@@ -112,15 +112,36 @@ def test_params_validation():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: ring_graph(RingParams(2, 4), n=3, k=5),
+        lambda: ring_graph(RingParams(2, 4), k=4),
+        lambda: ring_graph(n=3),
+        lambda: ring_graph(k=5),
+        lambda: ring_graph(),
+    ],
+    ids=["params-and-both", "params-and-k", "n-only", "k-only", "nothing"],
+)
+def test_ring_graph_takes_one_spelling_of_its_parameters(call):
+    # RingParams(n, k) refuses a missing n or k; both spellings at once are refused, never one ignored
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: build_graph(2.5, 4, [], []),
         lambda: build_graph(2, True, [], []),
         lambda: build_graph(2, 4, [(1.5, 1)], []),
         lambda: build_graph(2, 4, [(1, True)], []),
+        lambda: build_graph(1, 2, [(1, 1), (2, 1)], [((1.0, 1), (2, True))]),
+        lambda: build_graph(1, 2, [Vertex(1, 1), Vertex(2, 1)], [(Vertex(1.0, 1), Vertex(2, 1))]),
+        lambda: build_graph(1, 2, [[1, 1], [2, 1]], [[[1, 1], [2, True]]]),
         lambda: complete_bipartite(True),
         lambda: complete_bipartite(2.5),
     ],
     ids=["build_graph-n-float", "build_graph-k-bool", "build_graph-layer-float", "build_graph-index-bool",
-         "complete_bipartite-bool", "complete_bipartite-float"],
+         "build_graph-endpoints-float-and-bool", "build_graph-Vertex-endpoint-float",
+         "build_graph-list-endpoint-bool", "complete_bipartite-bool", "complete_bipartite-float"],
 )
 def test_non_integer_labels_raise_parameter_error(call):
     # as RingParams does: a float or bool is refused, never accepted or met with a bare TypeError
@@ -224,15 +245,18 @@ def relabelled_rings(draw):
 @st.composite
 def builder_inputs(draw, defect=False):
     """Arguments for build_graph with labels as Vertex, tuple or list; with
-    ``defect``, one loop, duplicate, unknown endpoint or out-of-bounds label
-    is inserted, and the kind is returned alongside."""
+    ``defect``, one loop, duplicate, unknown endpoint, out-of-bounds label or
+    non-integer label is inserted, and the kind is returned alongside. A
+    non-integer label is a vertex's or endpoint's layer or index spelt as a
+    float, bool or str; a float or bool equal to the integer (1.0 for 1)
+    matches an existing label under ==, so only a type check refuses it."""
     n, k, vertices, edges = draw(graph_inputs() | relabelled_rings())
     vertices, edges = list(vertices), list(edges)
     kind = None
     if defect:
         in_bounds = [Vertex(layer, index) for layer in range(1, k + 1) for index in range(1, n + 1)]
         outside = [Vertex(0, 1), Vertex(k + 1, 1), Vertex(1, 0), Vertex(1, n + 1)]
-        kinds = ["loop", "unknown endpoint", "out of bounds"]
+        kinds = ["loop", "unknown endpoint", "out of bounds", "non-integer label"]
         kinds += ["duplicate vertex"] if vertices else []
         kinds += ["duplicate edge"] if edges else []
         kind = draw(st.sampled_from(kinds))
@@ -244,6 +268,17 @@ def builder_inputs(draw, defect=False):
             other = draw(st.sampled_from([v for v in in_bounds + outside if v != stranger]))
             pair = draw(st.sampled_from([(stranger, other), (other, stranger)]))
             edges.insert(draw(st.integers(0, len(edges))), pair)
+        elif kind == "non-integer label":
+            v = draw(st.sampled_from(vertices or in_bounds))
+            axis = draw(st.sampled_from(("layer", "index")))
+            x = getattr(v, axis)
+            bad = v._replace(**{axis: draw(st.sampled_from([float(x), str(x)] + [True] * (x == 1)))})
+            if draw(st.booleans()):
+                vertices.insert(draw(st.integers(0, len(vertices))), bad)
+            else:
+                other = draw(st.sampled_from([w for w in vertices or in_bounds if w != v] or [Vertex(0, 1)]))
+                pair = draw(st.sampled_from([(bad, other), (other, bad)]))
+                edges.insert(draw(st.integers(0, len(edges))), pair)
         elif kind == "out of bounds":
             vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(outside)))
         elif kind == "duplicate vertex":
