@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ColoringError, check_int, is_int
-from .graphs import Edge, Graph, Vertex
+from .graphs import Edge, Graph, Vertex, as_vertex
 
 __all__ = [
     "EdgeColoring",
@@ -76,10 +76,11 @@ class VerificationReport:
 def spectrum(g: Graph, coloring: EdgeColoring, v: Vertex) -> tuple[int, ...]:
     """S(v, α): the colors on the edges incident to v, sorted ascending.
 
-    Raises ColoringError if any incident edge is uncolored and KeyError for
-    an unknown vertex.
+    Raises ColoringError if any incident edge is uncolored. v is read by
+    ``as_vertex``: a label that is no pair of integers raises ParameterError,
+    and an unknown vertex KeyError.
     """
-    incident = g.adjacency[v]
+    incident = g.adjacency[as_vertex(v)]
     missing = [e for e in incident if e not in coloring.colors]
     if missing:
         raise ColoringError(f"edge {missing[0]} incident to {v} is uncolored")

@@ -92,7 +92,7 @@ def _indexed_edge_order(g: Graph) -> tuple[list[Edge], list[int], list[int], lis
     ``g.vertices``, and every vertex's degree under the same index."""
     edges = connected_edge_order(g)
     pos = {v: i for i, v in enumerate(g.vertices)}
-    deg = [g.degree(v) for v in g.vertices]
+    deg = [len(g.adjacency[v]) for v in g.vertices]
     return edges, [pos[e.u] for e in edges], [pos[e.v] for e in edges], deg
 
 
@@ -176,7 +176,8 @@ def edge_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | Non
 
 
 # ---------------------------------------------------------------------------
-# Proper (not necessarily interval) edge coloring, for the chromatic index
+# Proper (not necessarily interval) edge coloring, for the chromatic index of a
+# graph that is neither regular nor overfull
 # ---------------------------------------------------------------------------
 
 

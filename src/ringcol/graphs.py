@@ -99,7 +99,9 @@ class Graph:
     adjacency: Mapping[Vertex, tuple[Edge, ...]]
 
     def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
+        """d(v). The label is read by ``as_vertex``, so a float, bool or str
+        raises ParameterError; an unknown integer label raises KeyError."""
+        return len(self.adjacency[as_vertex(v)])
 
     def max_degree(self) -> int:
         return self._max_degree
@@ -110,7 +112,11 @@ class Graph:
         return max(map(len, self.adjacency.values()), default=0)
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        """Neighbors of v in canonical order."""
+        """Neighbors of v in canonical order, its label read as in ``degree``."""
+        return self._neighbors(as_vertex(v))
+
+    def _neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
+        """``neighbors`` of a vertex of this graph, its label unchecked."""
         return tuple(e.v if e.u == v else e.u for e in self.adjacency[v])
 
     @cached_property
@@ -132,7 +138,7 @@ class Graph:
             queue = deque([root])
             while queue:
                 v = queue.popleft()
-                for w in self.neighbors(v):
+                for w in self._neighbors(v):
                     if w not in depth:
                         depth[w] = depth[v] + 1
                         queue.append(w)
@@ -153,7 +159,7 @@ class Graph:
         H[K̄_n] of its quotient H (see ``composition``)."""
         classes: dict[tuple[Vertex, ...], list[Vertex]] = {}
         for v in self.vertices:
-            classes.setdefault(self.neighbors(v), []).append(v)  # neighbors() is sorted
+            classes.setdefault(self._neighbors(v), []).append(v)  # _neighbors() is sorted
         return tuple(tuple(members) for members in classes.values())
 
     @cached_property
@@ -167,7 +173,7 @@ class Graph:
         n = len(self.twin_classes[0]) if classes else 0
         if n < 2 or any(len(members) != n for members in classes.values()):
             return None
-        edges = {make_edge(u, w) for u in classes for w in self.neighbors(u) if w in classes}
+        edges = {make_edge(u, w) for u in classes for w in self._neighbors(u) if w in classes}
         return Composition(build_graph(self.n, self.k, classes, edges), n, classes)
 
 

@@ -17,14 +17,15 @@ no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
 nodes count toward the same node limit and the same ``nodes_explored``,
 g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
-``find_proper_t`` decides proper t-colorability for the chromatic
-index with ``proper_dfs`` (see ``ringcol.engines``); ``_query`` alone reads
-a node count above the limit as ``exhausted_budget``. ``span_profile`` asks
-every t from the maximum degree up to the cap that ``scan_cap`` reports (the
-one place a span meets a theorem bound) once, in increasing order, reads w,
-W and continuity off that list, and settles the chromatic index, so one
-call answers a whole (n, k) cell. ``compute_w``, ``compute_W`` and
-``continuity_scan`` apply the same rules to one span and stop early.
+``find_proper_t`` decides proper t-colorability with ``proper_dfs``;
+``_query`` alone reads a node count above the limit as ``exhausted_budget``.
+``compute_chromatic_index`` reads χ' off one answer at t = Δ (Vizing).
+``span_profile`` asks every t from the maximum degree up to the cap that
+``scan_cap`` reports (the one place a span meets a theorem bound) once, in
+increasing order, reads w, W and continuity off that list, and χ' off its
+t = Δ answer on a regular graph, so one call answers a whole (n, k) cell.
+``compute_w``, ``compute_W`` and ``continuity_scan`` apply the same rules to
+one span and stop early.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -252,11 +253,11 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
 @dataclass(frozen=True)
 class SpanProfile:
     """Everything the oracle says about one graph: the chromatic index
-    (``chi_prime``; None when a budget cut its search short), ``w`` and ``W``
+    (``chi_prime``; None when a budget cut its query short), ``w`` and ``W``
     as BoundReports, and the statuses of every t in [max degree, W]
     (``continuity``; None unless both w and W were found). ``trail`` lists
-    each interval query, in increasing t; ``nodes_explored`` counts the
-    nodes of every query, the proper ones for ``chi_prime`` included."""
+    each interval query, in increasing t; ``nodes_explored`` counts their
+    nodes, plus the one proper query of a graph neither regular nor overfull."""
 
     chi_prime: int | None
     w: BoundReport
@@ -319,15 +320,12 @@ def _greatest(cap: tuple[int, str], asked: Iterable[tuple[int, SearchOutcome]]) 
     return _report(None, "inconclusive" if cut else "not_interval_colorable", cap, read)
 
 
-def _span_ts(g: Graph, top: int) -> range:
-    """The t a span scan asks, up to top: none below the maximum degree, since
-    no smaller t can host a max-degree vertex's spectrum."""
-    return range(max(1, g.max_degree()), top + 1)
-
-
-def _ask(g: Graph, cfg: SearchConfig | None, ts: Iterable[int]) -> Iterator[tuple[int, SearchOutcome]]:
-    """(t, find_interval_t(g, t, cfg)) for each t in ts, asked lazily."""
-    return ((t, find_interval_t(g, t, cfg)) for t in ts)
+def _ask(g: Graph, cfg: SearchConfig | None, top: int, down: bool = False) -> Iterator[tuple[int, SearchOutcome]]:
+    """(t, find_interval_t(g, t, cfg)), asked lazily for each t a span scan asks
+    up to top, downward if ``down``: none below the maximum degree, since no
+    smaller t can host a max-degree vertex's spectrum."""
+    ts = range(max(1, g.max_degree()), top + 1)
+    return ((t, find_interval_t(g, t, cfg)) for t in (reversed(ts) if down else ts))
 
 
 def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
@@ -338,16 +336,16 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     w is its first witness (unless a budget cut comes first), W its last
     (``lower_bound_only`` if some t above it hit the budget), and
     continuity its prefix up to W. Each BoundReport equals what
-    ``compute_w`` or ``compute_W`` report for g alone.
-    ``compute_chromatic_index`` then settles chi'.
+    ``compute_w`` or ``compute_W`` report for g alone, and chi' what
+    ``compute_chromatic_index`` reports, read off t = Δ on a regular graph.
     """
     cap = scan_cap(g, cfg)
-    asked = list(_ask(g, cfg, _span_ts(g, cap[0])))
+    asked = list(_ask(g, cfg, cap[0]))
     w, W = _least(cap, asked), _greatest(cap, reversed(asked))
     continuity = None
     if w.value is not None and W.value is not None:
         continuity = tuple((t, o.status) for t, o in asked if t <= W.value)
-    chi_prime, chi_nodes = compute_chromatic_index(g, cfg)
+    chi_prime, chi_nodes = _chromatic_index(g, cfg, dict(asked))
     trail = tuple((t, o.status) for t, o in asked)
     return SpanProfile(chi_prime, w, W, continuity, trail, chi_nodes + sum(o.nodes_explored for _, o in asked))
 
@@ -356,38 +354,40 @@ def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Least t with an interval t-coloring, asking upward from the maximum
     degree and stopping at the first witness or budget cut."""
     cap = scan_cap(g, cfg)
-    return _least(cap, _ask(g, cfg, _span_ts(g, cap[0])))
+    return _least(cap, _ask(g, cfg, cap[0]))
 
 
 def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Greatest t with an interval t-coloring, asking downward from the cap
     that ``scan_cap`` reports and stopping at the first witness."""
     cap = scan_cap(g, cfg)
-    return _greatest(cap, _ask(g, cfg, reversed(_span_ts(g, cap[0]))))
+    return _greatest(cap, _ask(g, cfg, cap[0], down=True))
 
 
 def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> list[tuple[int, str]]:
-    """Statuses of every t from the maximum degree up to t_hi. On a regular
-    interval-colorable graph each should be a witness: a gap would falsify
-    the continuity property this scan exists to confirm."""
-    return [(t, o.status) for t, o in _ask(g, cfg, _span_ts(g, t_hi))]
+    """Statuses of every t from the maximum degree up to t_hi: on a regular
+    interval-colorable graph a gap would falsify the continuity property."""
+    return [(t, o.status) for t, o in _ask(g, cfg, t_hi)]
 
 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
-    """Least number of colors in any proper edge coloring, by search at the
-    degree bound and, when that is exhausted as infeasible, one above it
-    (Vizing). An overfull graph starts one above: its Delta matchings cannot
-    hold every edge. Returns (value, nodes spent); value is None when a
-    budget cut a query short."""
+    """(χ', nodes of its one query). By Vizing's theorem (1964) χ' is Δ or Δ + 1,
+    so one answer at t = Δ decides it. An overfull graph needs Δ + 1, no query.
+    In a Δ-regular graph every vertex sees all Δ colors, so a proper Δ-coloring
+    is an interval one and ``find_interval_t`` answers (lifted on compositions);
+    any other graph asks ``find_proper_t``. A witness gives Δ, ``infeasible``
+    Δ + 1 and ``exhausted_budget`` None."""
+    return _chromatic_index(g, cfg, {})
+
+
+def _chromatic_index(g: Graph, cfg: SearchConfig | None, held: dict[int, SearchOutcome]) -> tuple[int | None, int]:
+    """The same, with a regular graph's t = Δ answer read off ``held`` if a scan asked it."""
     if not g.edges:
         return 0, 0
     delta = g.max_degree()
-    nodes = 0
-    for t in range(delta + 1 if overfull(g) else delta, delta + 2):
-        outcome = find_proper_t(g, t, cfg)
-        nodes += outcome.nodes_explored
-        if outcome.status == WITNESS:
-            return t, nodes
-        if outcome.status == EXHAUSTED:
-            return None, nodes
-    raise SoundnessError("no proper coloring with max_degree + 1 colors; not a simple graph?")
+    if overfull(g):  # its Δ matchings cannot hold every edge
+        return delta + 1, 0
+    regular = 2 * len(g.edges) == delta * len(g.vertices)  # the degrees sum to 2|E|, each at most Δ
+    known = held.get(delta) if regular else None
+    outcome = known or (find_interval_t if regular else find_proper_t)(g, delta, cfg)
+    return {WITNESS: delta, INFEASIBLE: delta + 1}.get(outcome.status), 0 if known else outcome.nodes_explored

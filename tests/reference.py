@@ -18,6 +18,10 @@ colors with the spread window recomputed from the lowest and highest used
 color at each depth, ``bit_count`` for the coverage prune, a ``range`` scan
 for the next proper color, and ``Budget.spend`` at every node.
 
+``chromatic_index`` is chi' by those two proper searches alone, at the
+maximum degree and one above it, with no theorem: the reference for
+``ringcol.search.compute_chromatic_index``.
+
 ``lifted_colors`` is the composition lift written edge by edge from the
 definition of the block table F_j, which ``ringcol.composition.lift`` and
 every coloring built on it must match.
@@ -229,6 +233,20 @@ def proper_dfs(g, t, budget):
             return dict(zip(edges, color))
         high[i + 1] = max(high[i], c)
         i += 1
+
+
+def chromatic_index(g, limit):
+    """chi' by proper search alone, with no theorem: ``proper_dfs`` at the
+    maximum degree, then one above it. None when the budget cuts a query."""
+    if not g.edges:
+        return 0
+    for t in (g.max_degree(), g.max_degree() + 1):
+        found, nodes = proper_dfs(g, t, limit)
+        if nodes > limit:
+            return None
+        if found is not None:
+            return t
+    raise AssertionError("no proper coloring with max degree + 1 colors: Vizing's theorem fails")
 
 
 def trace(engine, g, t, node_limit=None):

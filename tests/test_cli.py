@@ -15,7 +15,7 @@ from ringcol import (
     ring_graph,
     span_profile,
 )
-from ringcol import cli, search
+from ringcol import cli, engines, search
 from ringcol.cli import main
 from ringcol.io import (
     coloring_from_dict,
@@ -410,9 +410,10 @@ def test_bounds_exact_triangle(tmp_path, capsys):
 @pytest.mark.parametrize("k", [3, 5])
 def test_bounds_exact_settles_an_odd_ring_by_the_overfull_rule(tmp_path, capsys, monkeypatch, k):
     # ring(3,k) with nk odd has 9k edges, more than 6 matchings of floor(3k/2) hold: no interval
-    # coloring at any t, so the scan asks no t, and chi' is asked at Delta + 1 = 7 only
+    # coloring at any t, so the scan asks no t, and chi' = Delta + 1 = 7 by Vizing's theorem, with no query
     asked = []
     monkeypatch.setattr(search, "find_interval_t", lambda *a: asked.append(a))
+    monkeypatch.setattr(search, "find_proper_t", lambda *a: asked.append(a))
     assert run(tmp_path, "bounds-exact", "--n", "3", "--k", str(k)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["w"] == doc["W"] == {"value": None, "status": "exact"}
@@ -423,7 +424,8 @@ def test_bounds_exact_settles_an_odd_ring_by_the_overfull_rule(tmp_path, capsys,
 
 
 def test_bounds_exact_budget_exit(tmp_path, capsys):
-    assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "4", "--node-limit", "10") == 4
+    # ring(2,3)'s query at t = Delta = 4, which w and chi' both rest on, takes 33 nodes
+    assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "3", "--node-limit", "10") == 4
 
 
 def _recorded_profiles(monkeypatch):
@@ -440,7 +442,7 @@ def _recorded_profiles(monkeypatch):
 
 
 @pytest.mark.parametrize("n, k, flags, settled", [
-    (2, 4, ["--node-limit", "10"], False),
+    (2, 4, ["--t-max", "8", "--node-limit", "10"], False),  # t = 8 is above the lift's reach: a search of G
     (8, 16, ["--node-limit", "5000"], False),
     (2, 4, [], True),
 ])
@@ -471,7 +473,7 @@ def test_bounds_exact_3_4_settles_W_by_a_lift(tmp_path, capsys, monkeypatch):
     g = ring_graph(RingParams(3, 4))
     assert [t for h, t in searched if h == g] == []
     assert [(len(h.edges), t) for h, t in searched] == [(1, 1)] * 6  # the K_2 quotient, once per t
-    assert profiles[(3, 4)].nodes_explored == 65  # one quotient node per t, and 59 for chi' = 6
+    assert profiles[(3, 4)].nodes_explored == 6  # one quotient node per t; chi' = 6 is read off t = 6
 
 
 def test_bounds_exact_clamps_a_huge_t_max_to_the_edge_count(tmp_path, capsys):
@@ -495,6 +497,38 @@ def test_bounds_exact_on_1024_edges_ends_in_its_budget(tmp_path, capsys):
     assert (doc["n"], doc["k"], doc["chi_prime"]) == (8, 16, {"value": 16, "status": "exact"})
     lines = (tmp_path / "runs.jsonl").read_text().splitlines()
     assert [json.loads(line)["exit_status"] for line in lines] == [4]
+
+
+@pytest.mark.parametrize("n, k, chi", [(5, 5, 11), (5, 3, 11), (7, 3, 15)])
+def test_bounds_exact_settles_an_overfull_ring_by_vizing_alone(tmp_path, capsys, n, k, chi):
+    # nk odd: the ring is overfull, so chi' = Delta + 1 and no t is asked; a proper search of
+    # ring(5,5) at t = Delta + 1 = 11 ran past 2 M nodes undecided
+    started = time.perf_counter()
+    assert run(tmp_path, "bounds-exact", "--n", str(n), "--k", str(k)) == 0
+    assert time.perf_counter() - started < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["chi_prime"], doc["t_max_source"]) == ({"value": chi, "status": "exact"}, "overfull")
+
+
+def test_sweeps_and_bounds_exact_of_rings_run_no_proper_search(tmp_path, monkeypatch):
+    # every ring is regular or overfull: chi' comes from the profile's own t = Delta query or from
+    # Vizing's theorem, never from proper_dfs
+    calls = []
+    original = engines.proper_dfs
+
+    def counting(g, t, limit):
+        calls.append((len(g.edges), t))
+        return original(g, t, limit)
+
+    monkeypatch.setattr(search, "proper_dfs", counting)
+    monkeypatch.setattr(engines, "proper_dfs", counting)
+    # the budget keeps the refutations above W on ring(2,5) and ring(2,6) short; it cuts no chi' query
+    out = str(tmp_path / "report")
+    assert run(tmp_path, "sweep", "--n-max", "2", "--k-max", "6", "--node-limit", "20000", "--out", out) == 0
+    cells = load_json(tmp_path / "report.json")["cells"]
+    assert [cell["chi_agree"] for cell in cells] == ["yes"] * 8
+    assert run(tmp_path, "bounds-exact", "--n", "5", "--k", "5") == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

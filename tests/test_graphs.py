@@ -11,7 +11,9 @@ from ringcol import (
     build_graph,
     complete_bipartite,
     make_edge,
+    mirrored_staircase_coloring,
     ring_graph,
+    spectrum,
 )
 
 import reference
@@ -153,6 +155,20 @@ def test_degree_of_unknown_vertex_raises():
     g = ring_graph(RingParams(1, 3))
     with pytest.raises(KeyError):
         g.degree(Vertex(9, 9))
+
+
+@pytest.mark.parametrize("lookup", ["degree", "neighbors", "spectrum"])
+@pytest.mark.parametrize("label", [Vertex(1.0, True), (True, 1.0), (1.0, 1), "11"])
+def test_lookups_read_their_label_like_build_graph(lookup, label):
+    # a float or bool equal to 1 hashes like 1: without the label rule each of these answers for (1, 1)
+    g = ring_graph(RingParams(2, 4))
+    c = mirrored_staircase_coloring(RingParams(2, 4))
+    ask = {"degree": g.degree, "neighbors": g.neighbors, "spectrum": lambda v: spectrum(g, c, v)}[lookup]
+    assert ask((1, 1)) == ask(Vertex(1, 1))
+    with pytest.raises(ParameterError, match="pair of integers"):
+        ask(label)
+    with pytest.raises(KeyError):
+        ask((9, 9))
 
 
 def test_path_on_three_vertices_not_regular():

@@ -173,8 +173,12 @@ def test_compute_w_budget_is_inconclusive():
 
 
 def test_compute_chromatic_index_budget_gives_no_value():
-    value, nodes = compute_chromatic_index(complete_bipartite(3), SearchConfig(node_limit=2))
-    assert value is None and nodes > 2
+    # ring(2,3) is regular and no composition the lift can use (C3 is overfull): its one query, the
+    # interval one at t = Delta = 4, takes 33 nodes, so a budget of 2 cuts it and leaves chi' open,
+    # neither Delta nor Delta + 1
+    value, nodes = compute_chromatic_index(ring_graph(RingParams(2, 3)), SearchConfig(node_limit=2))
+    assert value is None and nodes == 3
+    assert compute_chromatic_index(ring_graph(RingParams(2, 3)), SearchConfig(node_limit=33)) == (4, 33)
 
 
 def test_compute_W_budget_degrades_to_lower_bound():
@@ -349,8 +353,9 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     assert (profile.W.value, profile.W.status) == (7, "exact")
     assert (profile.W.t_max, profile.W.t_max_source) == (7, "asratian_kamalian_bipartite")
     assert profile.continuity_status == "ok"
-    # every query of the cell: chi' (proper) and the four interval queries
-    assert profile.nodes_explored == compute_chromatic_index(g)[1] + profile.w.nodes_explored + (
+    # every query of the cell is one of the four interval queries: chi' is read off t = 4
+    assert profile.chi_prime == 4
+    assert profile.nodes_explored == profile.w.nodes_explored + (
         profile.W.nodes_explored + sum(original(g, t).nodes_explored for t in (5, 6))
     )
 
@@ -384,7 +389,8 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
     assert profile.continuity == ((4, "witness"), (5, "witness"), (6, "witness"))
     asked = [t for t, _ in made]
     assert sorted(asked) == sorted(set(asked)), "span_profile asked some t twice"
-    assert profile.nodes_explored == compute_chromatic_index(g)[1] + sum(nodes for _, nodes in made)
+    assert profile.nodes_explored == sum(nodes for _, nodes in made)  # chi' = 4 is read off t = 4
+    assert profile.chi_prime == 4
 
 
 @given(g=small_graphs(), limit=st.none() | st.integers(1, 300))
@@ -466,22 +472,67 @@ def test_the_cap_guard_catches_a_mis_stated_overfull_rule(monkeypatch):
     assert _feasible_above_the_scan_cap(cycle(4)) == (2, "edge_dfs")
 
 
+def petersen():
+    """The Petersen graph: 3-regular, 10 vertices, 15 edges, so not overfull, and chi' = 4."""
+    outer, inner = ([Vertex(layer, i) for i in range(1, 6)] for layer in (1, 2))
+    edges = [(outer[i], outer[(i + 1) % 5]) for i in range(5)] + [(inner[i], inner[(i + 2) % 5]) for i in range(5)]
+    return build_graph(5, 2, outer + inner, edges + list(zip(outer, inner)))
+
+
+def _counting_proper_queries(monkeypatch):
+    made = []
+    original = search.find_proper_t
+
+    def counting(g, t, cfg=None):
+        made.append(original(g, t, cfg))
+        return made[-1]
+
+    monkeypatch.setattr(search, "find_proper_t", counting)
+    return made
+
+
 def test_chromatic_index_small_cases():
-    assert compute_chromatic_index(cycle(3)) == (3, 3)  # overfull: asked at Delta + 1 only
-    assert compute_chromatic_index(cycle(4))[0] == 2
-    assert compute_chromatic_index(complete_bipartite(3))[0] == 3
+    assert compute_chromatic_index(cycle(3)) == (3, 0)  # overfull: Delta + 1 with no query
+    assert compute_chromatic_index(cycle(4)) == (2, 1)  # regular: the interval query at Delta
+    assert compute_chromatic_index(complete_bipartite(3)) == (3, 1)  # K2[K̄3]: one lifted node
+    assert compute_chromatic_index(path(3))[0] == 2  # not regular: the proper query at Delta
+    assert compute_chromatic_index(petersen()) == (4, 154)  # regular, and infeasible at Delta = 3
+    assert compute_chromatic_index(build_graph(1, 1, [Vertex(1, 1)], [])) == (0, 0)
 
 
 @pytest.mark.parametrize("label, g, chi", [
     ("C3", cycle(3), 3), ("C4", cycle(4), 2), ("K3,3", complete_bipartite(3), 3),
-    ("ring(2,4)", ring_graph(RingParams(2, 4)), 4),
+    ("ring(2,4)", ring_graph(RingParams(2, 4)), 4), ("Petersen", petersen(), 4),
 ])
-def test_span_profile_settles_the_chromatic_index(label, g, chi):
+def test_span_profile_settles_the_chromatic_index(monkeypatch, label, g, chi):
+    # chi' of an overfull graph is Delta + 1 by theorem, and that of a regular one is read off the
+    # profile's own query at t = Delta (infeasible on the Petersen graph): no proper query, no node twice
+    made = _counting_proper_queries(monkeypatch)
     profile = span_profile(g)
-    assert profile.chi_prime == chi
+    assert (profile.chi_prime, made) == (chi, [])
     assert profile.settled
+    assert profile.nodes_explored == sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
+
+
+def test_span_profile_of_a_path_asks_one_proper_query(monkeypatch):
+    # a path is neither regular nor overfull: chi' = 2 comes from find_proper_t at t = Delta
+    made = _counting_proper_queries(monkeypatch)
+    g = path(4)
+    profile = span_profile(g)
+    assert (profile.chi_prime, [o.status for o in made]) == (2, ["witness"])
     interval = sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
-    assert profile.nodes_explored == compute_chromatic_index(g)[1] + interval
+    assert profile.nodes_explored == interval + made[0].nodes_explored
+
+
+@given(g=small_graphs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_chromatic_index_matches_two_proper_queries(g):
+    # the reference asks proper_dfs at Delta, then at Delta + 1, with no theorem
+    want = reference.chromatic_index(g, 20_000)
+    value, _ = compute_chromatic_index(g)
+    assert value is not None  # with no budget the one query always decides
+    if want is not None:
+        assert value == want
 
 
 def test_proper_coloring_search_statuses():
