@@ -96,11 +96,12 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     supporting evidence.
     """
     colors = coloring.colors
-    for e in colors:
-        if e not in g.edge_set:
-            raise ColoringError(f"colored edge {e} does not exist in the graph")
-    missing_edges = [e for e in g.edges if e not in colors]
-    if missing_edges:
+    # total on E(g) exactly when it colors as many edges as g has and every edge of g
+    if len(colors) != len(g.edges) or not all(map(colors.__contains__, g.edges)):
+        for e in colors:
+            if e not in g.edge_set:
+                raise ColoringError(f"colored edge {e} does not exist in the graph")
+        missing_edges = [e for e in g.edges if e not in colors]
         raise ColoringError(
             f"coloring leaves {len(missing_edges)} edge(s) uncolored, first: {missing_edges[0]}"
         )
@@ -110,7 +111,7 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
 
     for v in g.vertices:
         incident = g.adjacency[v]
-        spect = tuple(sorted({colors[e] for e in incident}))
+        spect = tuple(sorted(set(map(colors.__getitem__, incident))))
         if len(spect) != len(incident):
             by_color: dict[int, list[Edge]] = {}
             for e in incident:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, starmap
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -29,6 +31,7 @@ __all__ = [
     "as_vertex",
     "make_edge",
     "build_graph",
+    "assemble_graph",
     "ring_graph",
     "complete_bipartite",
 ]
@@ -66,7 +69,8 @@ def make_edge(a: Vertex, b: Vertex) -> Edge:
     """Canonicalize an undirected edge. Loops are rejected."""
     if a == b:
         raise ParameterError(f"loop edge at {a} is not allowed")
-    return Edge(a, b) if a < b else Edge(b, a)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__: the readers call this once per edge
+    return tuple.__new__(Edge, (a, b) if a < b else (b, a))
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,9 @@ class Graph:
         n = len(self.twin_classes[0]) if classes else 0
         if n < 2 or any(len(members) != n for members in classes.values()):
             return None
-        edges = {make_edge(u, w) for u in classes for w in self._neighbors(u) if w in classes}
-        return Composition(build_graph(self.n, self.k, classes, edges), n, classes)
+        # classes and _neighbors() are in vertex order, so the edges u < w come out canonical
+        edges = [tuple.__new__(Edge, (u, w)) for u in classes for w in self._neighbors(u) if u < w and w in classes]
+        return Composition(assemble_graph(self.n, self.k, tuple(classes), tuple(edges)), n, classes)
 
 
 class Composition(NamedTuple):
@@ -195,10 +200,11 @@ def build_graph(
 ) -> Graph:
     """Validate labels, canonicalize edges, and assemble an immutable Graph.
 
-    ``as_vertex`` reads every vertex and edge endpoint. Raises ParameterError
-    on label bounds or labels that are no integers, an edge that is no pair,
-    out-of-bounds labels, duplicate vertices, duplicate edges, loops, or
-    edges touching unknown vertices.
+    ``as_vertex`` reads every vertex and edge endpoint, once. Raises
+    ParameterError on label bounds or labels that are no integers, an edge
+    that is no pair, out-of-bounds labels, duplicate vertices, duplicate
+    edges, loops, or edges touching unknown vertices, at the first defect in
+    input order.
     """
     check_int("n", n, 1)
     check_int("k", k, 1)
@@ -230,18 +236,42 @@ def build_graph(
         eseen.add(e)
         edge_list.append(e)
 
-    vsorted = tuple(sorted(label))
     edge_list.sort()
-    esorted = tuple(edge_list)
-    adjacency: dict[Vertex, list[Edge]] = {v: [] for v in vsorted}
-    for e in esorted:
-        adjacency[e.u].append(e)
-        adjacency[e.v].append(e)
+    return assemble_graph(n, k, tuple(sorted(label)), tuple(edge_list))
+
+
+def assemble_graph(n: int, k: int, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> Graph:
+    """The Graph on canonical tuples: ``vertices`` and ``edges`` strictly
+    increasing, u < v on every edge, every label within the bounds and every
+    endpoint a vertex. The generators build their labels and edges in this
+    form, so no label of theirs is read twice; ``build_graph`` hands over the
+    ones it read. The invariants are checked at C speed, and a broken one
+    raises SoundnessError (a bug in the caller, checked under ``python -O``
+    too)."""
+    broken = [
+        what
+        for holds, what in (
+            (all(map(lt, vertices, vertices[1:])), "vertices must be strictly increasing"),
+            (all(map(lt, edges, edges[1:])), "edges must be strictly increasing"),
+            (all(starmap(lt, edges)), "every edge must be stored as (u, v) with u < v"),
+            (all(1 <= layer <= k and 1 <= index <= n for layer, index in vertices), "labels must lie within the bounds"),
+            (frozenset(vertices).issuperset(chain.from_iterable(edges)), "every edge endpoint must be a vertex"),
+        )
+        if not holds
+    ]
+    if broken:
+        raise SoundnessError(f"cannot assemble a graph (k={k}, n={n}): " + "; ".join(broken))
+
+    adjacency: dict[Vertex, list[Edge]] = {v: [] for v in vertices}
+    for e in edges:
+        u, v = e
+        adjacency[u].append(e)
+        adjacency[v].append(e)
     adj = {v: tuple(inc) for v, inc in adjacency.items()}
 
-    if sum(len(inc) for inc in adj.values()) != 2 * len(esorted):
+    if sum(map(len, adj.values())) != 2 * len(edges):
         raise SoundnessError("adjacency lists must hold every edge once per endpoint")
-    return Graph(n=n, k=k, vertices=vsorted, edges=esorted, adjacency=adj)
+    return Graph(n=n, k=k, vertices=vertices, edges=edges, adjacency=adj)
 
 
 def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int | None = None) -> Graph:
@@ -258,13 +288,17 @@ def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int
     n, k = params.n, params.k
 
     layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
+    # canonical order: a vertex of layer i is below its neighbours in layer i + 1, and layer 1's
+    # also below layer k's, so each vertex's edges upward come out sorted, vertex by vertex
+    above = [[layers[1], layers[-1]]] + [[nxt] for nxt in layers[2:]] + [[]]
     edges = [
-        (a, b)
-        for here, nxt in zip(layers, layers[1:] + layers[:1])
+        tuple.__new__(Edge, (a, b))
+        for here, ups in zip(layers, above)
         for a in here
-        for b in nxt
+        for up in ups
+        for b in up
     ]
-    return build_graph(n, k, [v for layer in layers for v in layer], edges)
+    return assemble_graph(n, k, tuple(chain.from_iterable(layers)), tuple(edges))
 
 
 def complete_bipartite(n: int) -> Graph:
@@ -276,4 +310,4 @@ def complete_bipartite(n: int) -> Graph:
     """
     check_int("n", n, 1)
     first, second = ([Vertex(layer, index) for index in range(1, n + 1)] for layer in (1, 2))
-    return build_graph(n, 2, first + second, [(b, a) for b in second for a in first])
+    return assemble_graph(n, 2, (*first, *second), tuple([tuple.__new__(Edge, (a, b)) for a in first for b in second]))

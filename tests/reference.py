@@ -10,7 +10,8 @@ backtracking on index arrays and int bitmasks. ``ringcol.graphs.build_graph``
 must match the plain ``build_graph`` here, which makes a new ``Vertex`` for
 every label and endpoint, checks every one of them for two ``int`` entries
 (a float or bool equal to an integer label included), and validates in the
-same order with the same messages.
+same order with the same messages; ``ringcol.io.coloring_from_dict`` must
+match the plain ``coloring_from_dict`` in the same way.
 
 ``edge_dfs`` and ``proper_dfs`` are the plain forms of the two depth-first
 searches, which the fast ones must match node for node: per-vertex used
@@ -30,7 +31,8 @@ every coloring built on it must match.
 from collections import deque
 from functools import wraps
 
-from ringcol import Edge, Graph, ParameterError, SearchConfig, SoundnessError, Vertex, make_edge, search
+from ringcol import (Edge, EdgeColoring, FormatError, Graph, ParameterError, SearchConfig, SoundnessError,
+                     Vertex, make_edge, search)
 from ringcol.engines import _indexed_edge_order
 
 
@@ -66,16 +68,18 @@ def counted(engine):
     return run
 
 
+def label(raw):
+    """A new Vertex for a (layer, index) pair of two ``int``s, else ParameterError."""
+    if not (isinstance(raw, (tuple, list)) and len(raw) == 2 and all(type(x) is int for x in raw)):
+        raise ParameterError(f"a vertex label must be a (layer, index) pair of integers, got {raw!r}")
+    return Vertex(*raw)
+
+
 def build_graph(n, k, vertices, edges):
     """The same Graph as ``ringcol.build_graph``, or the same exception."""
     for name, bound in (("n", n), ("k", k)):
         if type(bound) is not int or bound < 1:
             raise ParameterError(f"{name} must be an integer >= 1, got {bound!r}")
-
-    def label(raw):
-        if not (isinstance(raw, (tuple, list)) and len(raw) == 2 and all(type(x) is int for x in raw)):
-            raise ParameterError(f"a vertex label must be a (layer, index) pair of integers, got {raw!r}")
-        return Vertex(*raw)
 
     vseen = set()
     for raw in vertices:
@@ -108,6 +112,26 @@ def build_graph(n, k, vertices, edges):
     if sum(len(inc) for inc in adj.values()) != 2 * len(esorted):
         raise SoundnessError("adjacency lists must hold every edge once per endpoint")
     return Graph(n=n, k=k, vertices=vsorted, edges=esorted, adjacency=adj)
+
+
+def coloring_from_dict(doc):
+    """The same EdgeColoring as ``ringcol.io.coloring_from_dict``, or the same exception."""
+    if not isinstance(doc, dict):
+        raise FormatError("coloring document must be a JSON object")
+    for key in ("t", "edges"):
+        if key not in doc:
+            raise FormatError(f"coloring document missing key {key!r}")
+    if not isinstance(doc["edges"], list):
+        raise FormatError(f"coloring edges must be a list, got {doc['edges']!r}")
+    colors = {}
+    for entry in doc["edges"]:
+        if not (isinstance(entry, dict) and all(key in entry for key in ("u", "v", "color"))):
+            raise FormatError(f"coloring entry must have u, v, color, got {entry!r}")
+        e = make_edge(label(entry["u"]), label(entry["v"]))
+        if e in colors:
+            raise FormatError(f"edge {e} colored twice in document")
+        colors[e] = entry["color"]
+    return EdgeColoring(colors=colors, t=doc["t"])
 
 
 def lifted_colors(g, position, alpha, n, j):

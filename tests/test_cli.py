@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 import time
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from ringcol import (
     EdgeColoring,
+    FormatError,
+    ParameterError,
     RingParams,
     compute_W,
     mirrored_staircase_coloring,
     ring_graph,
     span_profile,
+    verify,
 )
 from ringcol import cli, engines, search
 from ringcol.cli import main
@@ -29,6 +33,7 @@ from ringcol.io import (
     load_json,
 )
 
+import reference
 from strategies import small_graphs
 
 
@@ -87,6 +92,63 @@ def test_files_round_trip(g, data):
         assert load_coloring(cpath) == c
 
 
+@st.composite
+def coloring_documents(draw):
+    """A coloring document of a small graph with labels as JSON lists or
+    Vertex tuples, and, unless the kind drawn is None, one defect inserted: an
+    edge colored twice (in either endpoint order), an entry that is no dict or
+    lacks a key, a loop, or a layer or index that is a float, str or bool."""
+    g = draw(small_graphs())
+    doc = coloring_to_dict(draw(colorings(g)))
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(doc))
+    entries = doc["edges"]
+    kinds = [None, "not a dict", "missing key", "loop", "non-integer label"] + ["colored twice"] * bool(entries)
+    kind = draw(st.sampled_from(kinds))
+    somewhere = st.integers(0, len(entries))
+    vertex = [1, 1] if not g.vertices else draw(st.sampled_from(g.vertices))
+    if kind == "colored twice":
+        entry = draw(st.sampled_from(entries))
+        u, v = draw(st.sampled_from([(entry["u"], entry["v"]), (entry["v"], entry["u"])]))
+        entries.insert(draw(somewhere), {"u": u, "v": v, "color": entry["color"]})
+    elif kind == "not a dict":
+        entries.insert(draw(somewhere), draw(st.sampled_from([[[1, 1], [2, 1], 1], "u", 1, None])))
+    elif kind == "missing key":
+        entry = {"u": vertex, "v": [2, 1], "color": 1}
+        del entry[draw(st.sampled_from(sorted(entry)))]
+        entries.insert(draw(somewhere), entry)
+    elif kind == "loop":
+        entries.insert(draw(somewhere), {"u": vertex, "v": vertex, "color": 1})
+    elif kind == "non-integer label" and entries:
+        entry = draw(st.sampled_from(entries))
+        end, axis = draw(st.sampled_from(("u", "v"))), draw(st.integers(0, 1))
+        label = list(entry[end])
+        label[axis] = draw(st.sampled_from([float(label[axis]), str(label[axis])] + [True] * (label[axis] == 1)))
+        entry[end] = label
+    elif kind == "non-integer label":
+        entries.append({"u": [1.0, 1], "v": [2, 1], "color": 1})
+    return kind, doc
+
+
+def _read(reader, doc):
+    """The coloring's t and its entries in order, or the exception type and message."""
+    try:
+        c = reader(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.t, list(c.colors.items())
+
+
+@given(case=coloring_documents())
+@settings(max_examples=200, deadline=None)
+def test_coloring_from_dict_matches_the_reference(case):
+    kind, doc = case
+    got = _read(coloring_from_dict, doc)
+    assert got == _read(reference.coloring_from_dict, doc)
+    if kind is not None:
+        assert got[0] in (FormatError, ParameterError), kind
+
+
 def test_dot_source_lists_colored_edges():
     params = RingParams(1, 4)
     src = dot_source(ring_graph(params), mirrored_staircase_coloring(params))
@@ -142,6 +204,26 @@ def test_construct_and_verify_round_trip(tmp_path):
     assert run(tmp_path, "construct", "--n", "2", "--k", "4", "--out", str(cpath)) == 0
     assert load_json(cpath)["t"] == 7
     assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_verify_pauses_the_cyclic_gc_and_restores_the_callers_setting(tmp_path, monkeypatch, enabled):
+    gpath, cpath, bad = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "bad.json"
+    assert run(tmp_path, "generate", "--n", "2", "--k", "4", "--out", str(gpath)) == 0
+    assert run(tmp_path, "construct", "--n", "2", "--k", "4", "--out", str(cpath)) == 0
+    bad.write_text('{"t": 7, "edges": [{"u": [1, 1]}]}')
+    during = []
+    monkeypatch.setattr(cli, "verify", lambda g, c: during.append(gc.isenabled()) or verify(g, c))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 0
+        assert gc.isenabled() is enabled
+        assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(bad)) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def test_construct_odd_k_exits_with_parity_code(tmp_path):

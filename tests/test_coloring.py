@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ringcol import (
     ColoringError,
+    Edge,
     EdgeColoring,
     RingParams,
     Vertex,
@@ -118,6 +119,33 @@ def test_unknown_edge_rejected():
     colors[stray] = 1
     with pytest.raises(ColoringError):
         verify(g, EdgeColoring(colors=colors, t=2))
+
+
+FIRST, LAST = make_edge(Vertex(1, 1), Vertex(2, 1)), make_edge(Vertex(3, 1), Vertex(4, 1))  # C4's first and last edges
+STRAY, SWAPPED = make_edge(Vertex(1, 1), Vertex(3, 1)), Edge(FIRST.v, FIRST.u)  # a chord, and FIRST backwards
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ((), (STRAY,), f"colored edge {STRAY} does not exist in the graph"),
+        ((FIRST, LAST), (), f"coloring leaves 2 edge(s) uncolored, first: {FIRST}"),
+        # as many colored edges as C4 has: the count alone does not show the defect
+        ((FIRST,), (STRAY,), f"colored edge {STRAY} does not exist in the graph"),
+        ((FIRST,), (SWAPPED,), f"colored edge {SWAPPED} does not exist in the graph"),
+        # a stray edge is named before a missing one
+        ((FIRST, LAST), (STRAY,), f"colored edge {STRAY} does not exist in the graph"),
+    ],
+    ids=["stray", "missing", "swapped-for-stray", "swapped-endpoints", "stray-and-missing"],
+)
+def test_verify_names_the_first_stray_or_missing_edge(drop, add, message):
+    colors = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
+    for e in drop:
+        del colors[e]
+    colors.update(dict.fromkeys(add, 1))
+    with pytest.raises(ColoringError) as info:
+        verify(cycle(4), EdgeColoring(colors=colors, t=2))
+    assert str(info.value) == message
 
 
 @given(n=st.integers(1, 4))

@@ -1,12 +1,14 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
+    Edge,
     ParameterError,
     RingParams,
+    SoundnessError,
     Vertex,
     build_graph,
     complete_bipartite,
@@ -15,9 +17,10 @@ from ringcol import (
     ring_graph,
     spectrum,
 )
+from ringcol.graphs import assemble_graph
 
 import reference
-from strategies import graph_inputs
+from strategies import compositions, graph_inputs
 
 
 def is_connected(g):
@@ -336,3 +339,54 @@ def test_build_graph_rejects_defects_like_the_reference(case):
     got = _built(build_graph, args)
     assert got == _built(reference.build_graph, args)
     assert got[0] is ParameterError, kind
+
+
+# ---------------------------------------------------------------------------
+# the assembler behind the generators
+# ---------------------------------------------------------------------------
+
+GENERATED = (
+    [ring_graph(n=n, k=k) for k in (3, 4, 5, 6) for n in (1, 2, 3, 4)]
+    + [complete_bipartite(n) for n in (1, 2, 3, 4)]
+)
+QUOTIENTS = [g.composition.quotient for g in GENERATED if g.composition is not None]
+
+
+@pytest.mark.parametrize("g", GENERATED + QUOTIENTS, ids=lambda g: f"n{g.n}-k{g.k}-m{len(g.edges)}")
+def test_assembled_graphs_match_the_reference(g):
+    assert _built(reference.build_graph, (g.n, g.k, g.vertices, g.edges)) == (g.vertices, g.edges, list(g.adjacency.items()))
+    labels = {id(v) for v in g.vertices}
+    assert {id(v) for e in g.edges for v in e} <= labels
+    assert {id(v) for v in g.adjacency} == labels
+
+
+@given(case=compositions())
+@settings(max_examples=50, deadline=None)
+def test_assembled_quotients_match_the_reference(case):
+    _, _, g = case
+    assume(g.composition is not None)  # only the graph without vertices has none
+    q = g.composition.quotient
+    assert _built(reference.build_graph, (q.n, q.k, q.vertices, q.edges)) == (q.vertices, q.edges, list(q.adjacency.items()))
+    assert {id(v) for e in q.edges for v in e} <= {id(v) for v in q.vertices}
+
+
+def _mutants():
+    g = ring_graph(n=2, k=4)
+    vs, es = g.vertices, g.edges
+    last = vs[-1]
+    return {
+        "unsorted vertices": (2, 4, (vs[1], vs[0], *vs[2:]), es, "vertices must be strictly increasing"),
+        "unsorted edges": (2, 4, vs, (es[1], es[0], *es[2:]), "edges must be strictly increasing"),
+        "duplicate edge": (2, 4, vs, (*es[:3], es[2], *es[3:]), "edges must be strictly increasing"),
+        "loop": (2, 4, vs, (*es, Edge(last, last)), "u < v"),
+        "unknown endpoint": (2, 4, vs[:-1], es, "endpoint must be a vertex"),
+        "out-of-bounds label": (1, 4, vs, es, "within the bounds"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_mutants()))
+def test_assembler_refuses_broken_invariants(kind):
+    # SoundnessError, not assert: the check stands under python -O
+    n, k, vertices, edges, broken = _mutants()[kind]
+    with pytest.raises(SoundnessError, match=broken):
+        assemble_graph(n, k, vertices, edges)
