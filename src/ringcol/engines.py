@@ -1,4 +1,4 @@
-"""The exhaustive interval-coloring engine and the proper-coloring DFS.
+"""The one search loop, ``edge_dfs``, and the proper coloring query built on it.
 
 Each engine takes a graph, a span t and a node limit (None for none) and
 returns ``(assignment, nodes visited)``. The assignment (edge -> color) is
@@ -17,37 +17,39 @@ queries that re-check every witness with the independent verifier.
   problem, the reflection c -> t + 1 - c, by capping the color of the first
   edge at ceil(t/2): any witness either respects the cap or reflects to one
   that does, so the answer is unchanged while the space halves.
+* ``proper_dfs`` answers every proper query (``find_proper_t``) with
+  ``edge_dfs`` on ``padded(g, s)``, s = min(t, |E|): a proper s-coloring of
+  g is an interval s-coloring of g with s - d(v) pendant edges at each
+  vertex v.
 
-``edge_dfs`` and ``proper_dfs`` walk ``connected_edge_order`` with vertices
-as indices into ``g.vertices`` and color sets as int bitmasks (bit c is
-color c). ``edge_dfs`` keeps, per vertex, the colors it may still take:
-the palette at first, then, each time color c lands on a vertex of degree
-d, that set ANDed with ``band[c]``, the colors within distance d - 1 of c
-other than c (one band table of t + 1 ints per distinct degree, built per
-query). The intersection of those bands is exactly the spread window
+``edge_dfs`` walks ``connected_edge_order`` with vertices as indices into
+``g.vertices`` and color sets as int bitmasks (bit c is color c). It keeps,
+per vertex, the colors it may still take: the palette at first, then, each
+time color c lands on a vertex of degree d, that set ANDed with
+``band[c]``, the colors within distance d - 1 of c other than c (one band
+table of t + 1 ints per distinct degree, built per query). The
+intersection of those bands is exactly the spread window
 ``[highest - d + 1, lowest + d - 1]`` minus the used colors, so one AND of
 both endpoints' sets gives the properness and spread prunes at once. Each
 depth keeps both endpoints' sets from before its color and puts them back
 when the search backs up; the coverage prune reads a mask of the colors on
-no edge and its size, both kept up to date as colors land and leave.
-``proper_dfs`` builds one mask per depth of the colors free at both
-endpoints among those it may open. Both count nodes in a local variable.
-Neither recurses: each runs from explicit per-depth state, so a graph with
-thousands of edges runs into its node limit, never into the recursion
-limit.
+no edge and its size, both kept up to date as colors land and leave. It
+counts nodes in a local variable and does not recurse: it runs from
+explicit per-depth state, so a graph with thousands of edges runs into its
+node limit, never into the recursion limit.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
-reproducible node counts. The branching rule is part of that contract: both
-searches try colors in increasing order.
+reproducible node counts. The branching rule is part of that contract: the
+search tries colors in increasing order.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .graphs import Edge, Graph, Vertex
+from .graphs import Edge, Graph, Vertex, assemble_graph
 
-__all__ = ["connected_edge_order", "edge_dfs", "proper_dfs"]
+__all__ = ["connected_edge_order", "edge_dfs", "padded", "proper_dfs"]
 
 
 def connected_edge_order(g: Graph) -> list[Edge]:
@@ -176,49 +178,39 @@ def edge_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | Non
 
 
 # ---------------------------------------------------------------------------
-# Proper (not necessarily interval) edge coloring, for the chromatic index of a
-# graph that is neither regular nor overfull
+# Proper (not necessarily interval) edge coloring, as an interval query on a
+# padded graph
 # ---------------------------------------------------------------------------
 
 
+def padded(g: Graph, t: int) -> Graph:
+    """g plus t - d(v) pendant edges at every vertex v of degree >= 1 (t >= Δ),
+    each to a new leaf: the leaves of ``g.vertices[i]`` are ``(g.k + 1 + i, j)``
+    for j = 1..t - d(v), in layers above every label of g.
+
+    g has a proper t-coloring exactly when ``padded(g, t)`` has an interval
+    t-coloring. Given a proper t-coloring of g, color the pendants at v with
+    the t - d(v) colors missing at v: every padded vertex then sees all of
+    1..t, a run that covers the palette, and a leaf sees one color. Given an
+    interval t-coloring of the padded graph, it is proper, so its colors on
+    g's edges are a proper t-coloring of g. A regular graph at t = Δ is its
+    own padding.
+    """
+    pendants = [
+        Edge(v, Vertex(g.k + 1 + i, j))
+        for i, v in enumerate(g.vertices)
+        if g.adjacency[v]
+        for j in range(1, t - len(g.adjacency[v]) + 1)
+    ]
+    return assemble_graph(max(g.n, t), g.k + len(g.vertices), g.vertices + tuple(e.v for e in pendants),
+                          tuple(sorted(g.edges + tuple(pendants))))
+
+
 def proper_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
-    edges, us, vs, deg = _indexed_edge_order(g)
-    m = len(edges)
-    if m == 0:
+    if not g.edges:
         return {}, 0
-
-    # opened[h]: colors 1..min(t, h + 1), the ones an edge may take when h is
-    # the highest color opened before it
-    opened = [(1 << (min(t, h + 1) + 1)) - 2 for h in range(t + 1)]
-    used = [0] * len(deg)  # per vertex: bit c set when color c is on it
-    color = [0] * m  # per depth: the color of edges[i]
-    cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
-    high = [0] * m  # per depth: the highest color opened before edges[i]
-    nodes = 0
-
-    i = 0
-    while True:
-        a, b = us[i], vs[i]
-        mask = opened[high[i]] & ~(used[a] | used[b])
-        while not mask:  # no color left at depth i: back up and withdraw the previous edge's color
-            if i == 0:
-                return None, nodes
-            i -= 1
-            a, b = us[i], vs[i]
-            bit = 1 << color[i]
-            used[a] ^= bit
-            used[b] ^= bit
-            mask = cand[i]
-
-        nodes += 1
-        if limit is not None and nodes > limit:
-            return None, nodes
-        bit = mask & -mask
-        cand[i] = mask ^ bit
-        c = color[i] = bit.bit_length() - 1
-        used[a] |= bit
-        used[b] |= bit
-        if i == m - 1:
-            return dict(zip(edges, color)), nodes
-        i += 1
-        high[i] = max(high[i - 1], c)
+    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
+        return None, 0
+    s = min(t, len(g.edges))  # a proper coloring uses at most |E| colors
+    alpha, nodes = edge_dfs(padded(g, s), s, limit)
+    return (None if alpha is None else {e: alpha[e] for e in g.edges}), nodes

@@ -33,7 +33,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .coloring import EdgeColoring, VerificationReport
+from .coloring import EdgeColoring, VerificationReport, verify
 from .errors import FormatError
 from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
@@ -143,12 +143,20 @@ def _span_value(r: BoundReport) -> dict[str, Any]:
     return {"value": r.value, "status": r.status}
 
 
+def _colorable(p: SpanProfile) -> bool | None:
+    """True when w or W has a value, False when every t up to the cap was
+    exhausted as infeasible, None when a budget cut the scan short of both."""
+    if p.w.value is not None or p.W.value is not None:
+        return True
+    return False if p.w.status == "not_interval_colorable" else None
+
+
 def profile_to_dict(params: RingParams, p: SpanProfile) -> dict[str, Any]:
     """The ``bounds-exact`` document of one ring's span profile."""
     return {
         "n": params.n,
         "k": params.k,
-        "interval_colorable": p.w.value is not None,
+        "interval_colorable": _colorable(p),
         "w": _span_value(p.w),
         "W": _span_value(p.W),
         "chi_prime": {"value": p.chi_prime, "status": "inconclusive" if p.chi_prime is None else "exact"},
@@ -176,13 +184,17 @@ def load_coloring(path: str | Path) -> EdgeColoring:
 
 
 def dot_source(g: Graph, coloring: EdgeColoring | None = None) -> str:
-    """GraphViz source for a graph, with edge color labels when given."""
+    """GraphViz source for a graph, with edge color labels when given. The
+    coloring must color exactly g's edges: ``verify`` checks that, and
+    raises ColoringError otherwise."""
+    if coloring is not None:
+        verify(g, coloring)
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f'  "x{v.layer}_{v.index}";')
     for e in g.edges:
         label = ""
-        if coloring is not None and e in coloring.colors:
+        if coloring is not None:
             label = f' [label="{coloring.colors[e]}"]'
         lines.append(f'  "x{e.u.layer}_{e.u.index}" -- "x{e.v.layer}_{e.v.index}"{label};')
     lines.append("}")

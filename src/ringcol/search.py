@@ -17,8 +17,9 @@ no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
 nodes count toward the same node limit and the same ``nodes_explored``,
 g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
-``find_proper_t`` decides proper t-colorability with ``proper_dfs``;
-``_query`` alone reads a node count above the limit as ``exhausted_budget``.
+``find_proper_t`` decides proper t-colorability with ``proper_dfs``, which
+is ``edge_dfs`` on g padded with pendant edges; ``_query`` alone reads a
+node count above the limit as ``exhausted_budget``.
 ``compute_chromatic_index`` reads χ' off one answer at t = Δ (Vizing).
 ``span_profile`` asks every t from the maximum degree up to the cap that
 ``scan_cap`` reports (the one place a span meets a theorem bound) once, in
@@ -199,10 +200,11 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
 def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has a proper edge coloring with at most t colors.
 
-    Color classes of a proper coloring are freely permutable, so the search
-    canonicalizes: an edge may only open color c + 1 once colors 1..c have
-    all been used. The witness is not an interval coloring in general and is
-    checked for properness only.
+    ``proper_dfs`` asks ``edge_dfs`` for an interval s-coloring of
+    ``padded(g, s)`` at s = min(t, |E|): below Δ nothing is searched, and no
+    proper coloring needs more than |E| colors. The witness is g's part of
+    that coloring, not an interval coloring in general, and is checked for
+    properness only.
     """
     check_int("t", t, 1)
     return _query(g, t, (cfg or SearchConfig()).node_limit, proper_dfs, "is_proper")
@@ -373,9 +375,10 @@ def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
     """(χ', nodes of its one query). By Vizing's theorem (1964) χ' is Δ or Δ + 1,
     so one answer at t = Δ decides it. An overfull graph needs Δ + 1, no query.
-    In a Δ-regular graph every vertex sees all Δ colors, so a proper Δ-coloring
-    is an interval one and ``find_interval_t`` answers (lifted on compositions);
-    any other graph asks ``find_proper_t``. A witness gives Δ, ``infeasible``
+    A Δ-regular graph is its own padding at Δ (``engines.padded``): every vertex
+    sees all Δ colors, so a proper Δ-coloring is an interval one and
+    ``find_interval_t`` answers (lifted on compositions); any other graph asks
+    ``find_proper_t``. A witness gives Δ, ``infeasible``
     Δ + 1 and ``exhausted_budget`` None."""
     return _chromatic_index(g, cfg, {})
 

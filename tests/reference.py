@@ -13,14 +13,20 @@ every label and endpoint, checks every one of them for two ``int`` entries
 same order with the same messages; ``ringcol.io.coloring_from_dict`` must
 match the plain ``coloring_from_dict`` in the same way.
 
-``edge_dfs`` and ``proper_dfs`` are the plain forms of the two depth-first
-searches, which the fast ones must match node for node: per-vertex used
-colors with the spread window recomputed from the lowest and highest used
-color at each depth, ``bit_count`` for the coverage prune, a ``range`` scan
-for the next proper color, and ``Budget.spend`` at every node.
+``edge_dfs`` is the plain form of ``ringcol.engines.edge_dfs``, which the
+fast one must match node for node: per-vertex used colors with the spread
+window recomputed from the lowest and highest used color at each depth,
+``bit_count`` for the coverage prune, and ``Budget.spend`` at every node.
 
-``chromatic_index`` is chi' by those two proper searches alone, at the
-maximum degree and one above it, with no theorem: the reference for
+``proper_dfs`` is the independent reference for proper queries, a search
+the package no longer runs: it colors g's own edges, scanning colors with
+``range``, and breaks the permutation symmetry of color classes by opening
+color c + 1 only once colors 1..c are used. ``ringcol.search.find_proper_t``
+pads g with pendant edges and asks ``edge_dfs`` instead, so the two agree
+on every status, not on node counts.
+
+``chromatic_index`` is chi' by that proper search alone, at the maximum
+degree and one above it, with no theorem: the reference for
 ``ringcol.search.compute_chromatic_index``.
 
 ``lifted_colors`` is the composition lift written edge by edge from the
@@ -220,7 +226,8 @@ def edge_dfs(g, t, budget):
 
 @counted
 def proper_dfs(g, t, budget):
-    """The same search as ``ringcol.engines.proper_dfs``: same nodes, same witness."""
+    """A proper coloring with at most t colors, by plain search with color
+    opening: an edge may take color c + 1 only once colors 1..c are used."""
     edges, us, vs, deg = _indexed_edge_order(g)
     m = len(edges)
     if m == 0:

@@ -19,7 +19,7 @@ from ringcol import (
     span_profile,
     verify,
 )
-from ringcol import cli, engines, search
+from ringcol import cli, search
 from ringcol.cli import main
 from ringcol.io import (
     coloring_from_dict,
@@ -506,8 +506,15 @@ def test_bounds_exact_settles_an_odd_ring_by_the_overfull_rule(tmp_path, capsys,
 
 
 def test_bounds_exact_budget_exit(tmp_path, capsys):
-    # ring(2,3)'s query at t = Delta = 4, which w and chi' both rest on, takes 33 nodes
+    # ring(2,3)'s query at t = Delta = 4, which w and chi' both rest on, takes 33 nodes: a budget
+    # that cuts every query leaves interval colorability open, not false
     assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "3", "--node-limit", "10") == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["interval_colorable"], doc["w"]) == (None, {"value": None, "status": "inconclusive"})
+    # w = 4 is found within 40 nodes, while the spans above it are cut
+    assert run(tmp_path, "bounds-exact", "--n", "2", "--k", "3", "--node-limit", "40") == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["interval_colorable"], doc["w"]) == (True, {"value": 4, "status": "exact"})
 
 
 def _recorded_profiles(monkeypatch):
@@ -594,16 +601,15 @@ def test_bounds_exact_settles_an_overfull_ring_by_vizing_alone(tmp_path, capsys,
 
 def test_sweeps_and_bounds_exact_of_rings_run_no_proper_search(tmp_path, monkeypatch):
     # every ring is regular or overfull: chi' comes from the profile's own t = Delta query or from
-    # Vizing's theorem, never from proper_dfs
+    # Vizing's theorem, never from find_proper_t
     calls = []
-    original = engines.proper_dfs
+    original = search.find_proper_t
 
-    def counting(g, t, limit):
+    def counting(g, t, cfg=None):
         calls.append((len(g.edges), t))
-        return original(g, t, limit)
+        return original(g, t, cfg)
 
-    monkeypatch.setattr(search, "proper_dfs", counting)
-    monkeypatch.setattr(engines, "proper_dfs", counting)
+    monkeypatch.setattr(search, "find_proper_t", counting)
     # the budget keeps the refutations above W on ring(2,5) and ring(2,6) short; it cuts no chi' query
     out = str(tmp_path / "report")
     assert run(tmp_path, "sweep", "--n-max", "2", "--k-max", "6", "--node-limit", "20000", "--out", out) == 0
@@ -657,6 +663,27 @@ def test_export_dot(tmp_path):
     run(tmp_path, "construct", "--n", "1", "--k", "4", "--out", str(cpath))
     assert run(tmp_path, "export-dot", "--graph", str(gpath), "--coloring", str(cpath), "--out", str(dpath)) == 0
     assert "label=" in dpath.read_text()
+
+
+@pytest.mark.parametrize("defect", ["stray edge", "missing edge"])
+def test_export_dot_refuses_a_coloring_of_another_graph(tmp_path, capsys, defect):
+    # the same totality check as verify, with its message, and no DOT file written
+    gpath, cpath, dpath = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "g.dot"
+    run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))
+    if defect == "stray edge":
+        run(tmp_path, "construct", "--n", "2", "--k", "4", "--out", str(cpath))
+    else:
+        run(tmp_path, "construct", "--n", "1", "--k", "4", "--out", str(cpath))
+        doc = load_json(cpath)
+        doc["edges"].pop()
+        cpath.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 2
+    message = capsys.readouterr().err
+    assert ("does not exist in the graph" if defect == "stray edge" else "uncolored") in message
+    assert run(tmp_path, "export-dot", "--graph", str(gpath), "--coloring", str(cpath), "--out", str(dpath)) == 2
+    assert capsys.readouterr().err == message
+    assert not dpath.exists()
 
 
 def test_construct_is_byte_deterministic(tmp_path):

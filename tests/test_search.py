@@ -845,27 +845,67 @@ def test_more_budget_never_flips_a_definite_answer(g, limit):
             assert (again.status, again.nodes_explored) == (first.status, first.nodes_explored), (t, limit)
 
 
-_ENGINE_PAIRS = ((engines.edge_dfs, reference.edge_dfs), (engines.proper_dfs, reference.proper_dfs))
+def _proper_statuses_agree(g, t, limit):
+    """``find_proper_t`` and the plain proper search in tests/reference.py give
+    the same status unless a budget cuts either, and every witness is proper."""
+    outcome = find_proper_t(g, t, SearchConfig(node_limit=limit))
+    found, nodes = reference.proper_dfs(g, t, limit)
+    if found is not None:
+        assert verify(g, EdgeColoring(found, t)).is_proper, t
+    if outcome.status == "exhausted_budget" or (limit is not None and nodes > limit):
+        return
+    assert outcome.status == ("infeasible" if found is None else "witness"), t
+    if found is not None:
+        assert verify(g, outcome.witness).is_proper, t
 
 
 @given(g=small_graphs(max_edges=12), limit=st.none() | st.integers(1, 300))
 @settings(max_examples=100, deadline=None)
 def test_dfs_engines_match_their_plain_references(g, limit):
-    # same outcome, same node count (the first over-budget node included) and
-    # the same witness items in the same order, at every t up to |E| + 1 (the
-    # first t whose palette cannot be covered)
+    # edge_dfs: same outcome, same node count (the first over-budget node
+    # included) and the same witness items in the same order, at every t up
+    # to |E| + 1 (the first t whose palette cannot be covered). The proper
+    # query searches a padded graph, so only its status is held to the plain
+    # proper search.
     for t in range(1, len(g.edges) + 2):
-        for fast, plain in _ENGINE_PAIRS:
-            assert reference.trace(fast, g, t, limit) == reference.trace(plain, g, t, limit), (fast.__name__, t)
+        assert reference.trace(engines.edge_dfs, g, t, limit) == reference.trace(reference.edge_dfs, g, t, limit), t
+        _proper_statuses_agree(g, t, limit)
+
+
+@given(g=small_graphs(max_edges=12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_proper_queries_agree_with_the_plain_proper_search(g):
+    # unbudgeted, at every t in [1, |E| + 1]: a proper t-coloring of g is an
+    # interval t-coloring of padded(g, t), read back on g's edges
+    for t in range(1, len(g.edges) + 2):
+        _proper_statuses_agree(g, t, None)
+
+
+@given(g=small_graphs(max_edges=12), t=st.integers(1, 14))
+@settings(max_examples=100, deadline=None)
+def test_padding_gives_every_vertex_of_g_degree_t(g, t):
+    t = max(t, g.max_degree())
+    p = engines.padded(g, t)
+    assert [e for e in p.edges if e in g.edge_set] == list(g.edges)
+    for v in g.vertices:
+        assert p.degree(v) == (t if g.degree(v) else 0), v
+    assert all(p.degree(v) == 1 for v in p.vertices if v not in g.adjacency)
+
+
+def test_a_proper_query_far_above_the_edge_count_searches_at_the_edge_count():
+    # no proper coloring needs more than |E| colors: C4 at t = 20 000 is padded to degree 4, not 20 000
+    outcome = find_proper_t(cycle(4), 20_000)
+    assert (outcome.status, outcome.witness.t) == ("witness", 20_000)
+    assert max(outcome.witness.colors.values()) <= 4
+    assert verify(cycle(4), outcome.witness).is_proper
 
 
 @pytest.mark.extended
 def test_dfs_engines_match_their_plain_references_on_the_desk_corpus():
     graphs = [cycle(k) for k in range(3, 9)] + [complete_bipartite(n) for n in (1, 2, 3, 4)]
     graphs += [ring_graph(RingParams(n, k)) for n, k in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (2, 8))]
-    edge, proper = _ENGINE_PAIRS
     for g in graphs:
-        queries = [(edge, t) for t in range(1, min(len(g.edges), 18) + 1)]
-        queries += [(proper, t) for t in (g.max_degree(), g.max_degree() + 1)]
-        for (fast, plain), t in queries:
-            assert reference.trace(fast, g, t, 60_000) == reference.trace(plain, g, t, 60_000), (fast.__name__, t)
+        for t in range(1, min(len(g.edges), 18) + 1):
+            assert reference.trace(engines.edge_dfs, g, t, 60_000) == reference.trace(reference.edge_dfs, g, t, 60_000), t
+        for t in (g.max_degree(), g.max_degree() + 1):
+            _proper_statuses_agree(g, t, 60_000)
