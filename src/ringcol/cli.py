@@ -12,7 +12,8 @@ Exit codes (stable, also listed in the README):
     2  parameter error (bad n/k/t, malformed document, graph/coloring mismatch)
     3  unsupported parity (odd k where the construction needs even k)
     4  search budget exhausted
-    5  I/O failure (unreadable file, invalid JSON syntax)
+    5  I/O failure: a file unreadable, not UTF-8 or no JSON, nested past the JSON
+       decoder's recursion limit, or with an integer past sys.get_int_max_str_digits()
 
 The searching commands (``search``, ``bounds-exact`` and ``sweep``) run
 ``ringcol.search``'s queries (a composition lift where one reaches t, else
@@ -328,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, ColoringError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_PARAMETER
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:  # io.load_json raises it for a file it cannot read or decode
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_IO
 

@@ -1,26 +1,22 @@
-"""The one search loop, ``edge_dfs``, and the proper coloring query built on it.
+"""The one search loop, ``edge_dfs``, and ``padded``, which makes a proper query an interval one.
 
-Each engine takes a graph, a span t and a node limit (None for none) and
+``edge_dfs`` takes a graph, a span t and a node limit (None for none) and
 returns ``(assignment, nodes visited)``. The assignment (edge -> color) is
 None when the (pruned but complete) space is exhausted, or when the search
 stopped at node limit + 1: a count above the limit means the budget ran out.
-The engines never verify their output: ``ringcol.search`` wraps them in
-queries that re-check every witness with the independent verifier.
+It never verifies its output: ``ringcol.search.find_interval_t``, the one
+road into it (proper queries too, on ``padded`` graphs), re-checks every
+witness with the independent verifier.
 
-* ``edge_dfs`` answers every interval query (``find_interval_t``). It
-  assigns colors edge by edge in ``connected_edge_order``, pruning on
-  properness, on the color spread at each endpoint (the spread of a final
-  spectrum cannot exceed the degree), and on whether the not-yet-used
-  colors still fit on the remaining edges. Each prune is a mask on one
-  candidate bitmask per depth, built when the search enters it; the lowest
-  untried bit is the next color. It breaks the one global symmetry of the
-  problem, the reflection c -> t + 1 - c, by capping the color of the first
-  edge at ceil(t/2): any witness either respects the cap or reflects to one
-  that does, so the answer is unchanged while the space halves.
-* ``proper_dfs`` answers every proper query (``find_proper_t``) with
-  ``edge_dfs`` on ``padded(g, s)``, s = min(t, |E|): a proper s-coloring of
-  g is an interval s-coloring of g with s - d(v) pendant edges at each
-  vertex v.
+It assigns colors edge by edge in ``connected_edge_order``, pruning on
+properness, on the color spread at each endpoint (the spread of a final
+spectrum cannot exceed the degree), and on whether the not-yet-used colors
+still fit on the remaining edges. Each prune is a mask on one candidate
+bitmask per depth, built when the search enters it; the lowest untried bit
+is the next color. It breaks the one global symmetry of the problem, the
+reflection c -> t + 1 - c, by capping the color of the first edge at
+ceil(t/2): any witness either respects the cap or reflects to one that
+does, so the answer is unchanged while the space halves.
 
 ``edge_dfs`` walks ``connected_edge_order`` with vertices as indices into
 ``g.vertices`` and color sets as int bitmasks (bit c is color c). It keeps,
@@ -49,7 +45,7 @@ import heapq
 
 from .graphs import Edge, Graph, Vertex, assemble_graph
 
-__all__ = ["connected_edge_order", "edge_dfs", "padded", "proper_dfs"]
+__all__ = ["connected_edge_order", "edge_dfs", "padded"]
 
 
 def connected_edge_order(g: Graph) -> list[Edge]:
@@ -82,6 +78,33 @@ def connected_edge_order(g: Graph) -> list[Edge]:
                     if inc not in taken:
                         heapq.heappush(frontier, inc)
     return order
+
+
+def padded(g: Graph, t: int) -> Graph:
+    """g plus t - d(v) pendant edges at every vertex v of degree >= 1 (t >= Δ),
+    each to a new leaf: the leaves of ``g.vertices[i]`` are ``(g.k + 1 + i, j)``
+    for j = 1..t - d(v), in layers above every label of g.
+
+    g has a proper t-coloring exactly when ``padded(g, t)`` has an interval
+    t-coloring. Given a proper t-coloring of g, color the pendants at v with
+    the t - d(v) colors missing at v: every padded vertex then sees all of
+    1..t, a run that covers the palette, and a leaf sees one color. Given an
+    interval t-coloring of the padded graph, it is proper, so its colors on
+    g's edges are a proper t-coloring of g. When no vertex needs a pendant
+    (every vertex of degree >= 1 has degree t, as in a Δ-regular graph at
+    t = Δ) the padding is g itself, the same object.
+    """
+    pendants = [
+        Edge(v, Vertex(g.k + 1 + i, j))
+        for i, v in enumerate(g.vertices)
+        if g.adjacency[v]
+        for j in range(1, t - len(g.adjacency[v]) + 1)
+    ]
+    if not pendants:
+        return g
+    return assemble_graph(max(g.n, t), g.k + len(g.vertices), g.vertices + tuple(e.v for e in pendants),
+                          tuple(sorted(g.edges + tuple(pendants))))
+
 
 
 # ---------------------------------------------------------------------------
@@ -176,41 +199,3 @@ def edge_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | Non
             return dict(zip(edges, color)), nodes
         i += 1
 
-
-# ---------------------------------------------------------------------------
-# Proper (not necessarily interval) edge coloring, as an interval query on a
-# padded graph
-# ---------------------------------------------------------------------------
-
-
-def padded(g: Graph, t: int) -> Graph:
-    """g plus t - d(v) pendant edges at every vertex v of degree >= 1 (t >= Δ),
-    each to a new leaf: the leaves of ``g.vertices[i]`` are ``(g.k + 1 + i, j)``
-    for j = 1..t - d(v), in layers above every label of g.
-
-    g has a proper t-coloring exactly when ``padded(g, t)`` has an interval
-    t-coloring. Given a proper t-coloring of g, color the pendants at v with
-    the t - d(v) colors missing at v: every padded vertex then sees all of
-    1..t, a run that covers the palette, and a leaf sees one color. Given an
-    interval t-coloring of the padded graph, it is proper, so its colors on
-    g's edges are a proper t-coloring of g. A regular graph at t = Δ is its
-    own padding.
-    """
-    pendants = [
-        Edge(v, Vertex(g.k + 1 + i, j))
-        for i, v in enumerate(g.vertices)
-        if g.adjacency[v]
-        for j in range(1, t - len(g.adjacency[v]) + 1)
-    ]
-    return assemble_graph(max(g.n, t), g.k + len(g.vertices), g.vertices + tuple(e.v for e in pendants),
-                          tuple(sorted(g.edges + tuple(pendants))))
-
-
-def proper_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
-    if not g.edges:
-        return {}, 0
-    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
-        return None, 0
-    s = min(t, len(g.edges))  # a proper coloring uses at most |E| colors
-    alpha, nodes = edge_dfs(padded(g, s), s, limit)
-    return (None if alpha is None else {e: alpha[e] for e in g.edges}), nodes

@@ -172,7 +172,12 @@ def dump_json(doc: Any, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The document in a file; OSError if it cannot be read or decoded (not UTF-8, no JSON,
+    nested past the decoder's recursion limit, an integer past ``sys.get_int_max_str_digits()``)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise OSError(f"cannot decode {path}: {exc}") from exc
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -17,14 +17,15 @@ no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
 nodes count toward the same node limit and the same ``nodes_explored``,
 g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
-``find_proper_t`` decides proper t-colorability with ``proper_dfs``, which
-is ``edge_dfs`` on g padded with pendant edges; ``_query`` alone reads a
-node count above the limit as ``exhausted_budget``.
+``find_interval_t`` is the one road into ``edge_dfs``: ``find_proper_t`` and
+χ' ask it on ``engines.padded(g, s)``, whose interval s-colorings are g's
+proper ones.
+``_query`` alone reads a node count above the limit as ``exhausted_budget``.
 ``compute_chromatic_index`` reads χ' off one answer at t = Δ (Vizing).
 ``span_profile`` asks every t from the maximum degree up to the cap that
 ``scan_cap`` reports (the one place a span meets a theorem bound) once, in
 increasing order, reads w, W and continuity off that list, and χ' off its
-t = Δ answer on a regular graph, so one call answers a whole (n, k) cell.
+t = Δ answer when g is its own padding, so one call answers an (n, k) cell.
 ``compute_w``, ``compute_W`` and ``continuity_scan`` apply the same rules to
 one span and stop early.
 
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Iterator
 
 from .coloring import EdgeColoring, verify
 from .composition import asratian_kamalian_bound, block_table, lift, overfull
-from .engines import edge_dfs, proper_dfs
+from .engines import edge_dfs, padded
 from .errors import ColoringError, ParameterError, SoundnessError, check_int
 from .graphs import Edge, Graph
 
@@ -134,25 +135,27 @@ class BoundReport:
     trail: tuple[tuple[int, str], ...] = ()
 
 
-def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], check: str,
-           source: str = SEARCH) -> SearchOutcome:
+def _verified(g: Graph, colors: dict[Edge, int], t: int, check: str, producer: str) -> EdgeColoring:
+    """colors as a t-coloring of g that passes ``verify``'s ``check``, else SoundnessError."""
+    try:
+        witness = EdgeColoring(colors=colors, t=t)
+        if getattr(verify(g, witness), check):
+            return witness
+    except ColoringError as exc:  # a color outside [1, t], or an edge missing or not in g
+        raise SoundnessError(f"{producer} produced a witness at t={t} that is no coloring of g: {exc}") from exc
+    raise SoundnessError(f"{producer} produced a witness at t={t} that fails {check}")
+
+
+def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], source: str = SEARCH) -> SearchOutcome:
     """Run one engine query under a node limit: a count above the limit is
     ``exhausted_budget``, no assignment ``infeasible``, and a witness must be
-    a coloring of g that passes the verifier's ``check`` (a
-    VerificationReport field) or SoundnessError is raised."""
+    an interval t-coloring of g by the verifier or SoundnessError is raised."""
     assignment, nodes = engine(g, t, limit)
     if limit is not None and nodes > limit:
         return SearchOutcome(EXHAUSTED, None, nodes, source)
     if assignment is None:
         return SearchOutcome(INFEASIBLE, None, nodes, source)
-    try:
-        witness = EdgeColoring(colors=assignment, t=t)
-        sound = getattr(verify(g, witness), check)
-    except ColoringError as exc:  # a color outside [1, t], or an edge missing or not in g
-        raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that is no coloring of g: {exc}") from exc
-    if not sound:
-        raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that fails {check}")
-    return SearchOutcome(WITNESS, witness, nodes, source)
+    return SearchOutcome(WITNESS, _verified(g, assignment, t, "is_interval_coloring", engine.__name__), nodes, source)
 
 
 def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
@@ -189,25 +192,33 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     if t > len(g.edges):
         return SearchOutcome(INFEASIBLE, None, 0)
     limit = (cfg or SearchConfig()).node_limit
-    lifted = _query(g, t, limit, composition_lift, "is_interval_coloring", LIFT)
+    lifted = _query(g, t, limit, composition_lift, LIFT)
     if lifted.status != INFEASIBLE:  # a lifted witness, or the budget ran out on the quotient
         return lifted
     spent = lifted.nodes_explored  # "infeasible" here only means no lifted witness
-    outcome = _query(g, t, None if limit is None else limit - spent, edge_dfs, "is_interval_coloring")
+    outcome = _query(g, t, None if limit is None else limit - spent, edge_dfs)
     return replace(outcome, nodes_explored=spent + outcome.nodes_explored)
 
 
 def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has a proper edge coloring with at most t colors.
 
-    ``proper_dfs`` asks ``edge_dfs`` for an interval s-coloring of
-    ``padded(g, s)`` at s = min(t, |E|): below Δ nothing is searched, and no
-    proper coloring needs more than |E| colors. The witness is g's part of
-    that coloring, not an interval coloring in general, and is checked for
-    properness only.
+    Below Δ nothing is searched; an edgeless g gets the empty coloring. Else
+    ``find_interval_t`` decides ``padded(g, min(t, |E|))`` (no proper coloring
+    needs more colors), and its witness's part on g is checked for properness.
     """
     check_int("t", t, 1)
-    return _query(g, t, (cfg or SearchConfig()).node_limit, proper_dfs, "is_proper")
+    if not g.edges:
+        return SearchOutcome(WITNESS, EdgeColoring({}, t), 0)
+    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
+        return SearchOutcome(INFEASIBLE, None, 0)
+    s = min(t, len(g.edges))
+    outcome = find_interval_t(padded(g, s), s, cfg)
+    if outcome.witness is None:
+        return outcome
+    # g's part: every edge but the pendants, whose e.v is a new leaf outside g
+    colors = {e: c for e, c in outcome.witness.colors.items() if e.v in g.adjacency}
+    return replace(outcome, witness=_verified(g, colors, t, "is_proper", "find_interval_t on the padded graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +270,7 @@ class SpanProfile:
     as BoundReports, and the statuses of every t in [max degree, W]
     (``continuity``; None unless both w and W were found). ``trail`` lists
     each interval query, in increasing t; ``nodes_explored`` counts their
-    nodes, plus the one proper query of a graph neither regular nor overfull."""
+    nodes, plus those of a χ' query on ``padded(g, Δ)`` when that is not g."""
 
     chi_prime: int | None
     w: BoundReport
@@ -339,7 +350,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     (``lower_bound_only`` if some t above it hit the budget), and
     continuity its prefix up to W. Each BoundReport equals what
     ``compute_w`` or ``compute_W`` report for g alone, and chi' what
-    ``compute_chromatic_index`` reports, read off t = Δ on a regular graph.
+    ``compute_chromatic_index`` reports, read off t = Δ if g is its padding.
     """
     cap = scan_cap(g, cfg)
     asked = list(_ask(g, cfg, cap[0]))
@@ -375,22 +386,20 @@ def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
     """(χ', nodes of its one query). By Vizing's theorem (1964) χ' is Δ or Δ + 1,
     so one answer at t = Δ decides it. An overfull graph needs Δ + 1, no query.
-    A Δ-regular graph is its own padding at Δ (``engines.padded``): every vertex
-    sees all Δ colors, so a proper Δ-coloring is an interval one and
-    ``find_interval_t`` answers (lifted on compositions); any other graph asks
-    ``find_proper_t``. A witness gives Δ, ``infeasible``
-    Δ + 1 and ``exhausted_budget`` None."""
+    Any other graph asks ``find_interval_t`` on ``padded(g, Δ)``, whose interval
+    Δ-colorings are g's proper ones (lifted where the padding is a composition).
+    A witness gives Δ, ``infeasible`` Δ + 1 and ``exhausted_budget`` None."""
     return _chromatic_index(g, cfg, {})
 
 
 def _chromatic_index(g: Graph, cfg: SearchConfig | None, held: dict[int, SearchOutcome]) -> tuple[int | None, int]:
-    """The same, with a regular graph's t = Δ answer read off ``held`` if a scan asked it."""
+    """The same, reading the t = Δ answer off ``held`` when g is its own padding at Δ."""
     if not g.edges:
         return 0, 0
     delta = g.max_degree()
     if overfull(g):  # its Δ matchings cannot hold every edge
         return delta + 1, 0
-    regular = 2 * len(g.edges) == delta * len(g.vertices)  # the degrees sum to 2|E|, each at most Δ
-    known = held.get(delta) if regular else None
-    outcome = known or (find_interval_t if regular else find_proper_t)(g, delta, cfg)
+    target = padded(g, delta)
+    known = held.get(delta) if target is g else None
+    outcome = known or find_interval_t(target, delta, cfg)
     return {WITNESS: delta, INFEASIBLE: delta + 1}.get(outcome.status), 0 if known else outcome.nodes_explored

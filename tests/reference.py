@@ -22,12 +22,15 @@ window recomputed from the lowest and highest used color at each depth,
 the package no longer runs: it colors g's own edges, scanning colors with
 ``range``, and breaks the permutation symmetry of color classes by opening
 color c + 1 only once colors 1..c are used. ``ringcol.search.find_proper_t``
-pads g with pendant edges and asks ``edge_dfs`` instead, so the two agree
-on every status, not on node counts.
+instead asks ``find_interval_t`` about g padded with pendant edges
+(``ringcol.engines.padded``), lifted where the padding is a composition, so
+the two agree on every status, not on node counts.
 
 ``chromatic_index`` is chi' by that proper search alone, at the maximum
 degree and one above it, with no theorem: the reference for
-``ringcol.search.compute_chromatic_index``.
+``ringcol.search.compute_chromatic_index``, which asks ``find_interval_t``
+about ``padded(g, Delta)`` and reads its answer off a span profile's own
+query when that padding is g itself.
 
 ``lifted_colors`` is the composition lift written edge by edge from the
 definition of the block table F_j, which ``ringcol.composition.lift`` and
@@ -161,8 +164,9 @@ def twin_positions(g):
 
 def run_engine(engine, g, t, node_limit=None):
     """(status, nodes, witness) of one engine at span t, from the query body
-    of ``find_interval_t``: a witness is re-checked with the verifier."""
-    outcome = search._query(g, t, node_limit, engine, "is_interval_coloring")
+    of ``find_interval_t``: a witness is re-checked with the verifier as an
+    interval coloring."""
+    outcome = search._query(g, t, node_limit, engine)
     return outcome.status, outcome.nodes_explored, outcome.witness
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -400,6 +401,37 @@ def test_invalid_json_is_an_io_error(tmp_path):
     assert run(tmp_path, "verify", "--graph", str(bad), "--coloring", str(bad)) == 5
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 where Python sets no limit
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the JSON decoder's recursion limit
+    pytest.param(b'{"n": ' + b"9" * 5_000 + b', "k": 3, "vertices": [], "edges": []}',
+                 marks=pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5_000, reason="no integer digit limit below 5 000"),
+                 id="long-integer"),
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+@pytest.mark.parametrize("command, role", [
+    ("verify", "graph"), ("verify", "coloring"), ("search", "graph"), ("export-dot", "graph"),
+])
+def test_an_undecodable_file_exits_5_with_one_manifest_line(tmp_path, capsys, content, command, role):
+    gpath, cpath, bad = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "bad.json"
+    gpath.write_text(json.dumps(graph_to_dict(ring_graph(RingParams(1, 4)))))
+    cpath.write_text(json.dumps(coloring_to_dict(mirrored_staircase_coloring(RingParams(1, 4)))))
+    bad.write_bytes(content)
+    files = {"graph": str(bad if role == "graph" else gpath), "coloring": str(bad if role == "coloring" else cpath)}
+    argv = {
+        "verify": ["--graph", files["graph"], "--coloring", files["coloring"]],
+        "search": ["--graph", files["graph"], "--t", "2"],
+        "export-dot": ["--graph", files["graph"], "--out", str(tmp_path / "g.dot")],
+    }[command]
+    assert run(tmp_path, command, *argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err, err[:300]
+    lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+    assert [(json.loads(line)["command"], json.loads(line)["exit_status"]) for line in lines] == [(command, 5)]
+
+
 # ---------------------------------------------------------------------------
 # search / bounds / bounds-exact
 # ---------------------------------------------------------------------------
@@ -600,23 +632,29 @@ def test_bounds_exact_settles_an_overfull_ring_by_vizing_alone(tmp_path, capsys,
 
 
 def test_sweeps_and_bounds_exact_of_rings_run_no_proper_search(tmp_path, monkeypatch):
-    # every ring is regular or overfull: chi' comes from the profile's own t = Delta query or from
-    # Vizing's theorem, never from find_proper_t
-    calls = []
-    original = search.find_proper_t
+    # every ring is overfull or regular, so its own padding at Delta: chi' comes from Vizing's theorem
+    # or from the profile's own t = Delta query, and no query asks about any graph but the profiled ring
+    profiled, calls = [], []
+    profile, query = cli.span_profile, search.find_interval_t
+
+    def profiling(g, cfg):
+        profiled.append(g)
+        return profile(g, cfg)
 
     def counting(g, t, cfg=None):
-        calls.append((len(g.edges), t))
-        return original(g, t, cfg)
+        if g is not profiled[-1]:
+            calls.append((len(g.edges), t))
+        return query(g, t, cfg)
 
-    monkeypatch.setattr(search, "find_proper_t", counting)
+    monkeypatch.setattr(cli, "span_profile", profiling)
+    monkeypatch.setattr(search, "find_interval_t", counting)
     # the budget keeps the refutations above W on ring(2,5) and ring(2,6) short; it cuts no chi' query
     out = str(tmp_path / "report")
     assert run(tmp_path, "sweep", "--n-max", "2", "--k-max", "6", "--node-limit", "20000", "--out", out) == 0
     cells = load_json(tmp_path / "report.json")["cells"]
     assert [cell["chi_agree"] for cell in cells] == ["yes"] * 8
     assert run(tmp_path, "bounds-exact", "--n", "5", "--k", "5") == 0
-    assert calls == []
+    assert (len(profiled), calls) == (9, [])
 
 
 # ---------------------------------------------------------------------------

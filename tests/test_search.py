@@ -18,6 +18,7 @@ from ringcol import (
     continuity_scan,
     find_interval_t,
     find_proper_t,
+    make_edge,
     mirrored_staircase_coloring,
     ring_chromatic_index,
     ring_graph,
@@ -140,12 +141,16 @@ def test_budget_cutoff_is_never_reported_as_infeasible():
 def test_engines_return_their_node_count_and_stop_one_past_the_limit():
     big = ring_graph(RingParams(8, 16))
     assert engines.edge_dfs(big, 40, 5_000) == (None, 5_001)
-    assert engines.proper_dfs(big, 16, 1_000) == (None, 1_001)  # its witness takes 1 024 nodes
+    assert engines.edge_dfs(big, 16, 1_000) == (None, 1_001)  # its witness takes 1 024 nodes
     # C5 at t=2 is refuted on node 4: a count at the limit is no cut
-    assert engines.proper_dfs(cycle(5), 2, 3) == engines.proper_dfs(cycle(5), 2, 4) == (None, 4)
+    assert engines.edge_dfs(cycle(5), 2, 3) == engines.edge_dfs(cycle(5), 2, 4) == (None, 4)
     edgeless = build_graph(1, 1, [Vertex(1, 1)], [])
     assert engines.edge_dfs(edgeless, 1, None) == (None, 0)
-    assert engines.proper_dfs(edgeless, 1, None) == ({}, 0)
+    # a proper query searches nothing below Delta, and gives an edgeless graph the empty coloring
+    below = find_proper_t(big, 15)
+    assert (below.status, below.nodes_explored) == ("infeasible", 0)
+    empty = find_proper_t(edgeless, 1)
+    assert (empty.status, empty.witness.colors, empty.nodes_explored) == ("witness", {}, 0)
 
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
@@ -288,9 +293,21 @@ def test_a_lift_answers_on_1024_edges_from_the_quotient_cycle():
     assert verify(g, outcome.witness).is_interval_coloring
 
 
+def test_a_proper_query_at_the_degree_of_a_ring_is_lifted():
+    # ring(8,16) is 16-regular, so padded(g, 16) is g itself: find_interval_t lifts a 2-coloring of
+    # C16, found in 16 nodes, where a search of the ring takes 1 024
+    g = ring_graph(RingParams(8, 16))
+    assert engines.padded(g, 16) is g
+    outcome = find_proper_t(g, 16, SearchConfig(node_limit=5_000))
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 16, "composition_lift")
+    assert verify(g, outcome.witness).is_proper
+
+
 def test_proper_search_needs_no_recursion_on_1024_edges():
-    outcome = find_proper_t(ring_graph(RingParams(8, 16)), 16, SearchConfig(node_limit=5_000))
-    assert (outcome.status, outcome.nodes_explored) == ("witness", 1_024)  # one color per edge
+    # at t = 17 each of the 128 vertices gets one pendant, to a leaf of its own, so the padded graph
+    # (1 152 edges) has no twins and no lift: edge_dfs searches it, one color per edge
+    outcome = find_proper_t(ring_graph(RingParams(8, 16)), 17, SearchConfig(node_limit=5_000))
+    assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 1_152, "search")
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +496,20 @@ def petersen():
     return build_graph(5, 2, outer + inner, edges + list(zip(outer, inner)))
 
 
-def _counting_proper_queries(monkeypatch):
+def _queries_on_other_graphs(monkeypatch, g):
+    """(graph, t, outcome) of every ``find_interval_t`` call the search module
+    makes on a graph other than g: the chi' query of a graph that is not its
+    own padding at Delta."""
     made = []
-    original = search.find_proper_t
+    original = search.find_interval_t
 
-    def counting(g, t, cfg=None):
-        made.append(original(g, t, cfg))
-        return made[-1]
+    def counting(h, t, cfg=None):
+        outcome = original(h, t, cfg)
+        if h is not g:
+            made.append((h, t, outcome))
+        return outcome
 
-    monkeypatch.setattr(search, "find_proper_t", counting)
+    monkeypatch.setattr(search, "find_interval_t", counting)
     return made
 
 
@@ -495,7 +517,7 @@ def test_chromatic_index_small_cases():
     assert compute_chromatic_index(cycle(3)) == (3, 0)  # overfull: Delta + 1 with no query
     assert compute_chromatic_index(cycle(4)) == (2, 1)  # regular: the interval query at Delta
     assert compute_chromatic_index(complete_bipartite(3)) == (3, 1)  # K2[K̄3]: one lifted node
-    assert compute_chromatic_index(path(3))[0] == 2  # not regular: the proper query at Delta
+    assert compute_chromatic_index(path(3))[0] == 2  # not regular: the query on padded(g, Delta)
     assert compute_chromatic_index(petersen()) == (4, 154)  # regular, and infeasible at Delta = 3
     assert compute_chromatic_index(build_graph(1, 1, [Vertex(1, 1)], [])) == (0, 0)
 
@@ -505,23 +527,48 @@ def test_chromatic_index_small_cases():
     ("ring(2,4)", ring_graph(RingParams(2, 4)), 4), ("Petersen", petersen(), 4),
 ])
 def test_span_profile_settles_the_chromatic_index(monkeypatch, label, g, chi):
-    # chi' of an overfull graph is Delta + 1 by theorem, and that of a regular one is read off the
-    # profile's own query at t = Delta (infeasible on the Petersen graph): no proper query, no node twice
-    made = _counting_proper_queries(monkeypatch)
+    # chi' of an overfull graph is Delta + 1 by theorem, and a regular one is its own padding at Delta,
+    # so chi' is read off the profile's own query at t = Delta (infeasible on the Petersen graph): no
+    # query on another graph, no node twice
+    made = _queries_on_other_graphs(monkeypatch, g)
     profile = span_profile(g)
     assert (profile.chi_prime, made) == (chi, [])
     assert profile.settled
     assert profile.nodes_explored == sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
 
 
-def test_span_profile_of_a_path_asks_one_proper_query(monkeypatch):
-    # a path is neither regular nor overfull: chi' = 2 comes from find_proper_t at t = Delta
-    made = _counting_proper_queries(monkeypatch)
+def test_span_profile_of_a_path_asks_one_query_on_its_padding(monkeypatch):
+    # a path is not overfull, and its ends need a pendant each at Delta = 2: chi' = 2 comes from one
+    # query on padded(path, 2), beside the profile's own queries on the path
     g = path(4)
+    made = _queries_on_other_graphs(monkeypatch, g)
     profile = span_profile(g)
-    assert (profile.chi_prime, [o.status for o in made]) == (2, ["witness"])
+    assert profile.chi_prime == 2
+    assert [(h, t, o.status) for h, t, o in made] == [(engines.padded(g, 2), 2, "witness")]
     interval = sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
-    assert profile.nodes_explored == interval + made[0].nodes_explored
+    assert profile.nodes_explored == interval + made[0][2].nodes_explored
+
+
+def test_a_graph_that_is_its_own_padding_reads_chi_off_its_own_query(monkeypatch):
+    # padded(g, Delta) is g itself when no vertex needs a pendant, and an isolated vertex takes none:
+    # C4 plus an isolated vertex is not regular, yet chi' = 2 is read off the profile's t = 2 query
+    c4 = cycle(4)
+    g = build_graph(1, 5, [*c4.vertices, Vertex(5, 1)], c4.edges)
+    assert engines.padded(c4, 2) is c4 and engines.padded(g, 2) is g
+    made = _queries_on_other_graphs(monkeypatch, g)
+    profile = span_profile(g)
+    assert (profile.chi_prime, made) == (2, [])
+    assert profile.nodes_explored == sum(find_interval_t(g, t).nodes_explored for t, _ in profile.trail)
+
+
+def test_chi_prime_of_a_graph_with_no_interval_delta_coloring_asks_the_padding():
+    # vertices 1..5, edges 12, 13, 14, 23, 25, 45: Delta = 3 at vertices 1 and 2 only, 6 edges, so
+    # neither regular nor overfull. A proper 3-coloring exists but no interval one, so reading the
+    # profile's own t = 3 answer would give chi' = 4
+    v = [Vertex(1, i) for i in range(1, 6)]
+    g = build_graph(5, 1, v, [(v[a - 1], v[b - 1]) for a, b in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 5))])
+    assert (g.max_degree(), composition.overfull(g), find_interval_t(g, 3).status) == (3, False, "infeasible")
+    assert span_profile(g).chi_prime == compute_chromatic_index(g)[0] == reference.chromatic_index(g, 10_000) == 3
 
 
 @given(g=small_graphs())
@@ -555,9 +602,17 @@ def test_engine_witness_is_reverified(monkeypatch):
     monkeypatch.setattr(search, "edge_dfs", lambda g, t, limit: (dict(bad), 1))
     with pytest.raises(SoundnessError):
         find_interval_t(g, 2)
-    monkeypatch.setattr(search, "proper_dfs", lambda g, t, limit: (dict(bad), 1))
-    with pytest.raises(SoundnessError):
-        find_proper_t(g, 2)
+    monkeypatch.undo()
+    # find_proper_t re-checks the part on g of the witness find_interval_t gives for padded(g, 3): all
+    # the pendants are dropped, and whatever else is there must be a proper coloring of g
+    one_color = lambda h, t, cfg=None: search.SearchOutcome("witness", EdgeColoring({e: 1 for e in h.edges}, t), 1)
+    chord = make_edge(Vertex(1, 1), Vertex(4, 1))
+    stray = build_graph(1, 6, g.vertices, g.edges + (chord,))  # g plus a chord, padded in its place
+    other = lambda h, t, cfg=None: find_interval_t(engines.padded(stray, t), t, cfg)
+    for fake in (one_color, other):  # an improper part on g; a part with an edge g does not have
+        monkeypatch.setattr(search, "find_interval_t", fake)
+        with pytest.raises(SoundnessError):
+            find_proper_t(g, 3)
 
 
 def test_continuity_scan_with_explicit_top():
