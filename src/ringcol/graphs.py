@@ -18,9 +18,12 @@ from functools import cached_property
 from itertools import chain, starmap
 from operator import lt
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import ParameterError, SoundnessError, check_int
+
+if TYPE_CHECKING:
+    from .engines import SearchPlan
 
 __all__ = [
     "Vertex",
@@ -180,6 +183,15 @@ class Graph:
         # classes and _neighbors() are in vertex order, so the edges u < w come out canonical
         edges = [tuple.__new__(Edge, (u, w)) for u in classes for w in self._neighbors(u) if u < w and w in classes]
         return Composition(assemble_graph(self.n, self.k, tuple(classes), tuple(edges)), n, classes)
+
+    @cached_property
+    def search_plan(self) -> SearchPlan:
+        """The static part of ``engines.edge_dfs``'s search of this graph (its
+        edge order, degrees, twin keys and first-edge rule), built once per
+        graph rather than once per query."""
+        from .engines import search_plan  # engines builds on this module
+
+        return search_plan(self)
 
 
 class Composition(NamedTuple):

@@ -17,6 +17,12 @@ match the plain ``coloring_from_dict`` in the same way.
 fast one must match node for node: per-vertex used colors with the spread
 window recomputed from the lowest and highest used color at each depth,
 ``bit_count`` for the coverage prune, and ``Budget.spend`` at every node.
+Its symmetry rules are read off their definitions: each twin key is checked
+against every key edge of its class colored so far (``twin_keys``), and the
+first edge takes color 1 when ``cycle_or_complete_quotient`` holds, else at
+most ceil(t/2). ``unkeyed_edge_dfs`` is the same loop with the reflection
+cap alone, the search before the keys and color 1: ``edge_dfs`` must reach
+its status wherever both decide.
 
 ``proper_dfs`` is the independent reference for proper queries, a search
 the package no longer runs: it colors g's own edges, scanning colors with
@@ -39,10 +45,11 @@ every coloring built on it must match.
 
 from collections import deque
 from functools import wraps
+from itertools import combinations
 
 from ringcol import (Edge, EdgeColoring, FormatError, Graph, ParameterError, SearchConfig, SoundnessError,
                      Vertex, make_edge, search)
-from ringcol.engines import _indexed_edge_order
+from ringcol.engines import connected_edge_order
 
 
 class OutOfBudget(Exception):
@@ -170,10 +177,63 @@ def run_engine(engine, g, t, node_limit=None):
     return outcome.status, outcome.nodes_explored, outcome.witness
 
 
+def indexed_edge_order(g):
+    """``connected_edge_order`` with each edge's endpoints as indices into
+    ``g.vertices``, and every vertex's degree under the same index."""
+    edges = connected_edge_order(g)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return edges, [pos[e.u] for e in edges], [pos[e.v] for e in edges], [g.degree(v) for v in g.vertices]
+
+
+def twin_keys(g, root):
+    """key edge -> (its twin class, its place in the class): a BFS over the
+    quotient from the class of ``root`` gives every class C it reaches but the
+    root a parent, and the edges from the parent's first member to C's
+    members, in vertex order, must carry increasing colors."""
+    classes = g.twin_classes
+    of = {v: c for c, members in enumerate(classes) for v in members}
+    parent = {of[root]: None}
+    order = [of[root]]
+    for c in order:  # order grows as the BFS reaches new classes
+        for w in g.neighbors(classes[c][0]):
+            if of[w] not in parent:
+                parent[of[w]] = c
+                order.append(of[w])
+    return {make_edge(classes[p][0], x): (c, j)
+            for c, p in parent.items() if p is not None
+            for j, x in enumerate(classes[c])}
+
+
+def cycle_or_complete_quotient(g):
+    """Whether g's twin classes all have one size and its quotient is a
+    connected cycle or a complete graph on at least two classes."""
+    classes = g.twin_classes
+    if len({len(members) for members in classes}) != 1 or len(classes) < 2:
+        return False
+    of = {v: c for c, members in enumerate(classes) for v in members}
+    joined = {frozenset((of[e.u], of[e.v])) for e in g.edges}
+    if joined == {frozenset(pair) for pair in combinations(range(len(classes)), 2)}:
+        return True
+    reached = {0}
+    for _ in classes:
+        reached |= {c for pair in joined if pair & reached for c in pair}
+    return len(reached) == len(classes) and all(sum(c in pair for pair in joined) == 2 for c in reached)
+
+
 @counted
 def edge_dfs(g, t, budget):
     """The same search as ``ringcol.engines.edge_dfs``: same nodes, same witness."""
-    edges, us, vs, deg = _indexed_edge_order(g)
+    return _plain_edge_dfs(g, t, budget, keyed=True)
+
+
+@counted
+def unkeyed_edge_dfs(g, t, budget):
+    """``edge_dfs`` with the reflection cap as its one symmetry rule."""
+    return _plain_edge_dfs(g, t, budget, keyed=False)
+
+
+def _plain_edge_dfs(g, t, budget, keyed):
+    edges, us, vs, deg = indexed_edge_order(g)
     m = len(edges)
     if m == 0:
         return None
@@ -181,7 +241,13 @@ def edge_dfs(g, t, budget):
     used = [0] * len(deg)  # per vertex: bit c set when color c is on it
     count = [0] * (t + 1)  # per color: edges carrying it
     zero = palette = (1 << (t + 1)) - 2  # zero: bit c set while color c is on no edge
-    first = (1 << ((t + 1) // 2 + 1)) - 2  # the first edge's colors: up to the reflection cap
+    cap = 1 if keyed and cycle_or_complete_quotient(g) else (t + 1) // 2
+    first = (1 << (cap + 1)) - 2  # the first edge's colors: 1..cap
+    # per depth: every earlier key edge of its class, with whether it comes before it in key order
+    keys = twin_keys(g, edges[0].u) if keyed else {}
+    earlier = [[(h, keys[edges[h]][1] < keys[e][1]) for h in range(i)
+                if e in keys and edges[h] in keys and keys[edges[h]][0] == keys[e][0]]
+               for i, e in enumerate(edges)]
     color = [0] * m  # per depth: the color of edges[i]
     cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
 
@@ -190,6 +256,8 @@ def edge_dfs(g, t, budget):
         a, b = us[i], vs[i]
         used_a, used_b = used[a], used[b]
         mask = (palette if i else first) & ~(used_a | used_b)
+        for h, before in earlier[i]:
+            mask &= ~((2 << color[h]) - 1) if before else (1 << color[h]) - 1
         # a spread of at most d keeps a new color in [highest - d + 1, lowest + d - 1]
         if used_a:
             d = deg[a]
@@ -232,7 +300,7 @@ def edge_dfs(g, t, budget):
 def proper_dfs(g, t, budget):
     """A proper coloring with at most t colors, by plain search with color
     opening: an edge may take color c + 1 only once colors 1..c are used."""
-    edges, us, vs, deg = _indexed_edge_order(g)
+    edges, us, vs, deg = indexed_edge_order(g)
     m = len(edges)
     if m == 0:
         return {}

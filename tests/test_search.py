@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
@@ -155,7 +155,7 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
     (find_interval_t, 2, 6, 9, "witness", 8),  # lifted from C6 at s = 4: the quotient's nodes count
-    (find_interval_t, 2, 3, 7, "infeasible", 7_066),  # C3 is overfull, so no lift: ring(2,3) alone
+    (find_interval_t, 2, 3, 7, "infeasible", 263),  # C3 is overfull, so no lift: ring(2,3) alone
     (find_proper_t, 2, 3, 4, "witness", 33),
     (find_proper_t, 1, 5, 2, "infeasible", 4),
 ])
@@ -188,8 +188,9 @@ def test_compute_chromatic_index_budget_gives_no_value():
 
 def test_compute_W_budget_degrades_to_lower_bound():
     g = ring_graph(RingParams(2, 4))
-    # enough to find the t=7 witness but not to exhaust any higher t up to |E|
-    report = compute_W(g, SearchConfig(t_max=len(g.edges), node_limit=20_000))
+    # enough to find the t=7 witness (one lifted node) but not to exhaust any higher t up to |E|
+    # (t = 16 takes 8 nodes, t = 8 the most, 675)
+    report = compute_W(g, SearchConfig(t_max=len(g.edges), node_limit=5))
     assert report.value == 7
     assert report.status == "lower_bound_only"
 
@@ -207,17 +208,17 @@ _PINNED_NODE_COUNTS = [
     ("start_assignment", 2, 6, 8, "exhausted_budget", 50_001),
     ("start_assignment", 3, 6, 9, "witness", 8_006),
     ("start_assignment", 3, 4, 8, "exhausted_budget", 50_001),
-    ("edge_dfs", 2, 3, 7, "infeasible", 7_066),
-    ("edge_dfs", 2, 6, 9, "witness", 2_641),
+    ("edge_dfs", 2, 3, 7, "infeasible", 263),
+    ("edge_dfs", 2, 6, 9, "witness", 869),
     ("edge_dfs", 3, 4, 10, "witness", 16_293),
     ("edge_dfs", 3, 4, 11, "exhausted_budget", 50_001),
-    ("find_interval_t", 2, 3, 7, "infeasible", 7_066),
+    ("find_interval_t", 2, 3, 7, "infeasible", 263),
     ("find_interval_t", 2, 6, 9, "witness", 8),
     ("find_interval_t", 3, 4, 10, "witness", 1),
     ("find_interval_t", 3, 4, 11, "witness", 1),
     ("find_interval_t", 3, 6, 14, "witness", 8),
     ("find_proper_t", 2, 3, 4, "witness", 33),
-    ("find_proper_t", 2, 5, 4, "witness", 150),
+    ("find_proper_t", 2, 5, 4, "witness", 105),
     ("find_proper_t", 1, 5, 2, "infeasible", 4),
 ]
 
@@ -246,6 +247,19 @@ def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes)
         outcome = query(g, t, SearchConfig(node_limit=50_000))
         got = (outcome.status, outcome.nodes_explored)
     assert got == (status, nodes)
+
+
+def test_a_graph_builds_its_search_plan_once(monkeypatch):
+    # the edge order, the twin keys and the first edge's rule are built per graph, not per query:
+    # ring(2,3)'s five interval queries (no lift: C3 is overfull) share one plan
+    built = []
+    plan = engines.search_plan
+    monkeypatch.setattr(engines, "search_plan", lambda g: built.append(g) or plan(g))
+    g = ring_graph(RingParams(2, 3))
+    profile = span_profile(g)
+    assert [t for t, _ in profile.trail] == [4, 5, 6, 7, 8]
+    assert built == [g]
+    assert g.search_plan.color_one  # the quotient C3 = K_3: the first edge takes color 1
 
 
 def test_window_assignment_needs_no_recursion_on_1024_edges():
@@ -377,13 +391,14 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     )
 
 
-@pytest.mark.extended
-@pytest.mark.parametrize("k, W", [(5, 7), (6, 9)])
-def test_greatest_span_of_ring_2_k_by_exhaustion(k, W):
-    # the paper states neither: every t above W up to the Asratian–Kamalian cap of 10 is refuted
+@pytest.mark.parametrize("k, W, cap", [(5, 7, 10), (6, 9, 10), (7, 9, 13), (8, 11, 13)])
+def test_greatest_span_of_ring_2_k_by_exhaustion(k, W, cap):
+    # the paper states none of these: every t above W up to the Asratian–Kamalian cap is refuted
+    # (ring(2,8) at t = 12, about 1 M nodes, is the largest). For even k, W meets the paper's lower
+    # bound 2n + nk/2 - 1; for k = 5 and 7 it falls one short of that value
     profile = span_profile(ring_graph(RingParams(2, k)))
     assert (profile.w.value, profile.w.status) == (4, "exact")
-    assert (profile.W.value, profile.W.status, profile.W.t_max) == (W, "exact", 10)
+    assert (profile.W.value, profile.W.status, profile.W.t_max) == (W, "exact", cap)
     assert profile.continuity_status == "ok"
 
 
@@ -925,6 +940,43 @@ def test_dfs_engines_match_their_plain_references(g, limit):
     for t in range(1, len(g.edges) + 2):
         assert reference.trace(engines.edge_dfs, g, t, limit) == reference.trace(reference.edge_dfs, g, t, limit), t
         _proper_statuses_agree(g, t, limit)
+
+
+def _p4_with_its_middle_edge_first():
+    """P_4 a-b-c-d labelled so that b-c is the least edge. Its interval
+    3-colorings put color 2 on b-c, so a search that forced color 1 onto the
+    first edge here would call it infeasible."""
+    b, c, a, d = Vertex(1, 1), Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)
+    return build_graph(2, 2, [a, b, c, d], [(b, c), (a, b), (c, d)])
+
+
+def _wagner_graph():
+    """The Möbius ladder on 8 vertices, labelled around its rim: 3-regular and
+    vertex-transitive, but no automorphism maps a rim edge to a spoke. Its
+    interval 6-colorings carry color 1 on spokes only, never on the rim edge
+    that sorts first, so a search that forced color 1 onto the first edge of
+    every regular graph would call t = 6 infeasible."""
+    rim = [Vertex(1, i) for i in range(1, 9)]
+    return build_graph(8, 1, rim, [(rim[i], rim[(i + 1) % 8]) for i in range(8)] + [(rim[i], rim[i + 4]) for i in range(4)])
+
+
+@given(g=st.one_of(
+    small_graphs(max_edges=12),
+    compositions().map(lambda composed: composed[2]),
+    st.tuples(small_graphs(max_edges=8), st.integers(0, 2)).map(lambda p: engines.padded(p[0], p[0].max_degree() + p[1])),
+))
+@example(g=_p4_with_its_middle_edge_first())
+@example(g=_wagner_graph())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_symmetry_rules_keep_the_status_of_the_unkeyed_search(g):
+    # the twin keys and the first edge's color 1 or reflection cap cut only colorings that an
+    # automorphism or the reflection maps into the space still searched: wherever both searches
+    # decide within the budget, edge_dfs reaches the status of the search with the reflection cap alone
+    for t in range(1, len(g.edges) + 2):
+        found, nodes = engines.edge_dfs(g, t, 1_000)
+        plain, plain_nodes = reference.unkeyed_edge_dfs(g, t, 1_000)
+        if nodes <= 1_000 and plain_nodes <= 1_000:
+            assert (found is None) == (plain is None), t
 
 
 @given(g=small_graphs(max_edges=12))
