@@ -35,6 +35,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -99,7 +100,7 @@ def _gc_paused() -> Iterator[None]:
 @_gc_paused()
 def cmd_generate(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = ring_graph(RingParams(args.n, args.k))
-    rio.dump_json(rio.graph_to_dict(g), args.out)
+    rio.write_graph(g, args.out)
     artifacts.append(args.out)
     print(f"wrote {args.out}: {len(g.vertices)} vertices, {len(g.edges)} edges")
     return EXIT_OK
@@ -114,7 +115,7 @@ def cmd_construct(args: argparse.Namespace, artifacts: list[str]) -> int:
         coloring = t_coloring(params, args.t)
     g = ring_graph(params)
     report = verify(g, coloring)
-    rio.dump_json(rio.coloring_to_dict(coloring), args.out)
+    rio.write_coloring(coloring, args.out)
     artifacts.append(args.out)
     if not report.is_interval_coloring:
         print(f"self-verification FAILED for {args.out}", file=sys.stderr)
@@ -250,7 +251,11 @@ def cmd_export_dot(args: argparse.Namespace, artifacts: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built at the first call, about 2 ms, and
+    shared after it. ``parse_args`` fills a new namespace on every call, so
+    no option value of one command reaches the next."""
     parser = argparse.ArgumentParser(
         prog="ringcol",
         description="Interval edge colorings of ring-layered regular graphs: "

@@ -38,6 +38,10 @@ degree and one above it, with no theorem: the reference for
 about ``padded(g, Delta)`` and reads its answer off a span profile's own
 query when that padding is g itself.
 
+``verify`` is the interval-coloring verifier written from the definitions,
+a sorted spectrum at every vertex, which ``ringcol.verify`` must match
+report for report.
+
 ``lifted_colors`` is the composition lift written edge by edge from the
 definition of the block table F_j, which ``ringcol.composition.lift`` and
 every coloring built on it must match.
@@ -48,7 +52,7 @@ from functools import wraps
 from itertools import combinations
 
 from ringcol import (Edge, EdgeColoring, FormatError, Graph, ParameterError, SearchConfig, SoundnessError,
-                     Vertex, make_edge, search)
+                     VerificationReport, Vertex, make_edge, search)
 from ringcol.engines import connected_edge_order
 
 
@@ -148,6 +152,34 @@ def coloring_from_dict(doc):
             raise FormatError(f"edge {e} colored twice in document")
         colors[e] = entry["color"]
     return EdgeColoring(colors=colors, t=doc["t"])
+
+
+def verify(g, coloring):
+    """The same VerificationReport as ``ringcol.verify`` for a coloring total on
+    E(g), read off the definitions: every vertex's spectrum sorted, a clash
+    for each color on two or more of its edges, and a gap wherever the
+    spectrum is not d(v) consecutive colors."""
+    colors = coloring.colors
+    violations, gaps = [], []
+    for v in g.vertices:
+        incident = g.adjacency[v]
+        spect = tuple(sorted({colors[e] for e in incident}))
+        for c in spect:
+            clashing = tuple(e for e in incident if colors[e] == c)
+            if len(clashing) > 1:
+                violations.append((v, c, clashing))
+        if spect and spect != tuple(range(spect[0], spect[0] + len(incident))):
+            gaps.append((v, spect))
+    missing = tuple(c for c in range(1, coloring.t + 1) if c not in colors.values())
+    return VerificationReport(
+        t=coloring.t,
+        is_proper=not violations,
+        is_interval=not violations and not gaps,
+        covers_palette=not missing,
+        proper_violations=tuple(violations),
+        gap_vertices=tuple(gaps),
+        missing_colors=missing,
+    )
 
 
 def lifted_colors(g, position, alpha, n, j):
@@ -402,9 +434,6 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
     start = [0] * nv
     cover = [0] * (t + 2)
 
-    def covers_palette() -> bool:
-        return all(cover[c] > 0 for c in range(1, t + 1))
-
     def parity_ok() -> bool:
         # Each vertex must use every color of its window exactly once, so the
         # edges of one color form a perfect matching on the vertices whose
@@ -431,15 +460,17 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
     next_s = [0] * nv
     last_s = [0] * nv
     next_s[0], last_s[0] = start_range(0)
+    spend = budget.spend
     i = 0
     while True:
         if i == nv:
-            if covers_palette() and parity_ok():
+            # the windows cover the palette; asked at every full start vector, so scanned at C speed
+            if 0 not in cover[1 : t + 1] and parity_ok():
                 found = _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
                 if found is not None:
                     return found
         elif next_s[i] <= last_s[i]:
-            budget.spend()
+            spend()
             s = start[i] = next_s[i]
             next_s[i] = s + 1
             for c in range(s, s + deg[i]):

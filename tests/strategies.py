@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from ringcol import Vertex, build_graph
+from ringcol import EdgeColoring, Vertex, build_graph
 
 
 def _room(labels: int) -> int:
@@ -34,6 +34,16 @@ def graph_inputs(draw, max_edges=12):
 def small_graphs(max_edges=12):
     """Graphs built from ``graph_inputs``."""
     return graph_inputs(max_edges).map(lambda args: build_graph(*args))
+
+
+@st.composite
+def colorings(draw, g):
+    """Any map from g's edges to a palette [1, t], in random order: t reaches
+    2|E| + 1, so unused colors, clashes and gaps all occur, and an edgeless
+    g may get t = 0."""
+    t = draw(st.integers(1 if g.edges else 0, 2 * len(g.edges) + 1))
+    edges = draw(st.permutations(g.edges))
+    return EdgeColoring({e: draw(st.integers(1, t)) for e in edges}, t)
 
 
 @st.composite

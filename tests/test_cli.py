@@ -14,10 +14,12 @@ from ringcol import (
     FormatError,
     ParameterError,
     RingParams,
+    build_graph,
     compute_W,
     mirrored_staircase_coloring,
     ring_graph,
     span_profile,
+    t_coloring,
     verify,
 )
 from ringcol import cli, search
@@ -32,10 +34,12 @@ from ringcol.io import (
     load_coloring,
     load_graph,
     load_json,
+    write_coloring,
+    write_graph,
 )
 
 import reference
-from strategies import small_graphs
+from strategies import colorings, small_graphs
 
 
 def run(tmp_path, *argv):
@@ -65,12 +69,14 @@ def test_coloring_round_trip():
     assert len({id(v) for e in back.colors for v in e}) == len({v for e in back.colors for v in e})
 
 
-@st.composite
-def colorings(draw, g):
-    """Any map from g's edges to a palette [1, t], in random order."""
-    t = draw(st.integers(1 if g.edges else 0, 2 * len(g.edges) + 1))
-    edges = draw(st.permutations(g.edges))
-    return EdgeColoring({e: draw(st.integers(1, t)) for e in edges}, t)
+def _assert_writers_match_the_dict_path(g, c):
+    """io.write_graph and io.write_coloring write the bytes of dump_json of the dict forms."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, dump, value in ((write_graph, graph_to_dict, g), (write_coloring, coloring_to_dict, c)):
+            fast, oracle = Path(tmp, "fast.json"), Path(tmp, "oracle.json")
+            write(value, fast)
+            dump_json(dump(value), oracle)
+            assert fast.read_bytes() == oracle.read_bytes()
 
 
 @given(g=small_graphs(), data=st.data())
@@ -86,11 +92,29 @@ def test_files_round_trip(g, data):
         # one line, sorted keys
         for path, doc in ((gpath, graph_to_dict(g)), (cpath, coloring_to_dict(c))):
             assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+        # the text writers that generate and construct use write the same bytes; small_graphs
+        # draws isolated vertices and graphs with no edge, colorings unused colors and t = 0
+        _assert_writers_match_the_dict_path(g, c)
         # files written with indent=2 still load to the same objects
         gpath.write_text(json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         cpath.write_text(json.dumps(coloring_to_dict(c), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         assert load_graph(gpath) == g
         assert load_coloring(cpath) == c
+
+
+@pytest.mark.parametrize(
+    "g, c",
+    [
+        (build_graph(1, 1, [], []), EdgeColoring({}, 0)),
+        (build_graph(2, 2, [(2, 1), (1, 2)], []), EdgeColoring({}, 0)),
+        (build_graph(2, 2, [(2, 1), (1, 2)], []), EdgeColoring({}, 3)),
+        (ring_graph(RingParams(3, 6)), mirrored_staircase_coloring(RingParams(3, 6))),
+        (ring_graph(RingParams(2, 6)), t_coloring(RingParams(2, 6), 8)),
+    ],
+    ids=["nothing", "isolated-t0", "isolated-unused-colors", "ring-3-6", "ring-2-6-t8"],
+)
+def test_writers_match_dump_json_on_fixed_cases(g, c):
+    _assert_writers_match_the_dict_path(g, c)
 
 
 @st.composite
@@ -757,6 +781,22 @@ def test_full_sweep_settles_the_2_4_row_exactly(tmp_path):
     assert row["W_lower_formula"] == 7
     assert row["chi_agree"] == "yes"
     assert row["continuity"] == "ok"
+
+
+def test_one_parser_serves_every_call_and_no_option_leaks(tmp_path):
+    # main builds its parser once per process; each call still starts from the defaults
+    assert cli.build_parser() is cli.build_parser()
+    a, b, g = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "g.json"
+    assert run(tmp_path, "construct", "--n", "2", "--k", "6", "--t", "8", "--out", str(a)) == 0
+    assert run(tmp_path, "generate", "--n", "2", "--k", "6", "--out", str(g)) == 0
+    assert run(tmp_path, "construct", "--n", "2", "--k", "6", "--out", str(b)) == 0
+    assert (load_coloring(a).t, load_coloring(b).t) == (8, 9)  # 9 = 2n + nk/2 - 1, the widest
+    lines = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    assert [sorted(m["parameters"]) for m in lines] == [["k", "n", "out", "t"], ["k", "n", "out"], ["k", "n", "out"]]
+    parser = cli.build_parser()
+    assert parser.parse_args(["construct", "--n", "32", "--k", "32", "--t", "64", "--out", "x"]).t == 64
+    assert parser.parse_args(["construct", "--n", "32", "--k", "32", "--out", "x"]).t is None
+    assert not hasattr(parser.parse_args(["generate", "--n", "1", "--k", "3", "--out", "x"]), "t")
 
 
 def test_every_run_appends_a_manifest_line(tmp_path):

@@ -20,6 +20,9 @@ from ringcol import (
     verify,
 )
 
+import reference
+from strategies import colorings, small_graphs
+
 
 def cycle(k):
     return ring_graph(RingParams(1, k))
@@ -190,3 +193,18 @@ def test_shifting_colors_preserves_properness_and_runs(n, half_k, shift):
     # colors 1..shift are now unused, so full-palette coverage is lost
     assert not moved.covers_palette
     assert moved.missing_colors == tuple(range(1, shift + 1))
+
+
+@given(g=small_graphs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_verify_matches_the_reference_verifier(g, data):
+    # isolated vertices, clashes, gaps and unused colors all occur in the draw
+    c = data.draw(colorings(g))
+    assert verify(g, c) == reference.verify(g, c)
+
+
+def test_an_isolated_vertex_passes_the_verifier():
+    vs = [Vertex(1, 1), Vertex(1, 2), Vertex(2, 1)]
+    g = build_graph(2, 2, vs, [(vs[0], vs[2])])
+    c = EdgeColoring({make_edge(vs[0], vs[2]): 1}, 1)
+    assert verify(g, c).is_interval_coloring and verify(g, c) == reference.verify(g, c)
