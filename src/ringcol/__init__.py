@@ -40,10 +40,7 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     SpanProfile,
-    compute_W,
     compute_chromatic_index,
-    compute_w,
-    continuity_scan,
     find_interval_t,
     find_proper_t,
     scan_cap,
@@ -73,10 +70,7 @@ __all__ = [
     "bounds_summary",
     "build_graph",
     "complete_bipartite",
-    "compute_W",
     "compute_chromatic_index",
-    "compute_w",
-    "continuity_scan",
     "expected_spectrum",
     "find_interval_t",
     "find_proper_t",

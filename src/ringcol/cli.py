@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, construct, verify, search, bounds, bounds-exact,
-sweep, export-dot. Every invocation appends one JSON line to a manifest file
-(default ``runs.jsonl``) recording the command, its parameters, the artifact
-paths it wrote, the exit status, and the wall time.
+sweep, export-dot. Every invocation that argparse accepts appends one JSON
+line to a manifest file (default ``runs.jsonl``) recording the command, its
+parameters, the artifact paths it wrote, the exit status, and the wall time;
+one that argparse refuses exits 2 (SystemExit) and appends nothing.
 
 Exit codes (stable, also listed in the README):
 

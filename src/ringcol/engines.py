@@ -230,7 +230,7 @@ def _band_tables(t: int, deg: tuple[int, ...]) -> dict[int, list[int]]:
 def edge_dfs(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     edges, us, vs, deg, below, above, color_one = g.search_plan
     m = len(edges)
-    if m == 0:
+    if m == 0 or t > m:  # each edge brings at most one color: refused before any table is built
         return None, 0
 
     palette = (1 << (t + 1)) - 2

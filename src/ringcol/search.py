@@ -9,7 +9,7 @@ the distinct ``exhausted_budget`` outcome so that a timeout can never be
 mistaken for a proof.
 
 ``find_interval_t`` settles one t in two steps. When g is a composition
-H[K̄_n] (every false-twin class has n >= 2 vertices) and t >= n,
+H[K̄_n] (every false-twin class has n >= 2 vertices),
 ``composition_lift`` asks ``edge_dfs`` for an interval s-coloring of the
 quotient H, with (s, j) = divmod(t, n), unless s is above ``scan_cap(H)``,
 and ``composition.lift`` turns it into g's colors. Otherwise, or when H has
@@ -26,8 +26,6 @@ proper ones.
 ``scan_cap`` reports (the one place a span meets a theorem bound) once, in
 increasing order, reads w, W and continuity off that list, and χ' off its
 t = Δ answer when g is its own padding, so one call answers an (n, k) cell.
-``compute_w``, ``compute_W`` and ``continuity_scan`` apply the same rules to
-one span and stop early.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -53,10 +51,7 @@ __all__ = [
     "find_proper_t",
     "scan_cap",
     "span_profile",
-    "compute_w",
-    "compute_W",
     "compute_chromatic_index",
-    "continuity_scan",
 ]
 
 WITNESS = "witness"
@@ -159,14 +154,14 @@ def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], so
 
 
 def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
-    """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n] and
-    t >= n, the F_j lift of ``edge_dfs(H, s, limit)``'s witness, with
-    (s, j) = divmod(t, n), and that search's nodes. No assignment means no
-    lifted witness, never that g has none: g is no composition, t < n, s is
-    above ``scan_cap(H)`` (0 nodes each), H has no interval s-coloring, or
-    the budget ran out on H."""
+    """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n], the
+    F_j lift of ``edge_dfs(H, s, limit)``'s witness, with (s, j) = divmod(t, n),
+    and that search's nodes. No assignment means no lifted witness, never
+    that g has none: g is no composition or s is above ``scan_cap(H)`` (0
+    nodes each), H has no interval s-coloring (t < n leaves s = 0, an empty
+    palette that ``edge_dfs`` refutes in 0 nodes), or the budget ran out on H."""
     composed = g.composition
-    if composed is None or t < composed.n:
+    if composed is None:
         return None, 0
     h = composed.quotient
     s, j = divmod(t, composed.n)
@@ -182,15 +177,14 @@ def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, in
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g has an interval t-coloring; produce one if so.
 
-    t > |E(g)| is rejected as infeasible without search (palette coverage
-    needs an edge per color). Otherwise a lifted quotient witness answers
-    when g is a composition whose quotient has one at t // n, and ``edge_dfs`` on g
-    settles the rest under the budget the quotient left. Deterministic for
-    fixed inputs and config.
+    A lifted quotient witness answers when g is a composition whose quotient
+    has one at t // n, and ``edge_dfs`` on g settles the rest under the budget
+    the quotient left. Deterministic for fixed inputs and config. No t above
+    |E(g)| costs a node or a table: a quotient with an edge is then asked at
+    an s above its cap, and ``edge_dfs`` refuses a t above its edge count
+    (each edge brings at most one color) before it builds anything.
     """
     check_int("t", t, 1)
-    if t > len(g.edges):
-        return SearchOutcome(INFEASIBLE, None, 0)
     limit = (cfg or SearchConfig()).node_limit
     lifted = _query(g, t, limit, composition_lift, LIFT)
     if lifted.status != INFEASIBLE:  # a lifted witness, or the budget ran out on the quotient
@@ -348,9 +342,8 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     increasing order, and w, W and continuity are read off that one list:
     w is its first witness (unless a budget cut comes first), W its last
     (``lower_bound_only`` if some t above it hit the budget), and
-    continuity its prefix up to W. Each BoundReport equals what
-    ``compute_w`` or ``compute_W`` report for g alone, and chi' what
-    ``compute_chromatic_index`` reports, read off t = Δ if g is its padding.
+    continuity its prefix up to W. chi' is what ``compute_chromatic_index``
+    reports, read off t = Δ if g is its padding.
     """
     cap = scan_cap(g, cfg)
     asked = list(_ask(g, cfg, cap[0]))
@@ -363,6 +356,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     return SpanProfile(chi_prime, w, W, continuity, trail, chi_nodes + sum(o.nodes_explored for _, o in asked))
 
 
+# Not in __all__: benchmark/tracing.py's TARGETS looks these three up by name, their only remaining use.
 def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Least t with an interval t-coloring, asking upward from the maximum
     degree and stopping at the first witness or budget cut."""

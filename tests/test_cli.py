@@ -16,7 +16,6 @@ from ringcol import (
     ParameterError,
     RingParams,
     build_graph,
-    compute_W,
     mirrored_staircase_coloring,
     ring_graph,
     span_profile,
@@ -601,7 +600,7 @@ def test_bounds_exact_explicit_t_max_wins(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["W"] == {"value": 3, "status": "exact"}
     assert (doc["t_max"], doc["t_max_source"]) == (4, "t_max")
-    report = compute_W(ring_graph(RingParams(1, 4)))
+    report = span_profile(ring_graph(RingParams(1, 4))).W
     assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
 
 
@@ -878,3 +877,11 @@ def test_every_run_appends_a_manifest_line(tmp_path):
     assert set(first) == {"command", "parameters", "artifact_paths", "exit_status", "wall_time_s"}
     assert second["command"] == "generate"
     assert second["exit_status"] == 2
+
+
+def test_a_command_line_argparse_refuses_exits_2_without_a_manifest_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "generate", "--n", "abc", "--k", "4", "--out", str(tmp_path / "g.json"))
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert not (tmp_path / "runs.jsonl").exists() and not (tmp_path / "g.json").exists()

@@ -10,12 +10,12 @@ from ringcol import (
     Vertex,
     bounds_summary,
     complete_bipartite,
-    compute_W,
     expected_spectrum,
     make_edge,
     mirrored_staircase_coloring,
     ring_chromatic_index,
     ring_graph,
+    span_profile,
     spectrum,
     staircase_coloring,
     t_coloring,
@@ -229,7 +229,7 @@ def test_bounds_summary_1_6():
 @pytest.mark.parametrize("n, k", [(1, 4), (1, 6), (1, 8), (2, 4)])
 def test_W_exact_is_the_greatest_span_found_by_exhaustion(n, k):
     g = ring_graph(RingParams(n, k))
-    report = compute_W(g, SearchConfig(t_max=len(g.edges)))  # every t up to |E|, no theorem cited
+    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W  # every t up to |E|, no theorem cited
     assert (report.value, report.status) == (bounds_summary(RingParams(n, k)).W_exact, "exact")
 
 

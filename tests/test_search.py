@@ -12,10 +12,7 @@ from ringcol import (
     Vertex,
     build_graph,
     complete_bipartite,
-    compute_W,
     compute_chromatic_index,
-    compute_w,
-    continuity_scan,
     find_interval_t,
     find_proper_t,
     make_edge,
@@ -70,11 +67,20 @@ def test_c4_infeasible_at_four_colors():
     assert run_engine(start_assignment, g, 4)[0] == "infeasible"
 
 
-def test_t_above_edge_count_is_infeasible_without_search():
-    g = cycle(4)
-    outcome = find_interval_t(g, 5)
-    assert outcome.status == "infeasible"
-    assert outcome.nodes_explored == 0
+def test_t_above_edge_count_is_infeasible_without_search(monkeypatch):
+    # no special case in find_interval_t answers here: the lift skips a quotient asked above its cap,
+    # and edge_dfs refuses a t above its edge count before it builds its per-t tables, so a huge t
+    # costs neither time nor memory (C4 and ring(2,4) are compositions, C5 is none, and the
+    # edgeless graph on three vertices is one over a single vertex)
+    def no_tables(t, deg):
+        raise AssertionError(f"band tables built for t = {t}")
+
+    monkeypatch.setattr(engines, "_band_tables", no_tables)
+    edgeless = build_graph(1, 3, [Vertex(1, 1), Vertex(2, 1), Vertex(3, 1)], [])
+    for g in (cycle(4), ring_graph(RingParams(2, 4)), cycle(5), edgeless):
+        for t in (len(g.edges) + 1, 10**9):
+            outcome = find_interval_t(g, t)
+            assert (outcome.status, outcome.nodes_explored, outcome.source) == ("infeasible", 0, "search")
 
 
 def test_every_witness_passes_the_verifier():
@@ -171,7 +177,7 @@ def test_compute_w_budget_is_inconclusive():
     # ring(2,3) = C3[K̄2], and C3 is overfull, so no lift is tried: the budget runs out on ring(2,3)
     # itself
     g = ring_graph(RingParams(2, 3))
-    report = compute_w(g, SearchConfig(node_limit=5))
+    report = span_profile(g, SearchConfig(node_limit=5)).w
     assert report.value is None
     assert report.status == "inconclusive"
     assert (report.trail, report.nodes_explored) == (((4, "exhausted_budget"),), 6)
@@ -190,7 +196,7 @@ def test_compute_W_budget_degrades_to_lower_bound():
     g = ring_graph(RingParams(2, 4))
     # enough to find the t=7 witness (one lifted node) but not to exhaust any higher t up to |E|
     # (t = 16 takes 8 nodes, t = 8 the most, 675)
-    report = compute_W(g, SearchConfig(t_max=len(g.edges), node_limit=5))
+    report = span_profile(g, SearchConfig(t_max=len(g.edges), node_limit=5)).W
     assert report.value == 7
     assert report.status == "lower_bound_only"
 
@@ -330,16 +336,16 @@ def test_proper_search_needs_no_recursion_on_1024_edges():
 
 
 def test_least_span_small_cases():
-    assert compute_w(cycle(4)).value == 2
-    assert compute_w(ring_graph(RingParams(2, 4))).value == 4
-    c3 = compute_w(cycle(3))
+    assert span_profile(cycle(4)).w.value == 2
+    assert span_profile(ring_graph(RingParams(2, 4))).w.value == 4
+    c3 = span_profile(cycle(3)).w
     assert c3.value is None
     assert c3.status == "not_interval_colorable"
 
 
 def test_greatest_span_c4():
     g = cycle(4)
-    report = compute_W(g, SearchConfig(t_max=len(g.edges)))
+    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W
     assert report.value == 3
     assert report.status == "exact"
     assert report.trail == ((4, "infeasible"), (3, "witness"))
@@ -347,14 +353,14 @@ def test_greatest_span_c4():
 
 def test_greatest_span_c6():
     g = cycle(6)
-    report = compute_W(g, SearchConfig(t_max=len(g.edges)))
+    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W
     assert report.value == 4
     assert report.status == "exact"
     assert dict(report.trail) == {6: "infeasible", 5: "infeasible", 4: "witness"}
 
 
 def test_greatest_span_c4_default_cap_is_the_theorem_bound():
-    report = compute_W(cycle(4))
+    report = span_profile(cycle(4)).W
     assert report.value == 3
     assert report.status == "exact"
     assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
@@ -413,7 +419,7 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
 
     monkeypatch.setattr(search, "find_interval_t", recording)
     g = ring_graph(RingParams(2, 3))
-    for view in (compute_w, compute_W):
+    for view in (search.compute_w, search.compute_W):
         made.clear()
         assert view(g).nodes_explored == sum(nodes for _, nodes in made)
     made.clear()
@@ -432,11 +438,11 @@ def test_span_profile_reads_what_the_scans_report(g, limit):
     # the scans that stop early; budgets from 1 to 300 nodes put cuts below, between and above witnesses
     cfg = SearchConfig(node_limit=limit)
     profile = span_profile(g, cfg)
-    assert profile.w == compute_w(g, cfg)
-    assert profile.W == compute_W(g, cfg)
+    assert profile.w == search.compute_w(g, cfg)
+    assert profile.W == search.compute_W(g, cfg)
     assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), scan_cap(g, cfg)[0] + 1))
     if profile.w.value is not None and profile.W.value is not None:
-        assert profile.continuity == tuple(continuity_scan(g, cfg, t_hi=profile.W.value))
+        assert profile.continuity == tuple(search.continuity_scan(g, cfg, t_hi=profile.W.value))
 
 
 def test_scan_cap_sources():
@@ -631,7 +637,7 @@ def test_engine_witness_is_reverified(monkeypatch):
 
 
 def test_continuity_scan_with_explicit_top():
-    scan = continuity_scan(ring_graph(RingParams(2, 4)), t_hi=7)
+    scan = search.continuity_scan(ring_graph(RingParams(2, 4)), t_hi=7)
     assert scan == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
 
 
@@ -838,7 +844,7 @@ def test_oracle_matches_formulas_on_even_product_grid():
                 continue
             params = RingParams(n, k)
             g = ring_graph(params)
-            w = compute_w(g)
+            w = span_profile(g).w
             assert w.value == 2 * n and w.status == "exact"
             assert compute_chromatic_index(g)[0] == ring_chromatic_index(params)
 
