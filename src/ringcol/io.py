@@ -26,32 +26,37 @@ come from those helpers too, and the ``bounds`` document is
 CPython encodes it with its C encoder; the CLI's stdout stays indented.
 ``load_json`` reads both forms, so indented files still load.
 
-``write_graph`` and ``write_coloring`` write the graph and coloring
-documents as text, byte for byte what ``dump_json`` writes for the
-``*_to_dict`` forms, without building a dict per entry: each vertex label is
-formatted once, each entry is one ``%`` format over those strings, and the
-entries are joined and written a few thousand at a time.
+``write_graph`` and ``write_coloring`` write a graph and a coloring as text,
+byte for byte ``dump_json`` of their ``*_to_dict`` forms, without a dict per
+entry: ``_graph_text`` and ``_coloring_text`` format each label once.
 
-``load_coloring`` reads a coloring without holding its parsed document: a
-json ``object_hook`` turns each entry object into an ``(edge, color)``
-tuple as it is parsed, so the entry dicts and label lists are freed at once.
-The hook never raises, and its result is kept only when the ``"edges"`` list
-holds exactly the entries it converted, each edge once; every other file is
-read again by ``coloring_from_dict(load_json(path))``, so errors and their
-messages are that reader's. For ring(32,32) the reader peaks at 6.41 MB in
-place of 15.34 MB, and ``verify`` at 14.60 MB in place of 18.44 MB.
+``load_graph`` and ``load_coloring`` read that exact text without json. A scan
+reads 16 384 characters at a time, finds labels and colors with a regex, makes
+one Vertex per distinct label string, and builds the Graph (``assemble_graph``)
+or EdgeColoring, kept only if the writer's text of it is the file's, compared
+piece by piece. That is exact: json would read the file as the value's own
+``*_to_dict`` lists, from which the dict reader rebuilds the value, as it passed
+the same checks (``assemble_graph`` refuses what ``build_graph`` would refuse or
+reorder; the scan also refuses bounds below 1 and a coloring's loop or reversed
+edge). Any other text, indented or in another key order say, goes to
+``graph_from_dict(load_json(path))`` or ``coloring_from_dict(load_json(path))``,
+whose errors and messages are the only ones raised. For ring(32,32) the readers
+peak at 4.33 and 4.18 MB, the dict readers at 15.09 and 16.10, and ``verify``
+at 7.45 MB (tracemalloc, CPython 3.11.7).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+import re
+from itertools import chain, islice, repeat, starmap
+from operator import lt
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from .coloring import EdgeColoring, VerificationReport, verify
-from .errors import FormatError, ParameterError
-from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, build_graph, make_edge
+from .errors import FormatError, SoundnessError
+from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, assemble_graph, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
 
 __all__ = [
@@ -189,51 +194,50 @@ def dump_json(doc: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# Entries joined per write: one write per entry gives back a third of the gain, one
-# join over all of a 32 768-edge file's entries raises the peak memory
-_CHUNK = 4096
+# Entries per piece: one write per entry is slower, and more raise a reader's peak memory
+_CHUNK = 1024
 
 
-def _write_joined(fh: TextIO, entries: Iterator[str]) -> None:
-    """Write the entries separated by json's ", ", ``_CHUNK`` per write."""
+def _joined(entries: Iterator[str]) -> Iterator[str]:
+    """The entries separated by json's ", ", ``_CHUNK`` joined per piece."""
     sep = ""
     while chunk := list(islice(entries, _CHUNK)):
-        fh.write(sep)
-        fh.write(", ".join(chunk))
+        yield sep
+        yield ", ".join(chunk)
         sep = ", "
 
 
-def write_graph(g: Graph, path: str | Path) -> None:
-    """Write ``dump_json(graph_to_dict(g), path)``'s bytes without the dict.
-
-    Labels, ``n`` and ``k`` are formatted with ``%d``, so each must be an
-    ``int``. Every Graph of ``build_graph`` and the generators is: the first
-    reads its labels by ``as_vertex`` and its bounds by ``check_int``, and the
-    generators count theirs out of integer ranges.
-    """
+def _graph_text(g: Graph) -> Iterator[str]:
+    """``dump_json(graph_to_dict(g))``'s text in pieces, each label formatted once."""
     label = {v: "[%d, %d]" % v for v in g.vertices}
+    yield '{"edges": ['
+    yield from _joined(f"[{label[u]}, {label[v]}]" for u, v in g.edges)
+    yield '], "k": %d, "n": %d, "vertices": [' % (g.k, g.n)
+    yield from _joined(iter(label.values()))
+    yield "]}\n"
+
+
+def _coloring_text(c: EdgeColoring) -> Iterator[str]:
+    """``dump_json(coloring_to_dict(c))``'s text in pieces, each label formatted once."""
+    colors = c.colors
+    label = {v: "[%d, %d]" % v for v in set(chain.from_iterable(colors))}
+    yield '{"edges": ['
+    yield from _joined(f'{{"color": {colors[e]}, "u": {label[e.u]}, "v": {label[e.v]}}}' for e in sorted(colors))
+    yield '], "t": %d}\n' % c.t
+
+
+def write_graph(g: Graph, path: str | Path) -> None:
+    """Write ``dump_json(graph_to_dict(g), path)``'s bytes without the dict; a Graph's labels
+    and bounds are ints (``build_graph`` checks them, the generators count them)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"edges": [')
-        _write_joined(fh, ("[%s, %s]" % (label[u], label[v]) for u, v in g.edges))
-        fh.write('], "k": %d, "n": %d, "vertices": [' % (g.k, g.n))
-        _write_joined(fh, iter(label.values()))
-        fh.write("]}\n")
+        fh.writelines(_graph_text(g))
 
 
 def write_coloring(c: EdgeColoring, path: str | Path) -> None:
-    """Write ``dump_json(coloring_to_dict(c), path)``'s bytes without the dicts.
-
-    Labels, colors and ``t`` are formatted with ``%d``, so each must be an
-    ``int``. ``EdgeColoring`` checks the colors and ``t``; the labels are
-    those of a Graph's edges or of a file, both read by ``as_vertex``.
-    """
-    colors = c.colors
-    label = {v: "[%d, %d]" % v for v in set(chain.from_iterable(colors))}
-    entries = ('{"color": %d, "u": %s, "v": %s}' % (colors[e], label[e.u], label[e.v]) for e in sorted(colors))
+    """Write ``dump_json(coloring_to_dict(c), path)``'s bytes without the dicts; the colors
+    and ``t`` are ints (``EdgeColoring`` checks them), and the labels too (``as_vertex``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"edges": [')
-        _write_joined(fh, entries)
-        fh.write('], "t": %d}\n' % c.t)
+        fh.writelines(_coloring_text(c))
 
 
 def load_json(path: str | Path) -> Any:
@@ -245,63 +249,97 @@ def load_json(path: str | Path) -> Any:
         raise OSError(f"cannot decode {path}: {exc}") from exc
 
 
-def load_graph(path: str | Path) -> Graph:
-    return graph_from_dict(load_json(path))
+# What the writers spell. A scan only proposes a value, so these may match more than they write
+_INT = "-?[0-9]+"
+_LABEL = re.compile(rf"\[{_INT}, {_INT}\]")
+_BOUNDS = re.compile(rf'"k": ({_INT}), "n": ({_INT})')
+_COLOR = re.compile(rf'"color": ({_INT})')
+_T = re.compile(rf'"t": ({_INT})\}}')
+_READ = 1 << 14  # characters read per piece
 
 
-def _read_coloring_hooked(path: str | Path) -> EdgeColoring | None:
-    """The coloring in a file, read with each entry converted as json parses
-    it; None when the document is not a plain coloring document."""
-    labels: dict[Vertex, Vertex] = {}
-    setdefault = labels.setdefault
-    made = 0
+class _Memo(dict):
+    """``parse`` of each distinct text, called once, so one label or color is one object."""
 
-    def entry(obj: dict[str, Any]) -> Any:
-        # never raises: an object that is no entry, or an entry with a bad label or a loop, stays a dict
-        nonlocal made
-        try:
-            u, v = as_vertex(obj["u"], labels), as_vertex(obj["v"], labels)
-            pair = make_edge(setdefault(u, u), setdefault(v, v)), obj["color"]
-        except (KeyError, ParameterError):
-            return obj
-        made += 1
-        return pair
+    def __init__(self, parse: Callable[[str], Any]) -> None:
+        self.parse = parse
 
+    def __missing__(self, text: str) -> Any:
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _vertex(label: str) -> Vertex:
+    layer, index = label[1:-1].split(", ")
+    return Vertex(int(layer), int(index))
+
+
+def _pieces(fh: TextIO, close: str) -> Iterator[str]:
+    """The file's text in pieces of about ``_READ`` characters, each cut just after a ``close``."""
+    rest = ""
+    while block := fh.read(_READ):
+        block = rest + block
+        cut = block.rfind(close) + 1
+        rest = block[cut:]
+        yield block[:cut]
+    yield rest
+
+
+def _scan_graph(fh: TextIO) -> Graph | None:
+    """The graph a ``write_graph`` text spells: labels before the bounds are edge ends."""
+    label = _Memo(_vertex).__getitem__
+    ends: list[Vertex] = []
+    vertices: list[Vertex] = []
+    bounds = None
+    for piece in _pieces(fh, "]"):
+        at = 0
+        if bounds is None and (m := _BOUNDS.search(piece)):
+            ends += map(label, _LABEL.findall(piece, 0, m.start()))
+            bounds, at = m.groups(), m.end()
+        (ends if bounds is None else vertices).extend(map(label, _LABEL.findall(piece, at)))
+    if bounds is None:
+        return None
+    k, n = map(int, bounds)
+    pair = iter(ends)
+    edges = tuple(map(tuple.__new__, repeat(Edge), zip(pair, pair)))
+    return assemble_graph(n, k, tuple(vertices), edges) if min(n, k) >= 1 else None  # as build_graph's check_int
+
+
+def _scan_coloring(fh: TextIO) -> EdgeColoring | None:
+    """The coloring a ``write_coloring`` text spells, its entries in file order."""
+    vertex, color = _Memo(_vertex).__getitem__, _Memo(int).__getitem__
+    colors: dict[Edge, int] = {}
+    t = None
+    for piece in _pieces(fh, "}"):
+        ends = map(vertex, _LABEL.findall(piece))
+        colors.update(zip(map(tuple.__new__, repeat(Edge), zip(ends, ends)), map(color, _COLOR.findall(piece))))
+        if m := _T.search(piece):
+            t = int(m[1])
+    # a loop or a reversed edge would pass the text check, and the dict reader refuses or turns it round
+    return EdgeColoring(colors, t) if t is not None and all(starmap(lt, colors)) else None
+
+
+def _load_written(path: str | Path, scan: Callable[[TextIO], Any], text: Callable[[Any], Iterator[str]]) -> Any:
+    """The value ``scan`` makes of a file if ``text`` of it is the file's text, else None."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=entry)
-    except (ValueError, RecursionError):
+        with open(path, encoding="utf-8", newline="") as fh:  # newline="": "\r\n" stays two characters
+            value = scan(fh)
+            fh.seek(0)
+            return value if value is not None and all(fh.read(len(s)) == s for s in text(value)) and not fh.read(1) else None
+    except (OSError, ValueError, SoundnessError):  # the dict reader raises its own error
         return None
-    if not isinstance(doc, dict) or "t" not in doc:
-        return None
-    pairs = doc.get("edges")
-    if not isinstance(pairs, list) or not all(type(p) is tuple for p in pairs):
-        return None
-    # JSON yields no tuple, so each pair is one the hook made. Fewer edges than ``made`` means
-    # an edge colored twice, or a converted entry elsewhere, where the dict reader sees a dict
-    colors = dict(pairs)
-    return EdgeColoring(colors=colors, t=doc["t"]) if len(colors) == made else None
+
+
+def load_graph(path: str | Path) -> Graph:
+    """The graph in a file: ``graph_from_dict(load_json(path))``'s value or error."""
+    g = _load_written(path, _scan_graph, _graph_text)
+    return g if g is not None else graph_from_dict(load_json(path))
 
 
 def load_coloring(path: str | Path) -> EdgeColoring:
-    """The coloring in a file, equal to ``coloring_from_dict(load_json(path))``.
-
-    The file is parsed with an ``object_hook`` that turns each object with
-    ``u``, ``v`` and ``color`` (extra keys allowed) into an ``(edge, color)``
-    tuple, its labels read by ``as_vertex`` into one shared table, so no entry
-    dict or label list outlives its parse. The hook never raises: an object
-    whose label ``as_vertex`` refuses, or that spells a loop, stays a dict. Its
-    result is kept only when the document is an object with ``"t"`` whose
-    ``"edges"`` list holds nothing but tuples, which give as many distinct
-    edges as the hook made; ``EdgeColoring`` then checks the same colors and
-    ``t`` that the dict reader would give it. Any other document, and any
-    decoding error, is read again by ``coloring_from_dict(load_json(path))``,
-    the one path that raises a format or decoding error. For ring(32,32) the
-    reader's tracemalloc peak falls from 15.34 to 6.41 MB (3.8 to 3.9 MB
-    retained) and the ``verify`` command's from 18.44 to 14.60 MB, where the
-    graph read, at 14.39 MB, now sets it (CPython 3.11.7).
-    """
-    coloring = _read_coloring_hooked(path)
-    return coloring if coloring is not None else coloring_from_dict(load_json(path))
+    """The coloring in a file: ``coloring_from_dict(load_json(path))``'s value or error."""
+    c = _load_written(path, _scan_coloring, _coloring_text)
+    return c if c is not None else coloring_from_dict(load_json(path))
 
 
 def dot_source(g: Graph, coloring: EdgeColoring | None = None) -> str:

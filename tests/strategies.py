@@ -4,6 +4,13 @@ from hypothesis import strategies as st
 
 from ringcol import EdgeColoring, Vertex, build_graph
 
+# The seed of the tests that pin their draws with ``@seed(SEED)`` and ``database=None``.
+# ``derandomize=True`` seeds a draw with a digest of the test function's code, so every
+# edit to a test body silently tests other graphs. A fixed seed with no example database
+# draws the same examples whatever the test's name or body (checked on hypothesis 6.155.2),
+# so an edit changes what a test checks, never what it checks it on.
+SEED = 2007
+
 
 def _room(labels: int) -> int:
     """Edges a simple graph on this many vertices can have."""

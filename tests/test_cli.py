@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from ringcol import (
     EdgeColoring,
     FormatError,
+    Graph,
     ParameterError,
     RingParams,
+    Vertex,
     build_graph,
+    make_edge,
     mirrored_staircase_coloring,
     ring_graph,
     span_profile,
@@ -23,6 +26,7 @@ from ringcol import (
     verify,
 )
 from ringcol import cli, search
+from ringcol import io as rio
 from ringcol.cli import main
 from ringcol.io import (
     coloring_from_dict,
@@ -155,13 +159,14 @@ def coloring_documents(draw):
     return kind, doc
 
 
-def _read(reader, doc):
-    """The coloring's t and its entries in order, or the exception type and message."""
+def _read(reader, source):
+    """What a reader makes of a document or file: a graph, a coloring's t and its entries
+    in order, or the exception type and message."""
     try:
-        c = reader(doc)
+        value = reader(source)
     except Exception as exc:
         return type(exc), str(exc)
-    return c.t, list(c.colors.items())
+    return (value.t, list(value.colors.items())) if isinstance(value, EdgeColoring) else value
 
 
 @given(case=coloring_documents())
@@ -216,27 +221,182 @@ _ENTRY = '{"u": [1, 1], "v": [2, 1], "color": 1}'
         "two-edges-keys", "entries-with-extra-keys", "entry-wrapped-in-edges", "colored-twice-reversed",
         "colored-twice-same-order", "not-utf8", "no-t"])
 def test_load_coloring_matches_the_dict_reader_where_the_hook_could_mislead(tmp_path, content):
-    # every tuple in a hooked parse is a converted entry; these put one where the dict reader sees a dict
+    # entry-shaped objects where the dict reader sees no entry: a scan finds them, so the text check must
+    # send each file to the dict reader
     path = tmp_path / "c.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     assert _read(load_coloring, path) == _read(_load_through_dict, path)
 
 
-def test_load_coloring_keeps_no_parsed_document(tmp_path):
-    # the dict reader peaks at 10.9x the file's size (every entry dict and label list alive at
-    # once), the hooked reader below 5x (tracemalloc, CPython 3.11)
+_READERS = {
+    "graph": (load_graph, lambda path: graph_from_dict(load_json(path))),
+    "coloring": (load_coloring, _load_through_dict),
+}
+
+
+def _assert_readers_agree(document, path):
+    fast, through_dict = _READERS[document]
+    got = _read(fast, path)
+    assert got == _read(through_dict, path)
+    if isinstance(got, Graph):
+        # one Vertex object per label, however many edges spell it
+        assert len({id(v) for v in got.vertices} | {id(v) for e in got.edges for v in e}) == len(got.vertices)
+
+
+def _replace(old, new):
+    def mutate(text):
+        assert old in text, old
+        return text.replace(old, new, 1)
+    return mutate
+
+
+_SWAPPED_ENTRIES = _replace(
+    '{"color": 3, "u": [1, 1], "v": [2, 1]}, {"color": 4, "u": [1, 1], "v": [2, 2]}',
+    '{"color": 4, "u": [1, 1], "v": [2, 2]}, {"color": 3, "u": [1, 1], "v": [2, 1]}',
+)
+_FIRST_EDGE = "[[1, 1], [2, 1]]"
+_FIRST_ENTRY_ENDS = '"u": [1, 1], "v": [2, 1]'
+_ANY = [
+    ("canonical", lambda text: text),
+    ("no-final-newline", lambda text: text[:-1]),
+    ("trailing-text", lambda text: text + "]"),
+    ("crlf", lambda text: text.replace("\n", "\r\n")),
+    ("extra-space", _replace(", ", ",  ")),
+    ("not-utf8", lambda text: text[:30].encode() + b"\xff" + text[30:].encode()),
+    ("byte-order-mark", lambda text: "\ufeff" + text),
+    ("long-integer", _replace("[1, 1]", "[1%s, 1]" % ("0" * 5000))),
+]
+_GRAPH = [
+    ("leading-zero", _replace(_FIRST_EDGE, "[[01, 1], [2, 1]]")),
+    ("negative-label", _replace('"vertices": [[1, 1]', '"vertices": [[-1, 1]')),
+    ("float-label", _replace(_FIRST_EDGE, "[[1.0, 1], [2, 1]]")),
+    ("true-label", _replace(_FIRST_EDGE, "[[true, 1], [2, 1]]")),
+    ("unsorted-edges", _replace(f"{_FIRST_EDGE}, [[1, 1], [2, 2]]", f"[[1, 1], [2, 2]], {_FIRST_EDGE}")),
+    ("unsorted-vertices", _replace('"vertices": [[1, 1], [1, 2]', '"vertices": [[1, 2], [1, 1]')),
+    ("reversed-endpoints", _replace(_FIRST_EDGE, "[[2, 1], [1, 1]]")),
+    ("loop", _replace(_FIRST_EDGE, "[[1, 1], [1, 1]]")),
+    ("duplicate-edge", _replace("[[1, 1], [2, 2]]", _FIRST_EDGE)),
+    ("duplicate-vertex", _replace('"vertices": [[1, 1], [1, 2]', '"vertices": [[1, 1], [1, 1]')),
+    ("unknown-endpoint", _replace('"vertices": [[1, 1], [1, 2], ', '"vertices": [[1, 1], ')),
+    ("label-outside-bounds", _replace('"k": 4', '"k": 3')),
+    ("zero-bounds", lambda text: '{"edges": [], "k": 0, "n": 0, "vertices": []}\n'),
+    ("zero-k", lambda text: '{"edges": [], "k": 0, "n": 1, "vertices": []}\n'),
+]
+_COLORING = [
+    ("leading-zero-color", _replace('"color": 3,', '"color": 03,')),
+    ("negative-label", _replace(_FIRST_ENTRY_ENDS, '"u": [-1, 1], "v": [2, 1]')),
+    ("minus-zero-label", _replace(_FIRST_ENTRY_ENDS, '"u": [-0, 1], "v": [2, 1]')),
+    ("float-color", _replace('"color": 3,', '"color": 3.0,')),
+    ("true-color", _replace('"color": 3,', '"color": true,')),
+    ("unsorted-entries", _SWAPPED_ENTRIES),
+    ("reversed-endpoints", _replace(_FIRST_ENTRY_ENDS, '"u": [2, 1], "v": [1, 1]')),
+    ("loop", _replace(_FIRST_ENTRY_ENDS, '"u": [1, 1], "v": [1, 1]')),
+    ("duplicate-edge", _replace('"u": [1, 1], "v": [2, 2]', _FIRST_ENTRY_ENDS)),
+    ("t-below-a-color", _replace('"t": 7}', '"t": 6}')),
+    ("negative-t", _replace('"t": 7}', '"t": -1}')),
+    ("zero-color", _replace('"color": 3,', '"color": 0,')),
+]
+
+
+@pytest.mark.parametrize("document, mutate", [
+    pytest.param(document, mutate, id=f"{document}-{name}")
+    for document, cases in (("graph", _ANY + _GRAPH), ("coloring", _ANY + _COLORING))
+    for name, mutate in cases
+])
+def test_readers_match_the_dict_readers_on_mutated_files(tmp_path, document, mutate):
+    # files written by generate and construct, each changed in one way; a reader must return what
+    # its dict reader returns, or raise what it raises, whichever of its two paths answers
+    params = RingParams(2, 4)
+    path = tmp_path / f"{document}.json"
+    if document == "graph":
+        write_graph(ring_graph(params), path)
+    else:
+        write_coloring(mirrored_staircase_coloring(params), path)
+    text = mutate(path.read_text(encoding="utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    _assert_readers_agree(document, path)
+
+
+@given(g=small_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_readers_match_the_dict_readers_after_any_one_edit(g, data):
+    # one character of a written file replaced, taken out or put in, drawn from those the files use
+    c = data.draw(colorings(g))
+    with tempfile.TemporaryDirectory() as tmp:
+        for document, write, value in (("graph", write_graph, g), ("coloring", write_coloring, c)):
+            path = Path(tmp, f"{document}.json")
+            write(value, path)
+            text = path.read_text(encoding="utf-8")
+            at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
+            new = data.draw(st.sampled_from(["", *'0123456789-[]{}, :"\n\r.etk']))
+            path.write_bytes((text[:at] + new + text[at + cut:]).encode("utf-8"))
+            _assert_readers_agree(document, path)
+
+
+@pytest.mark.parametrize("c", [
+    EdgeColoring({make_edge(Vertex(-1, 0), Vertex(2, 1)): 1, make_edge(Vertex(-1, 0), Vertex(-1, 5)): 2}, 3),
+    EdgeColoring({}, 0),
+    EdgeColoring({make_edge(Vertex(1, 1), Vertex(2, 10**40)): 1}, 1),
+], ids=["negative-and-zero-labels", "empty", "huge-label"])
+def test_load_coloring_reads_any_written_coloring(tmp_path, c):
+    # labels of a coloring have no bounds, so negative and huge ones are written and read back
     path = tmp_path / "c.json"
-    assert run(tmp_path, "construct", "--n", "16", "--k", "16", "--out", str(path)) == 0
+    write_coloring(c, path)
+    assert load_coloring(path) == c
+    _assert_readers_agree("coloring", path)
+
+
+@pytest.mark.parametrize("document", ["graph", "coloring"])
+def test_readers_match_the_dict_readers_across_a_piece_boundary(tmp_path, document):
+    # ring(8,16)'s files are longer than the piece the readers scan at a time; each copy below has
+    # one character changed, or one space put in, within an entry's length of the first read's end
+    params = RingParams(8, 16)
+    path = tmp_path / f"{document}.json"
+    if document == "graph":
+        write_graph(ring_graph(params), path)
+    else:
+        write_coloring(mirrored_staircase_coloring(params), path)
+    text = path.read_text(encoding="utf-8")
+    assert len(text) > rio._READ + 48
+    _assert_readers_agree(document, path)
+    for at in range(rio._READ - 48, rio._READ + 48):
+        ch = text[at]
+        changed = str((int(ch) + 1) % 10) if ch.isdigit() else " " + ch
+        path.write_bytes((text[:at] + changed + text[at + 1:]).encode("utf-8"))
+        _assert_readers_agree(document, path)
+
+
+def _traced_peak(reader, path):
+    """The value a reader reads from a file and the reader's peak traced memory in bytes."""
+    gc.collect()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        coloring = load_coloring(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        value = reader(path)
+        return value, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_load_graph_keeps_no_parsed_document(tmp_path):
+    # the dict reader peaks at 21.7x the file's size (json's nested vertex and edge lists alive
+    # at once), the label scan at 7.6x (tracemalloc, CPython 3.11)
+    path = tmp_path / "g.json"
+    assert run(tmp_path, "generate", "--n", "16", "--k", "16", "--out", str(path)) == 0
+    g, peak = _traced_peak(load_graph, path)
+    assert len(g.edges) == 16 * 16 * 16
+    assert peak < 15 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_load_coloring_keeps_no_parsed_document(tmp_path):
+    # the dict reader peaks at 11.0x the file's size (every entry dict and label list alive at
+    # once), the entry scan at 4.6x (tracemalloc, CPython 3.11)
+    path = tmp_path / "c.json"
+    assert run(tmp_path, "construct", "--n", "16", "--k", "16", "--out", str(path)) == 0
+    coloring, peak = _traced_peak(load_coloring, path)
     assert len(coloring.colors) == 16 * 16 * 16
     assert peak < 7 * path.stat().st_size, (peak, path.stat().st_size)
 

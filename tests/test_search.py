@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ringcol import (
@@ -28,7 +28,7 @@ from ringcol import composition, engines, search
 
 import reference
 from reference import run_engine, start_assignment
-from strategies import compositions, small_graphs
+from strategies import SEED, compositions, small_graphs
 
 
 def cycle(k):
@@ -593,7 +593,8 @@ def test_chi_prime_of_a_graph_with_no_interval_delta_coloring_asks_the_padding()
 
 
 @given(g=small_graphs())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, database=None)
+@seed(SEED)
 def test_chromatic_index_matches_two_proper_queries(g):
     # the reference asks proper_dfs at Delta, then at Delta + 1, with no theorem
     want = reference.chromatic_index(g, 20_000)
@@ -765,7 +766,8 @@ def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, end, mutant):
 
 
 @given(composed=compositions(), data=st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, database=None)
+@seed(SEED)
 def test_lift_is_the_block_rule_edge_by_edge_for_every_table(composed, data):
     _, _, g = composed
     if g.composition is None:  # a quotient with twins of its own can leave classes of unequal size
@@ -778,7 +780,8 @@ def test_lift_is_the_block_rule_edge_by_edge_for_every_table(composed, data):
 
 
 @given(composed=compositions(max_quotient_edges=10))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, database=None)
+@seed(SEED)
 def test_no_connected_quotient_has_a_span_above_its_theorem_cap(composed):
     # the rule composition_lift uses to skip a quotient search, checked by exhausting the quotient
     _, _, g = composed
@@ -790,7 +793,8 @@ def test_no_connected_quotient_has_a_span_above_its_theorem_cap(composed):
 
 
 @given(composed=compositions())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, database=None)
+@seed(SEED)
 def test_lifted_queries_agree_with_plain_search_on_compositions(composed):
     # covers disconnected quotients and isolated vertices; a quotient with twins of its own merges
     # classes, so the lift may apply with a larger n or not at all
@@ -880,7 +884,8 @@ def test_connected_edge_order_matches_the_reference(g):
 
 
 @given(g=small_graphs(max_edges=12))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, database=None)
+@seed(SEED)
 def test_engines_agree_on_small_graphs(g):
     # covers disconnected graphs and isolated vertices
     for t in range(1, len(g.edges) + 1):
@@ -898,7 +903,8 @@ def _overfull(g):
 
 
 @given(g=small_graphs(max_edges=12).filter(_overfull))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, database=None)
+@seed(SEED)
 def test_overfull_graphs_have_no_interval_coloring(g):
     # the rule behind scan_cap's cap 0: chi' = Delta + 1 on an overfull graph, and an interval
     # coloring taken mod Delta would be a proper Delta-coloring
@@ -973,7 +979,8 @@ def _wagner_graph():
 ))
 @example(g=_p4_with_its_middle_edge_first())
 @example(g=_wagner_graph())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, database=None)
+@seed(SEED)
 def test_symmetry_rules_keep_the_status_of_the_unkeyed_search(g):
     # the twin keys and the first edge's color 1 or reflection cap cut only colorings that an
     # automorphism or the reflection maps into the space still searched: wherever both searches
@@ -986,7 +993,8 @@ def test_symmetry_rules_keep_the_status_of_the_unkeyed_search(g):
 
 
 @given(g=small_graphs(max_edges=12))
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, database=None)
+@seed(SEED)
 def test_proper_queries_agree_with_the_plain_proper_search(g):
     # unbudgeted, at every t in [1, |E| + 1]: a proper t-coloring of g is an
     # interval t-coloring of padded(g, t), read back on g's edges
