@@ -42,7 +42,6 @@ from .search import (
     SpanProfile,
     compute_chromatic_index,
     find_interval_t,
-    find_proper_t,
     scan_cap,
     span_profile,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "compute_chromatic_index",
     "expected_spectrum",
     "find_interval_t",
-    "find_proper_t",
     "make_edge",
     "mirrored_staircase_coloring",
     "ring_chromatic_index",

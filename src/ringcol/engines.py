@@ -5,8 +5,8 @@ returns ``(assignment, nodes visited)``. The assignment (edge -> color) is
 None when the (pruned but complete) space is exhausted, or when the search
 stopped at node limit + 1: a count above the limit means the budget ran out.
 It never verifies its output: ``ringcol.search.find_interval_t``, the one
-road into it (proper queries too, on ``padded`` graphs), re-checks every
-witness with the independent verifier.
+road into it (χ' too, on a ``padded`` graph), re-checks every witness with
+the independent verifier.
 
 It assigns colors edge by edge in ``connected_edge_order``, pruning on
 properness, on the color spread at each endpoint (the spread of a final

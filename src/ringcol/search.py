@@ -17,9 +17,8 @@ no interval s-coloring, ``edge_dfs`` searches g itself. The quotient's
 nodes count toward the same node limit and the same ``nodes_explored``,
 g's search gets what is left, and ``infeasible`` only ever comes from
 exhausting g. ``SearchOutcome.source`` records which step answered.
-``find_interval_t`` is the one road into ``edge_dfs``: ``find_proper_t`` and
-χ' ask it on ``engines.padded(g, s)``, whose interval s-colorings are g's
-proper ones.
+``find_interval_t`` is the one road into ``edge_dfs``: χ' asks it on
+``engines.padded(g, Δ)``, whose interval Δ-colorings are g's proper ones.
 ``_query`` alone reads a node count above the limit as ``exhausted_budget``.
 ``compute_chromatic_index`` reads χ' off one answer at t = Δ (Vizing).
 ``span_profile`` asks every t from the maximum degree up to the cap that
@@ -48,7 +47,6 @@ __all__ = [
     "BoundReport",
     "SpanProfile",
     "find_interval_t",
-    "find_proper_t",
     "scan_cap",
     "span_profile",
     "compute_chromatic_index",
@@ -194,27 +192,6 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
     return replace(outcome, nodes_explored=spent + outcome.nodes_explored)
 
 
-def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
-    """Decide whether g has a proper edge coloring with at most t colors.
-
-    Below Δ nothing is searched; an edgeless g gets the empty coloring. Else
-    ``find_interval_t`` decides ``padded(g, min(t, |E|))`` (no proper coloring
-    needs more colors), and its witness's part on g is checked for properness.
-    """
-    check_int("t", t, 1)
-    if not g.edges:
-        return SearchOutcome(WITNESS, EdgeColoring({}, t), 0)
-    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
-        return SearchOutcome(INFEASIBLE, None, 0)
-    s = min(t, len(g.edges))
-    outcome = find_interval_t(padded(g, s), s, cfg)
-    if outcome.witness is None:
-        return outcome
-    # g's part: every edge but the pendants, whose e.v is a new leaf outside g
-    colors = {e: c for e, c in outcome.witness.colors.items() if e.v in g.adjacency}
-    return replace(outcome, witness=_verified(g, colors, t, "is_proper", "find_interval_t on the padded graph"))
-
-
 # ---------------------------------------------------------------------------
 # Span scans
 # ---------------------------------------------------------------------------
@@ -356,7 +333,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     return SpanProfile(chi_prime, w, W, continuity, trail, chi_nodes + sum(o.nodes_explored for _, o in asked))
 
 
-# Not in __all__: benchmark/tracing.py's TARGETS looks these three up by name, their only remaining use.
+# Not in __all__: benchmark/tracing.py's TARGETS looks these four up by name, their only remaining use.
 def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Least t with an interval t-coloring, asking upward from the maximum
     degree and stopping at the first witness or budget cut."""
@@ -375,6 +352,27 @@ def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> 
     """Statuses of every t from the maximum degree up to t_hi: on a regular
     interval-colorable graph a gap would falsify the continuity property."""
     return [(t, o.status) for t, o in _ask(g, cfg, t_hi)]
+
+
+def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
+    """Decide whether g has a proper edge coloring with at most t colors.
+
+    Below Δ nothing is searched; an edgeless g gets the empty coloring. Else
+    ``find_interval_t`` decides ``padded(g, min(t, |E|))`` (no proper coloring
+    needs more colors), and its witness's part on g is checked for properness.
+    """
+    check_int("t", t, 1)
+    if not g.edges:
+        return SearchOutcome(WITNESS, EdgeColoring({}, t), 0)
+    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
+        return SearchOutcome(INFEASIBLE, None, 0)
+    s = min(t, len(g.edges))
+    outcome = find_interval_t(padded(g, s), s, cfg)
+    if outcome.witness is None:
+        return outcome
+    # g's part: every edge but the pendants, whose e.v is a new leaf outside g
+    colors = {e: c for e, c in outcome.witness.colors.items() if e.v in g.adjacency}
+    return replace(outcome, witness=_verified(g, colors, t, "is_proper", "find_interval_t on the padded graph"))
 
 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:

@@ -24,13 +24,13 @@ most ceil(t/2). ``unkeyed_edge_dfs`` is the same loop with the reflection
 cap alone, the search before the keys and color 1: ``edge_dfs`` must reach
 its status wherever both decide.
 
-``proper_dfs`` is the independent reference for proper queries, a search
-the package no longer runs: it colors g's own edges, scanning colors with
-``range``, and breaks the permutation symmetry of color classes by opening
-color c + 1 only once colors 1..c are used. ``ringcol.search.find_proper_t``
-instead asks ``find_interval_t`` about g padded with pendant edges
-(``ringcol.engines.padded``), lifted where the padding is a composition, so
-the two agree on every status, not on node counts.
+``proper_dfs`` is the independent reference for ``ringcol.engines.padded``
+and for chi', a search the package no longer runs: it colors g's own edges,
+scanning colors with ``range``, and breaks the permutation symmetry of color
+classes by opening color c + 1 only once colors 1..c are used. g has a
+proper t-coloring exactly when ``find_interval_t`` finds an interval
+t-coloring of ``padded(g, t)`` (lifted where the padding is a composition),
+so the two agree on every status, not on node counts.
 
 ``chromatic_index`` is chi' by that proper search alone, at the maximum
 degree and one above it, with no theorem: the reference for

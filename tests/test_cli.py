@@ -778,7 +778,6 @@ def test_bounds_exact_settles_an_odd_ring_by_the_overfull_rule(tmp_path, capsys,
     # coloring at any t, so the scan asks no t, and chi' = Delta + 1 = 7 by Vizing's theorem, with no query
     asked = []
     monkeypatch.setattr(search, "find_interval_t", lambda *a: asked.append(a))
-    monkeypatch.setattr(search, "find_proper_t", lambda *a: asked.append(a))
     assert run(tmp_path, "bounds-exact", "--n", "3", "--k", str(k)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["w"] == doc["W"] == {"value": None, "status": "exact"}

@@ -14,7 +14,6 @@ from ringcol import (
     complete_bipartite,
     compute_chromatic_index,
     find_interval_t,
-    find_proper_t,
     make_edge,
     mirrored_staircase_coloring,
     ring_chromatic_index,
@@ -115,8 +114,8 @@ def test_bad_parameters_rejected():
         lambda: find_interval_t(cycle(4), 4.0),
         lambda: find_interval_t(cycle(4), True),
         lambda: find_interval_t(cycle(4), "3"),
-        lambda: find_proper_t(cycle(4), 2.0),
-        lambda: find_proper_t(cycle(4), True),
+        lambda: search.find_proper_t(cycle(4), 2.0),
+        lambda: search.find_proper_t(cycle(4), True),
         lambda: EdgeColoring({}, "3"),
         lambda: EdgeColoring({cycle(4).edges[0]: 1}, True),
     ],
@@ -153,17 +152,17 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
     edgeless = build_graph(1, 1, [Vertex(1, 1)], [])
     assert engines.edge_dfs(edgeless, 1, None) == (None, 0)
     # a proper query searches nothing below Delta, and gives an edgeless graph the empty coloring
-    below = find_proper_t(big, 15)
+    below = search.find_proper_t(big, 15)
     assert (below.status, below.nodes_explored) == ("infeasible", 0)
-    empty = find_proper_t(edgeless, 1)
+    empty = search.find_proper_t(edgeless, 1)
     assert (empty.status, empty.witness.colors, empty.nodes_explored) == ("witness", {}, 0)
 
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
     (find_interval_t, 2, 6, 9, "witness", 8),  # lifted from C6 at s = 4: the quotient's nodes count
     (find_interval_t, 2, 3, 7, "infeasible", 263),  # C3 is overfull, so no lift: ring(2,3) alone
-    (find_proper_t, 2, 3, 4, "witness", 33),
-    (find_proper_t, 1, 5, 2, "infeasible", 4),
+    (search.find_proper_t, 2, 3, 4, "witness", 33),
+    (search.find_proper_t, 1, 5, 2, "infeasible", 4),
 ])
 def test_an_answer_on_the_last_allowed_node_stands(query, n, k, t, status, nodes):
     g = ring_graph(RingParams(n, k))
@@ -249,7 +248,7 @@ def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes)
     if engine in ("start_assignment", "edge_dfs"):
         got = run_engine(start_assignment if engine == "start_assignment" else engines.edge_dfs, g, t, 50_000)[:2]
     else:
-        query = find_proper_t if engine == "find_proper_t" else find_interval_t
+        query = search.find_proper_t if engine == "find_proper_t" else find_interval_t
         outcome = query(g, t, SearchConfig(node_limit=50_000))
         got = (outcome.status, outcome.nodes_explored)
     assert got == (status, nodes)
@@ -314,11 +313,13 @@ def test_a_lift_answers_on_1024_edges_from_the_quotient_cycle():
 
 
 def test_a_proper_query_at_the_degree_of_a_ring_is_lifted():
-    # ring(8,16) is 16-regular, so padded(g, 16) is g itself: find_interval_t lifts a 2-coloring of
-    # C16, found in 16 nodes, where a search of the ring takes 1 024
+    # ring(8,16) is 16-regular, so padded(g, 16) is g itself: chi' = 16 off one query, where
+    # find_interval_t lifts a 2-coloring of C16, found in 16 nodes, and a search of the ring takes 1 024
     g = ring_graph(RingParams(8, 16))
     assert engines.padded(g, 16) is g
-    outcome = find_proper_t(g, 16, SearchConfig(node_limit=5_000))
+    cfg = SearchConfig(node_limit=5_000)
+    assert compute_chromatic_index(g, cfg) == (16, 16)
+    outcome = find_interval_t(engines.padded(g, 16), 16, cfg)
     assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 16, "composition_lift")
     assert verify(g, outcome.witness).is_proper
 
@@ -326,8 +327,10 @@ def test_a_proper_query_at_the_degree_of_a_ring_is_lifted():
 def test_proper_search_needs_no_recursion_on_1024_edges():
     # at t = 17 each of the 128 vertices gets one pendant, to a leaf of its own, so the padded graph
     # (1 152 edges) has no twins and no lift: edge_dfs searches it, one color per edge
-    outcome = find_proper_t(ring_graph(RingParams(8, 16)), 17, SearchConfig(node_limit=5_000))
+    g = ring_graph(RingParams(8, 16))
+    outcome = find_interval_t(engines.padded(g, 17), 17, SearchConfig(node_limit=5_000))
     assert (outcome.status, outcome.nodes_explored, outcome.source) == ("witness", 1_152, "search")
+    assert verify(g, _on_g(g, outcome.witness)).is_proper
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +608,10 @@ def test_chromatic_index_matches_two_proper_queries(g):
 
 
 def test_proper_coloring_search_statuses():
+    # C5 is its own padding at 2 and an odd cycle: no proper 2-coloring, a proper 3-coloring
     g = cycle(5)
-    assert find_proper_t(g, 2).status == "infeasible"
-    outcome = find_proper_t(g, 3)
-    assert outcome.status == "witness"
-    assert verify(g, outcome.witness).is_proper
+    assert _padded_statuses_agree(g, 2, None).status == "infeasible"
+    assert _padded_statuses_agree(g, 3, None).status == "witness"
 
 
 def test_continuity_scan_results():
@@ -634,7 +636,7 @@ def test_engine_witness_is_reverified(monkeypatch):
     for fake in (one_color, other):  # an improper part on g; a part with an edge g does not have
         monkeypatch.setattr(search, "find_interval_t", fake)
         with pytest.raises(SoundnessError):
-            find_proper_t(g, 3)
+            search.find_proper_t(g, 3)
 
 
 def test_continuity_scan_with_explicit_top():
@@ -894,8 +896,9 @@ def test_engines_agree_on_small_graphs(g):
             run_engine(start_assignment, g, t, 20_000)[0],
         }
         assert len(statuses - {"exhausted_budget"}) <= 1, (t, statuses)
-    # Vizing: max degree + 1 colors always suffice for a simple graph
-    assert find_proper_t(g, g.max_degree() + 1).status == "witness"
+    # Vizing: max degree + 1 colors always suffice for a simple graph (and |E| colors always do)
+    if g.edges:
+        assert _padded_statuses_agree(g, min(g.max_degree() + 1, len(g.edges)), None).status == "witness"
 
 
 def _overfull(g):
@@ -927,18 +930,25 @@ def test_more_budget_never_flips_a_definite_answer(g, limit):
             assert (again.status, again.nodes_explored) == (first.status, first.nodes_explored), (t, limit)
 
 
-def _proper_statuses_agree(g, t, limit):
-    """``find_proper_t`` and the plain proper search in tests/reference.py give
-    the same status unless a budget cuts either, and every witness is proper."""
-    outcome = find_proper_t(g, t, SearchConfig(node_limit=limit))
+def _on_g(g, witness):
+    """A coloring of a padding of g without its pendants: the part on g's edges, at the same t."""
+    return EdgeColoring({e: c for e, c in witness.colors.items() if e in g.edge_set}, witness.t)
+
+
+def _padded_statuses_agree(g, t, limit):
+    """``find_interval_t`` on ``engines.padded(g, t)`` and the plain proper
+    search in tests/reference.py give the same status unless a budget cuts
+    either, and every witness's part on g is proper. Returns the padded query."""
+    outcome = find_interval_t(engines.padded(g, t), t, SearchConfig(node_limit=limit))
     found, nodes = reference.proper_dfs(g, t, limit)
     if found is not None:
         assert verify(g, EdgeColoring(found, t)).is_proper, t
     if outcome.status == "exhausted_budget" or (limit is not None and nodes > limit):
-        return
+        return outcome
     assert outcome.status == ("infeasible" if found is None else "witness"), t
     if found is not None:
-        assert verify(g, outcome.witness).is_proper, t
+        assert verify(g, _on_g(g, outcome.witness)).is_proper, t
+    return outcome
 
 
 @given(g=small_graphs(max_edges=12), limit=st.none() | st.integers(1, 300))
@@ -946,12 +956,13 @@ def _proper_statuses_agree(g, t, limit):
 def test_dfs_engines_match_their_plain_references(g, limit):
     # edge_dfs: same outcome, same node count (the first over-budget node
     # included) and the same witness items in the same order, at every t up
-    # to |E| + 1 (the first t whose palette cannot be covered). The proper
-    # query searches a padded graph, so only its status is held to the plain
-    # proper search.
+    # to |E| + 1 (the first t whose palette cannot be covered). A padded
+    # query, at every t in [Delta, |E|], is held to the plain proper search by
+    # status only.
     for t in range(1, len(g.edges) + 2):
         assert reference.trace(engines.edge_dfs, g, t, limit) == reference.trace(reference.edge_dfs, g, t, limit), t
-        _proper_statuses_agree(g, t, limit)
+        if g.max_degree() <= t <= len(g.edges):
+            _padded_statuses_agree(g, t, limit)
 
 
 def _p4_with_its_middle_edge_first():
@@ -996,10 +1007,10 @@ def test_symmetry_rules_keep_the_status_of_the_unkeyed_search(g):
 @settings(max_examples=300, deadline=None, database=None)
 @seed(SEED)
 def test_proper_queries_agree_with_the_plain_proper_search(g):
-    # unbudgeted, at every t in [1, |E| + 1]: a proper t-coloring of g is an
+    # unbudgeted, at every t in [Delta, |E|]: a proper t-coloring of g is an
     # interval t-coloring of padded(g, t), read back on g's edges
-    for t in range(1, len(g.edges) + 2):
-        _proper_statuses_agree(g, t, None)
+    for t in range(max(g.max_degree(), 1), len(g.edges) + 1):
+        _padded_statuses_agree(g, t, None)
 
 
 @given(g=small_graphs(max_edges=12), t=st.integers(1, 14))
@@ -1015,7 +1026,7 @@ def test_padding_gives_every_vertex_of_g_degree_t(g, t):
 
 def test_a_proper_query_far_above_the_edge_count_searches_at_the_edge_count():
     # no proper coloring needs more than |E| colors: C4 at t = 20 000 is padded to degree 4, not 20 000
-    outcome = find_proper_t(cycle(4), 20_000)
+    outcome = search.find_proper_t(cycle(4), 20_000)
     assert (outcome.status, outcome.witness.t) == ("witness", 20_000)
     assert max(outcome.witness.colors.values()) <= 4
     assert verify(cycle(4), outcome.witness).is_proper
@@ -1029,4 +1040,5 @@ def test_dfs_engines_match_their_plain_references_on_the_desk_corpus():
         for t in range(1, min(len(g.edges), 18) + 1):
             assert reference.trace(engines.edge_dfs, g, t, 60_000) == reference.trace(reference.edge_dfs, g, t, 60_000), t
         for t in (g.max_degree(), g.max_degree() + 1):
-            _proper_statuses_agree(g, t, 60_000)
+            if t <= len(g.edges):
+                _padded_statuses_agree(g, t, 60_000)
