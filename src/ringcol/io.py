@@ -184,8 +184,8 @@ def profile_to_dict(params: RingParams, p: SpanProfile) -> dict[str, Any]:
         "W": _span_value(p.W),
         "chi_prime": {"value": p.chi_prime, "status": "inconclusive" if p.chi_prime is None else "exact"},
         "continuity": p.continuity_status,
-        "t_max": p.W.t_max,
-        "t_max_source": p.W.t_max_source,
+        "t_max": p.t_max,
+        "t_max_source": p.t_max_source,
     }
 
 

@@ -25,6 +25,7 @@ exhausting g. ``SearchOutcome.source`` records which step answered.
 ``scan_cap`` reports (the one place a span meets a theorem bound) once, in
 increasing order, reads w, W and continuity off that list, and χ' off its
 t = Δ answer when g is its own padding, so one call answers an (n, k) cell.
+Its ``SpanProfile`` holds the cap and that list (``trail``) once.
 
 Everything is deterministic: fixed vertex and edge orders, no randomness,
 reproducible node counts.
@@ -63,13 +64,11 @@ LIFT = "composition_lift"
 class SearchConfig:
     """The span cap and node budget of one feasibility query or span scan.
 
-    ``t_max`` caps span scans. When it is None, ``scan_cap`` derives the cap
-    from theorems: 0 for an overfull graph, else at most |E(G)|. An explicit
-    value wins up to |E| and is clamped to |E| above it:
-    ``t_max=len(g.edges)`` forces the scan to exhaust every t up to |E|
-    without citing a theorem. It never affects a single
-    ``find_interval_t`` query. ``node_limit`` bounds the number of decision
-    nodes per query (None = unbounded).
+    ``t_max`` caps span scans, by the rules of ``scan_cap``: None lets it
+    cite theorems, and ``t_max=len(g.edges)`` exhausts every t up to |E|
+    without citing one. It never affects a single ``find_interval_t``
+    query. ``node_limit`` bounds the number of decision nodes per query
+    (None = unbounded).
     """
 
     t_max: int | None = None
@@ -101,31 +100,18 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Result of a span scan (least or greatest feasible t).
-
-    ``trail`` records the per-t statuses in scan order: upward for w,
-    downward for W. ``t_max`` is the cap that was in force and
-    ``t_max_source`` where it came from: "t_max" (set in the SearchConfig),
-    "edges" (|E|, the trivial cap), "overfull" (cap 0: an overfull graph has
-    no interval coloring, so no t is asked), or
-    "asratian_kamalian_bipartite" / "asratian_kamalian" /
-    "giaro_kubale_malafiejski" (a theorem bound on the greatest span of a
-    connected interval-colorable graph, which then stands in for exhausting
-    every t between it and |E|; see ``scan_cap``). Statuses: "exact"
-    (value settled by exhaustion up to the cap), "lower_bound_only" (witness
-    found but some larger t hit the budget), "inconclusive" (budget ran out
-    before any answer), and "not_interval_colorable" (every t up to the cap
-    exhausted as infeasible). ``nodes_explored`` counts the queries the
-    answer rests on, the t in ``trail``: for w those from the maximum degree
-    up to w, for W those from the cap down to W.
+    """One span, w or W, of a span scan. Statuses: "exact" (value settled by
+    exhaustion up to the cap), "lower_bound_only" (witness found but some
+    larger t hit the budget), "inconclusive" (budget ran out before any
+    answer), and "not_interval_colorable" (every t up to the cap exhausted
+    as infeasible). ``nodes_explored`` counts the queries the answer rests
+    on: for w those from the maximum degree up to w, for W those from the
+    cap down to W.
     """
 
     value: int | None
     status: str
-    t_max: int
-    t_max_source: str
     nodes_explored: int
-    trail: tuple[tuple[int, str], ...] = ()
 
 
 def _verified(g: Graph, colors: dict[Edge, int], t: int, check: str, producer: str) -> EdgeColoring:
@@ -198,7 +184,8 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
 
 
 def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
-    """The largest t a span scan asks about, and where that cap comes from.
+    """The largest t a span scan asks about, and where that cap comes from:
+    the vocabulary of ``SpanProfile.t_max_source``.
 
     An explicit ``cfg.t_max`` wins ("t_max") up to |E|; above |E| it is
     clamped to |E| ("edges"), since no larger t has an interval coloring.
@@ -238,17 +225,25 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
 class SpanProfile:
     """Everything the oracle says about one graph: the chromatic index
     (``chi_prime``; None when a budget cut its query short), ``w`` and ``W``
-    as BoundReports, and the statuses of every t in [max degree, W]
-    (``continuity``; None unless both w and W were found). ``trail`` lists
-    each interval query, in increasing t; ``nodes_explored`` counts their
+    as BoundReports, and the cap ``t_max`` with its ``t_max_source``, as
+    ``scan_cap`` reports them. ``trail`` holds the status of each interval
+    query, in increasing t up to the cap; ``nodes_explored`` counts their
     nodes, plus those of a χ' query on ``padded(g, Δ)`` when that is not g."""
 
     chi_prime: int | None
     w: BoundReport
     W: BoundReport
-    continuity: tuple[tuple[int, str], ...] | None
+    t_max: int
+    t_max_source: str
     trail: tuple[tuple[int, str], ...]
     nodes_explored: int
+
+    @property
+    def continuity(self) -> tuple[tuple[int, str], ...] | None:
+        """The statuses of every t in [max degree, W]; None unless both w and W were found."""
+        if self.w.value is None or self.W.value is None:
+            return None
+        return tuple((t, status) for t, status in self.trail if t <= self.W.value)
 
     @property
     def continuity_status(self) -> str:
@@ -272,36 +267,30 @@ class SpanProfile:
         return self.chi_prime is not None and self.w.status in definite and self.W.status in definite
 
 
-def _report(value: int | None, status: str, cap: tuple[int, str],
-            read: list[tuple[int, SearchOutcome]]) -> BoundReport:
-    return BoundReport(value, status, *cap, sum(o.nodes_explored for _, o in read),
-                       tuple((t, o.status) for t, o in read))
-
-
-def _least(cap: tuple[int, str], asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+def _least(asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
     """w's rule, read upward: the first witness is w, unless a budget cut
     comes first."""
-    read = []
+    nodes = 0
     for t, outcome in asked:
-        read.append((t, outcome))
+        nodes += outcome.nodes_explored
         if outcome.status == WITNESS:
-            return _report(t, "exact", cap, read)
+            return BoundReport(t, "exact", nodes)
         if outcome.status == EXHAUSTED:
-            return _report(None, "inconclusive", cap, read)
-    return _report(None, "not_interval_colorable", cap, read)
+            return BoundReport(None, "inconclusive", nodes)
+    return BoundReport(None, "not_interval_colorable", nodes)
 
 
-def _greatest(cap: tuple[int, str], asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+def _greatest(asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
     """W's rule, read downward from the cap: the first witness is W.
     Feasibility is not monotone in t, so W is exact only when every t above
     it was exhausted; a budget cut above it degrades W to lower_bound_only."""
-    read, cut = [], False
+    nodes, cut = 0, False
     for t, outcome in asked:
-        read.append((t, outcome))
+        nodes += outcome.nodes_explored
         if outcome.status == WITNESS:
-            return _report(t, "lower_bound_only" if cut else "exact", cap, read)
+            return BoundReport(t, "lower_bound_only" if cut else "exact", nodes)
         cut = cut or outcome.status == EXHAUSTED
-    return _report(None, "inconclusive" if cut else "not_interval_colorable", cap, read)
+    return BoundReport(None, "inconclusive" if cut else "not_interval_colorable", nodes)
 
 
 def _ask(g: Graph, cfg: SearchConfig | None, top: int, down: bool = False) -> Iterator[tuple[int, SearchOutcome]]:
@@ -322,30 +311,24 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     continuity its prefix up to W. chi' is what ``compute_chromatic_index``
     reports, read off t = Δ if g is its padding.
     """
-    cap = scan_cap(g, cfg)
-    asked = list(_ask(g, cfg, cap[0]))
-    w, W = _least(cap, asked), _greatest(cap, reversed(asked))
-    continuity = None
-    if w.value is not None and W.value is not None:
-        continuity = tuple((t, o.status) for t, o in asked if t <= W.value)
+    t_max, source = scan_cap(g, cfg)
+    asked = list(_ask(g, cfg, t_max))
     chi_prime, chi_nodes = _chromatic_index(g, cfg, dict(asked))
-    trail = tuple((t, o.status) for t, o in asked)
-    return SpanProfile(chi_prime, w, W, continuity, trail, chi_nodes + sum(o.nodes_explored for _, o in asked))
+    return SpanProfile(chi_prime, _least(asked), _greatest(reversed(asked)), t_max, source,
+                       tuple((t, o.status) for t, o in asked), chi_nodes + sum(o.nodes_explored for _, o in asked))
 
 
 # Not in __all__: benchmark/tracing.py's TARGETS looks these four up by name, their only remaining use.
 def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Least t with an interval t-coloring, asking upward from the maximum
     degree and stopping at the first witness or budget cut."""
-    cap = scan_cap(g, cfg)
-    return _least(cap, _ask(g, cfg, cap[0]))
+    return _least(_ask(g, cfg, scan_cap(g, cfg)[0]))
 
 
 def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Greatest t with an interval t-coloring, asking downward from the cap
     that ``scan_cap`` reports and stopping at the first witness."""
-    cap = scan_cap(g, cfg)
-    return _greatest(cap, _ask(g, cfg, cap[0], down=True))
+    return _greatest(_ask(g, cfg, scan_cap(g, cfg)[0], down=True))
 
 
 def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> list[tuple[int, str]]:

@@ -760,8 +760,8 @@ def test_bounds_exact_explicit_t_max_wins(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["W"] == {"value": 3, "status": "exact"}
     assert (doc["t_max"], doc["t_max_source"]) == (4, "t_max")
-    report = span_profile(ring_graph(RingParams(1, 4))).W
-    assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
+    profile = span_profile(ring_graph(RingParams(1, 4)))
+    assert (profile.t_max, profile.t_max_source) == (3, "asratian_kamalian_bipartite")
 
 
 def test_bounds_exact_triangle(tmp_path, capsys):

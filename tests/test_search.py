@@ -176,10 +176,11 @@ def test_compute_w_budget_is_inconclusive():
     # ring(2,3) = C3[K̄2], and C3 is overfull, so no lift is tried: the budget runs out on ring(2,3)
     # itself
     g = ring_graph(RingParams(2, 3))
-    report = span_profile(g, SearchConfig(node_limit=5)).w
+    profile = span_profile(g, SearchConfig(node_limit=5))
+    report = profile.w
     assert report.value is None
     assert report.status == "inconclusive"
-    assert (report.trail, report.nodes_explored) == (((4, "exhausted_budget"),), 6)
+    assert (profile.trail[0], report.nodes_explored) == ((4, "exhausted_budget"), 6)
 
 
 def test_compute_chromatic_index_budget_gives_no_value():
@@ -348,26 +349,26 @@ def test_least_span_small_cases():
 
 def test_greatest_span_c4():
     g = cycle(4)
-    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W
-    assert report.value == 3
-    assert report.status == "exact"
-    assert report.trail == ((4, "infeasible"), (3, "witness"))
+    profile = span_profile(g, SearchConfig(t_max=len(g.edges)))
+    assert profile.W.value == 3
+    assert profile.W.status == "exact"
+    assert profile.trail == ((2, "witness"), (3, "witness"), (4, "infeasible"))
 
 
 def test_greatest_span_c6():
     g = cycle(6)
-    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W
-    assert report.value == 4
-    assert report.status == "exact"
-    assert dict(report.trail) == {6: "infeasible", 5: "infeasible", 4: "witness"}
+    profile = span_profile(g, SearchConfig(t_max=len(g.edges)))
+    assert profile.W.value == 4
+    assert profile.W.status == "exact"
+    assert profile.trail == ((2, "witness"), (3, "witness"), (4, "witness"), (5, "infeasible"), (6, "infeasible"))
 
 
 def test_greatest_span_c4_default_cap_is_the_theorem_bound():
-    report = span_profile(cycle(4)).W
-    assert report.value == 3
-    assert report.status == "exact"
-    assert (report.t_max, report.t_max_source) == (3, "asratian_kamalian_bipartite")
-    assert report.trail == ((3, "witness"),)
+    profile = span_profile(cycle(4))
+    assert profile.W.value == 3
+    assert profile.W.status == "exact"
+    assert (profile.t_max, profile.t_max_source) == (3, "asratian_kamalian_bipartite")
+    assert profile.trail == ((2, "witness"), (3, "witness"))
     # a single query never cites the theorem: t=4 is still refuted by search
     assert find_interval_t(cycle(4), 4).nodes_explored > 0
 
@@ -391,7 +392,7 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     assert [t for t, _ in profile.trail] == asked
     assert (profile.w.value, profile.w.status) == (4, "exact")
     assert (profile.W.value, profile.W.status) == (7, "exact")
-    assert (profile.W.t_max, profile.W.t_max_source) == (7, "asratian_kamalian_bipartite")
+    assert (profile.t_max, profile.t_max_source) == (7, "asratian_kamalian_bipartite")
     assert profile.continuity_status == "ok"
     # every query of the cell is one of the four interval queries: chi' is read off t = 4
     assert profile.chi_prime == 4
@@ -407,7 +408,7 @@ def test_greatest_span_of_ring_2_k_by_exhaustion(k, W, cap):
     # bound 2n + nk/2 - 1; for k = 5 and 7 it falls one short of that value
     profile = span_profile(ring_graph(RingParams(2, k)))
     assert (profile.w.value, profile.w.status) == (4, "exact")
-    assert (profile.W.value, profile.W.status, profile.W.t_max) == (W, "exact", cap)
+    assert (profile.W.value, profile.W.status, profile.t_max) == (W, "exact", cap)
     assert profile.continuity_status == "ok"
 
 
@@ -438,14 +439,19 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_span_profile_reads_what_the_scans_report(g, limit):
     # one ascending pass over [max degree, cap] yields the same reports, node counts included, as
-    # the scans that stop early; budgets from 1 to 300 nodes put cuts below, between and above witnesses
+    # the scans that stop early, and holds scan_cap's cap and the continuity prefix of its trail;
+    # budgets from 1 to 300 nodes put cuts below, between and above witnesses
     cfg = SearchConfig(node_limit=limit)
     profile = span_profile(g, cfg)
     assert profile.w == search.compute_w(g, cfg)
     assert profile.W == search.compute_W(g, cfg)
-    assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), scan_cap(g, cfg)[0] + 1))
+    assert (profile.t_max, profile.t_max_source) == scan_cap(g, cfg)
+    assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), profile.t_max + 1))
     if profile.w.value is not None and profile.W.value is not None:
+        assert profile.continuity == profile.trail[:profile.W.value - profile.trail[0][0] + 1]
         assert profile.continuity == tuple(search.continuity_scan(g, cfg, t_hi=profile.W.value))
+    else:
+        assert profile.continuity is None
 
 
 def test_scan_cap_sources():
