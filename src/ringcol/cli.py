@@ -10,7 +10,8 @@ Exit codes (stable, also listed in the README):
 
     0  success; for ``verify``/``search``: the coloring is interval / found
     1  verification failure or proven infeasibility
-    2  parameter error (bad n/k/t, malformed document, graph/coloring mismatch)
+    2  parameter error (bad n/k/t, malformed document, graph/coloring mismatch;
+       for ``verify``, a coloring whose t exceeds the graph's edge count)
     3  unsupported parity (odd k where the construction needs even k)
     4  search budget exhausted
     5  I/O failure: a file unreadable, not UTF-8 or no JSON, nested past the JSON
@@ -42,7 +43,7 @@ from typing import Any, Callable, Iterator
 
 from . import io as rio
 from .construct import bounds_summary, mirrored_staircase_coloring, t_coloring
-from .coloring import verify
+from .coloring import check_total, verify
 from .errors import (
     ColoringError,
     FormatError,
@@ -129,6 +130,11 @@ def cmd_construct(args: argparse.Namespace, artifacts: list[str]) -> int:
 def cmd_verify(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = rio.load_graph(args.graph)
     coloring = rio.load_coloring(args.coloring)
+    # each edge brings at most one color, and the report would list every unused one
+    if coloring.t > len(g.edges):
+        check_total(g, coloring)  # a coloring of another graph is refused as such first
+        raise ParameterError(f"t = {coloring.t} exceeds the graph's {len(g.edges)} edges: "
+                             "no interval t-coloring exists")
     report = verify(g, coloring)
     _print_json(rio.report_to_dict(report))
     return EXIT_OK if report.is_interval_coloring else EXIT_VERIFY_FAIL

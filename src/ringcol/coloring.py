@@ -25,6 +25,7 @@ from .graphs import Edge, Graph, Vertex, as_vertex
 __all__ = [
     "EdgeColoring",
     "VerificationReport",
+    "check_total",
     "spectrum",
     "verify",
 ]
@@ -88,14 +89,8 @@ def spectrum(g: Graph, coloring: EdgeColoring, v: Vertex) -> tuple[int, ...]:
     return tuple(sorted({coloring.colors[e] for e in incident}))
 
 
-def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
-    """Check properness, per-vertex consecutiveness, and palette coverage.
-
-    The coloring must be total on E(g) and stay inside [1, t]; those are
-    input defects and raise ColoringError, while the three interval
-    conditions are results and come back in the report with their
-    supporting evidence.
-    """
+def check_total(g: Graph, coloring: EdgeColoring) -> None:
+    """Raise ColoringError unless the coloring colors exactly the edges of g."""
     colors = coloring.colors
     # total on E(g) exactly when it colors as many edges as g has and every edge of g
     if len(colors) != len(g.edges) or not all(map(colors.__contains__, g.edges)):
@@ -106,6 +101,19 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
         raise ColoringError(
             f"coloring leaves {len(missing_edges)} edge(s) uncolored, first: {missing_edges[0]}"
         )
+
+
+def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
+    """Check properness, per-vertex consecutiveness, and palette coverage.
+
+    The coloring must be total on E(g) (``check_total``) and stay inside
+    [1, t]; those are input defects and raise ColoringError, while the three
+    interval conditions are results and come back in the report with their
+    supporting evidence. ``missing_colors`` lists every unused color of
+    [1, t], so the report grows with t.
+    """
+    check_total(g, coloring)
+    colors = coloring.colors
 
     violations: list[tuple[Vertex, int, tuple[Edge, ...]]] = []
     gaps: list[tuple[Vertex, tuple[int, ...]]] = []

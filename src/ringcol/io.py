@@ -54,7 +54,7 @@ from operator import lt
 from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO
 
-from .coloring import EdgeColoring, VerificationReport, verify
+from .coloring import EdgeColoring, VerificationReport, check_total
 from .errors import FormatError, SoundnessError
 from .graphs import Edge, Graph, RingParams, Vertex, as_vertex, assemble_graph, build_graph, make_edge
 from .search import BoundReport, SearchOutcome, SpanProfile
@@ -344,10 +344,10 @@ def load_coloring(path: str | Path) -> EdgeColoring:
 
 def dot_source(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """GraphViz source for a graph, with edge color labels when given. The
-    coloring must color exactly g's edges: ``verify`` checks that, and
+    coloring must color exactly g's edges: ``check_total`` checks that, and
     raises ColoringError otherwise."""
     if coloring is not None:
-        verify(g, coloring)
+        check_total(g, coloring)
     lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f'  "x{v.layer}_{v.index}";')

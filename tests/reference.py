@@ -16,7 +16,7 @@ match the plain ``coloring_from_dict`` in the same way.
 ``edge_dfs`` is the plain form of ``ringcol.engines.edge_dfs``, which the
 fast one must match node for node: per-vertex used colors with the spread
 window recomputed from the lowest and highest used color at each depth,
-``bit_count`` for the coverage prune, and ``Budget.spend`` at every node.
+and ``bit_count`` for the coverage prune.
 Its symmetry rules are read off their definitions: each twin key is checked
 against every key edge of its class colored so far (``twin_keys``), and the
 first edge takes color 1 when ``cycle_or_complete_quotient`` holds, else at
@@ -45,47 +45,19 @@ report for report.
 ``lifted_colors`` is the composition lift written edge by edge from the
 definition of the block table F_j, which ``ringcol.composition.lift`` and
 every coloring built on it must match.
+
+Every search here speaks the contract of ``ringcol.engines``: it takes
+``(g, t, limit)`` (None for no limit), counts its nodes in a local variable
+and returns ``(assignment | None, nodes)``, stopping with
+``(None, limit + 1)`` at the first node past the limit.
 """
 
 from collections import deque
-from functools import wraps
 from itertools import combinations
 
 from ringcol import (Edge, EdgeColoring, FormatError, Graph, ParameterError, SearchConfig, SoundnessError,
                      VerificationReport, Vertex, make_edge, search)
 from ringcol.engines import connected_edge_order
-
-
-class OutOfBudget(Exception):
-    pass
-
-
-class Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int | None) -> None:
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise OutOfBudget
-
-
-def counted(engine):
-    """``engine(g, t, budget)`` as ``(g, t, limit) -> (assignment, nodes)``,
-    stopping with ``(None, limit + 1)`` at the first node past the limit."""
-
-    @wraps(engine)
-    def run(g, t, limit):
-        budget = Budget(limit)
-        try:
-            return engine(g, t, budget), budget.nodes
-        except OutOfBudget:
-            return None, budget.nodes
-
-    return run
 
 
 def label(raw):
@@ -252,23 +224,21 @@ def cycle_or_complete_quotient(g):
     return len(reached) == len(classes) and all(sum(c in pair for pair in joined) == 2 for c in reached)
 
 
-@counted
-def edge_dfs(g, t, budget):
+def edge_dfs(g, t, limit):
     """The same search as ``ringcol.engines.edge_dfs``: same nodes, same witness."""
-    return _plain_edge_dfs(g, t, budget, keyed=True)
+    return _plain_edge_dfs(g, t, limit, keyed=True)
 
 
-@counted
-def unkeyed_edge_dfs(g, t, budget):
+def unkeyed_edge_dfs(g, t, limit):
     """``edge_dfs`` with the reflection cap as its one symmetry rule."""
-    return _plain_edge_dfs(g, t, budget, keyed=False)
+    return _plain_edge_dfs(g, t, limit, keyed=False)
 
 
-def _plain_edge_dfs(g, t, budget, keyed):
+def _plain_edge_dfs(g, t, limit, keyed):
     edges, us, vs, deg = indexed_edge_order(g)
     m = len(edges)
     if m == 0:
-        return None
+        return None, 0
 
     used = [0] * len(deg)  # per vertex: bit c set when color c is on it
     count = [0] * (t + 1)  # per color: edges carrying it
@@ -282,6 +252,7 @@ def _plain_edge_dfs(g, t, budget, keyed):
                for i, e in enumerate(edges)]
     color = [0] * m  # per depth: the color of edges[i]
     cand = [0] * m  # per depth: the colors not yet tried there, as a bitmask
+    nodes = 0
 
     i = 0
     while True:
@@ -302,7 +273,7 @@ def _plain_edge_dfs(g, t, budget, keyed):
             mask &= zero if unused == m - i else 0
         while not mask:  # back up and withdraw the previous edge's color
             if i == 0:
-                return None
+                return None, nodes
             i -= 1
             a, b = us[i], vs[i]
             c = color[i]
@@ -314,7 +285,9 @@ def _plain_edge_dfs(g, t, budget, keyed):
                 zero |= bit
             mask = cand[i]
 
-        budget.spend()
+        nodes += 1
+        if limit is not None and nodes > limit:
+            return None, nodes
         bit = mask & -mask
         cand[i] = mask ^ bit
         c = color[i] = bit.bit_length() - 1
@@ -324,22 +297,22 @@ def _plain_edge_dfs(g, t, budget, keyed):
             zero ^= bit
         count[c] += 1
         if i == m - 1:
-            return dict(zip(edges, color))
+            return dict(zip(edges, color)), nodes
         i += 1
 
 
-@counted
-def proper_dfs(g, t, budget):
+def proper_dfs(g, t, limit):
     """A proper coloring with at most t colors, by plain search with color
     opening: an edge may take color c + 1 only once colors 1..c are used."""
     edges, us, vs, deg = indexed_edge_order(g)
     m = len(edges)
     if m == 0:
-        return {}
+        return {}, 0
 
     used = [0] * len(deg)  # per vertex: bit c set when color c is on it
     color = [0] * m  # per depth: the color of edges[i], 0 = none tried yet
     high = [0] * m  # per depth: the highest color opened before edges[i]
+    nodes = 0
 
     i = 0
     while True:
@@ -356,16 +329,18 @@ def proper_dfs(g, t, budget):
         else:  # no color left at depth i: back up to the previous edge
             color[i] = 0
             if i == 0:
-                return None
+                return None, nodes
             i -= 1
             continue
-        budget.spend()
+        nodes += 1
+        if limit is not None and nodes > limit:
+            return None, nodes
         bit = 1 << c
         used[a] |= bit
         used[b] |= bit
         color[i] = c
         if i == m - 1:
-            return dict(zip(edges, color))
+            return dict(zip(edges, color)), nodes
         high[i + 1] = max(high[i], c)
         i += 1
 
@@ -409,15 +384,14 @@ def _bfs_vertex_order(g: Graph) -> list[Vertex]:
     return order
 
 
-@counted
-def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None:
+def start_assignment(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     verts = [v for v in _bfs_vertex_order(g) if g.degree(v) > 0]
     nv = len(verts)
     if nv == 0:
-        return None
+        return None, 0
     deg = [g.degree(v) for v in verts]
     if any(d > t for d in deg):
-        return None  # no spectrum window fits: the start space is empty
+        return None, 0  # no spectrum window fits: the start space is empty
 
     pos = {v: i for i, v in enumerate(verts)}
     earlier: list[list[int]] = [[] for _ in range(nv)]
@@ -460,17 +434,19 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
     next_s = [0] * nv
     last_s = [0] * nv
     next_s[0], last_s[0] = start_range(0)
-    spend = budget.spend
+    nodes = 0
     i = 0
     while True:
         if i == nv:
             # the windows cover the palette; asked at every full start vector, so scanned at C speed
             if 0 not in cover[1 : t + 1] and parity_ok():
-                found = _assign_in_windows(g, t, budget, pos, start, deg, e0, cap)
-                if found is not None:
-                    return found
+                found, nodes = _assign_in_windows(g, t, limit, nodes, pos, start, deg, e0, cap)
+                if found is not None or (limit is not None and nodes > limit):
+                    return found, nodes
         elif next_s[i] <= last_s[i]:
-            spend()
+            nodes += 1
+            if limit is not None and nodes > limit:
+                return None, nodes
             s = start[i] = next_s[i]
             next_s[i] = s + 1
             for c in range(s, s + deg[i]):
@@ -480,7 +456,7 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
                 next_s[i], last_s[i] = start_range(i)
             continue
         elif i == 0:
-            return None
+            return None, nodes
         i -= 1  # back up: withdraw the start of the previous vertex
         s = start[i]
         for c in range(s, s + deg[i]):
@@ -490,17 +466,20 @@ def start_assignment(g: Graph, t: int, budget: Budget) -> dict[Edge, int] | None
 def _assign_in_windows(
     g: Graph,
     t: int,
-    budget: Budget,
+    limit: int | None,
+    nodes: int,
     pos: dict[Vertex, int],
     start: list[int],
     deg: list[int],
     e0: Edge,
     cap: int,
-) -> dict[Edge, int] | None:
+) -> tuple[dict[Edge, int] | None, int]:
     """Exact assignment once every spectrum window is fixed: each edge takes a
     color in the intersection of its endpoints' windows, all colors distinct
     at every vertex. Window sizes equal degrees, so a solution uses each
     window color exactly once and is an interval coloring by construction.
+    ``nodes`` is the count so far, continued here and returned with the
+    assignment under the contract of the module's engines.
 
     Edges are indexed by their place in the sorted ``g.edges`` and vertices
     by ``pos``. An edge's domain and a vertex's used colors are int bitmasks
@@ -521,12 +500,11 @@ def _assign_in_windows(
         if e == e0:
             hi = min(hi, cap)
         if lo > hi:
-            return None
+            return None, nodes
         free.append((i, iu, iv, (1 << (hi + 1)) - (1 << lo)))
 
     used = [0] * len(start)
     stack: list[list] = []  # [free entry, slot in free, color bit, untried bits]
-    spend = budget.spend
     while free:
         best_n = t + 1  # more than any option count
         for k, entry in enumerate(free):
@@ -551,7 +529,9 @@ def _assign_in_windows(
                 used[iv] ^= bit
             rest = frame[3]
             if rest:
-                spend()
+                nodes += 1
+                if limit is not None and nodes > limit:
+                    return None, nodes
                 bit = rest & -rest
                 frame[2], frame[3] = bit, rest ^ bit
                 used[iu] |= bit
@@ -560,6 +540,6 @@ def _assign_in_windows(
             stack.pop()
             free.insert(frame[1], frame[0])
         else:
-            return None
+            return None, nodes
     edges = g.edges
-    return {edges[frame[0][0]]: frame[2].bit_length() - 1 for frame in stack}
+    return {edges[frame[0][0]]: frame[2].bit_length() - 1 for frame in stack}, nodes

@@ -185,7 +185,7 @@ def _agreement_corpus():
     return pairs
 
 
-def test_criterion_09_soundness_and_strategy_agreement():
+def test_criterion_09_soundness_and_engine_agreement():
     t0 = time.perf_counter()
     ok = True
     for label, g, t in _agreement_corpus():

@@ -1,5 +1,7 @@
 import gc
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -972,6 +974,33 @@ def test_export_dot_refuses_a_coloring_of_another_graph(tmp_path, capsys, defect
     assert run(tmp_path, "export-dot", "--graph", str(gpath), "--coloring", str(cpath), "--out", str(dpath)) == 2
     assert capsys.readouterr().err == message
     assert not dpath.exists()
+
+
+def test_verify_and_export_dot_stay_small_on_a_huge_declared_t(tmp_path):
+    # ring(1,4)'s coloring declared at t = 10^9 is a 189-byte file. verify refuses it in one line, since
+    # no interval t-coloring exists above |E| and the report would list every unused color; export-dot
+    # checks only that the coloring colors exactly the graph's edges, and writes the DOT file
+    gpath, cpath, huge, dpath = (tmp_path / name for name in ("g.json", "c.json", "huge.json", "g.dot"))
+    run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))
+    run(tmp_path, "construct", "--n", "1", "--k", "4", "--out", str(cpath))
+    huge.write_text(cpath.read_text().replace('"t": 3}', '"t": 1000000000}'))
+    assert len(huge.read_bytes()) == 189
+
+    def capped(*argv):
+        # the CLI in a child process whose address space is capped at 512 MB, so a command that
+        # allocates per declared color fails with MemoryError instead of exhausting the machine
+        code = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+                "runpy.run_module('ringcol', run_name='__main__')")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code, "--manifest", str(tmp_path / "runs.jsonl"), *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = capped("verify", "--graph", str(gpath), "--coloring", str(huge))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: t = 1000000000 exceeds the graph's 4 edges: no interval t-coloring exists\n"
+    done = capped("export-dot", "--graph", str(gpath), "--coloring", str(huge), "--out", str(dpath))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert dpath.read_bytes() == dot_source(ring_graph(RingParams(1, 4)), load_coloring(cpath)).encode("utf-8")
 
 
 def test_construct_is_byte_deterministic(tmp_path):

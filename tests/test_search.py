@@ -156,6 +156,20 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
     assert (below.status, below.nodes_explored) == ("infeasible", 0)
     empty = search.find_proper_t(edgeless, 1)
     assert (empty.status, empty.witness.colors, empty.nodes_explored) == ("witness", {}, 0)
+    # each reference engine keeps the answer it reaches on the last allowed node, and stops one node
+    # past every limit below it
+    for engine, n, k, t, nodes in [
+        (reference.edge_dfs, 2, 3, 4, 33),
+        (reference.unkeyed_edge_dfs, 2, 4, 7, 100),
+        (reference.proper_dfs, 2, 3, 4, 33),
+        (start_assignment, 2, 6, 4, 36),  # a witness: its last node is one of the window assignment's
+        (start_assignment, 1, 5, 2, 5),  # refuted after the last start: no window vector passes parity
+        (start_assignment, 2, 3, 6, 105),  # a witness after window assignments that fail, one at node 24
+    ]:
+        g = ring_graph(RingParams(n, k))
+        at = engine(g, t, nodes)
+        assert at == engine(g, t, None) and at[1] == nodes, engine.__name__
+        assert all(engine(g, t, limit) == (None, limit + 1) for limit in range(nodes)), engine.__name__
 
 
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
@@ -275,11 +289,10 @@ def test_window_assignment_needs_no_recursion_on_1024_edges():
     pos = {v: i for i, v in enumerate(g.vertices)}
     start = [min(known.colors[e] for e in g.adjacency[v]) for v in g.vertices]
     deg = [g.degree(v) for v in g.vertices]
-    budget = reference.Budget(None)
     # cap = t keeps the known windows admissible for the designated edge
-    found = reference._assign_in_windows(g, known.t, budget, pos, start, deg, min(g.edges), known.t)
+    found, nodes = reference._assign_in_windows(g, known.t, None, 0, pos, start, deg, min(g.edges), known.t)
     assert verify(g, EdgeColoring(found, known.t)).is_interval_coloring
-    assert budget.nodes == len(g.edges) == 1_024
+    assert nodes == len(g.edges) == 1_024
 
 
 def test_start_enumeration_needs_no_recursion_on_1200_vertices():
@@ -837,14 +850,14 @@ def test_queries_are_deterministic():
 
 @given(k=st.integers(3, 7), t=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
-def test_strategies_agree_on_cycles(k, t):
+def test_edge_dfs_and_start_assignment_agree_on_cycles(k, t):
     g = cycle(k)
     assert find_interval_t(g, t).status == run_engine(start_assignment, g, t)[0]
 
 
 @given(n=st.integers(1, 3), t=st.integers(1, 9))
 @settings(max_examples=40, deadline=None)
-def test_strategies_agree_on_complete_bipartite(n, t):
+def test_edge_dfs_and_start_assignment_agree_on_complete_bipartite(n, t):
     g = complete_bipartite(n)
     assert find_interval_t(g, t).status == run_engine(start_assignment, g, t)[0]
 
