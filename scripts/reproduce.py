@@ -17,13 +17,12 @@ default grid (n <= 2, k <= 4) takes well under a second (0.2 s on a 2-core
 x86 VM, CPython 3.11). Each span scan stops at the smallest theorem bound
 on the greatest span (see ``ringcol.scan_cap``); for ring(2, 4) that is
 the Asratian–Kamalian bound 7, the constructed span, so no larger t is
-searched. ``ringcol bounds-exact`` prints the cap
-of a cell as t_max with its t_max_source. To prove W by exhaustion alone,
-run ``ringcol sweep --n-max 2 --k-max 4 --t-max 16 --out report``: it
-searches every t up to |E| on every cell (under a second on the same VM,
-nearly all of it refuting t = 8..16 on ring(2, 4)). Larger grids should be paired with
---node-limit, which degrades individual cells to honest
-lower_bound_only/inconclusive statuses instead of hanging.
+searched. ``ringcol bounds-exact`` prints the cap of a cell as t_max with
+its t_max_source; no option sets it. To check W by exhaustion alone, run
+``ringcol search --graph g.json --t T`` for each T from the cap + 1 up to
+|E|: on ring(2, 4), t = 8..16 are refuted in 1 880 nodes. Larger grids
+should be paired with --node-limit, which degrades individual cells to
+honest lower_bound_only/inconclusive statuses instead of hanging.
 Exit status 0 means every checked claim held.
 """
 

@@ -20,7 +20,7 @@ Exit codes (stable, also listed in the README):
 The searching commands (``search``, ``bounds-exact`` and ``sweep``) run
 ``ringcol.search``'s queries (a composition lift where one reaches t, else
 the one engine, ``edge_dfs``) and take only a node budget
-(``--node-limit``) and, for the span scans, a cap (``--t-max``).
+(``--node-limit``); a span scan stops at ``search.scan_cap``, never set.
 ``construct`` never searches: ``construct --t`` builds its coloring in
 closed form (``construct.t_coloring``). All code paths are deterministic:
 identical invocations write byte-identical artifacts.
@@ -53,22 +53,12 @@ from .errors import (
 from .graphs import RingParams, ring_graph
 from .search import SearchConfig, find_interval_t, span_profile
 
-T_MAX_HELP = (
-    "largest t the span scans ask about (default: the smallest of |E|, the Asratian-Kamalian "
-    "bound and the Giaro-Kubale-Malafiejski bound 2|V|-4 on the greatest span; pass |E| to "
-    "settle every t by exhaustion; a value above |E| is clamped to |E|, and one below the "
-    "maximum degree exits 2)"
-)
-
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARAMETER = 2
 EXIT_PARITY = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
-
-def _search_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(t_max=getattr(args, "t_max", None), node_limit=args.node_limit)
 
 
 def _print_json(doc: Any) -> None:
@@ -142,7 +132,7 @@ def cmd_verify(args: argparse.Namespace, artifacts: list[str]) -> int:
 
 def cmd_search(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = rio.load_graph(args.graph)
-    outcome = find_interval_t(g, args.t, _search_config(args))
+    outcome = find_interval_t(g, args.t, SearchConfig(node_limit=args.node_limit))
     doc = rio.outcome_to_dict(outcome)
     _print_json(doc)
     if args.out:
@@ -163,7 +153,7 @@ def cmd_bounds(args: argparse.Namespace, artifacts: list[str]) -> int:
 
 def cmd_bounds_exact(args: argparse.Namespace, artifacts: list[str]) -> int:
     params = RingParams(args.n, args.k)
-    profile = span_profile(ring_graph(params), _search_config(args))
+    profile = span_profile(ring_graph(params), SearchConfig(node_limit=args.node_limit))
     doc = rio.profile_to_dict(params, profile)
     _print_json(doc)
     if args.out:
@@ -213,7 +203,7 @@ def _sweep_cell(n: int, k: int, cfg: SearchConfig) -> dict[str, Any]:
 def cmd_sweep(args: argparse.Namespace, artifacts: list[str]) -> int:
     if args.n_max < 1 or args.k_max < 3:
         raise ParameterError(f"grid needs n_max >= 1 and k_max >= 3, got {args.n_max}, {args.k_max}")
-    cfg = _search_config(args)
+    cfg = SearchConfig(node_limit=args.node_limit)
 
     rows = [
         _sweep_cell(n, k, cfg)
@@ -309,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
     p.add_argument("--out", default=None)
 
     p = add("sweep", cmd_sweep, "formula-vs-oracle report over the (n, k) grid")
@@ -317,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.csv and <out>.json")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=int, default=None, help=T_MAX_HELP)
 
     p = add("export-dot", cmd_export_dot, "write GraphViz DOT for a graph (optionally colored)")
     p.add_argument("--graph", required=True)

@@ -31,7 +31,9 @@ with the verifier, and ``ringcol.construct`` applies it to closed-form
 colorings of C_k and K_2.
 
 ``overfull`` and ``asratian_kamalian_bound`` state the theorems that rule a
-span out; ``search.scan_cap`` is the one place that compares a span with them.
+span out. Two places compare a span with them: ``search.scan_cap`` caps a
+span scan, and ``construct.bounds_summary`` sets ``W_exact`` where ``W_lower``
+meets the Asratian–Kamalian bound.
 This module is lift math only and imports no search engine.
 """
 

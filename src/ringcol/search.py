@@ -22,7 +22,7 @@ exhausting g. ``SearchOutcome.source`` records which step answered.
 ``_query`` alone reads a node count above the limit as ``exhausted_budget``.
 ``compute_chromatic_index`` reads χ' off one answer at t = Δ (Vizing).
 ``span_profile`` asks every t from the maximum degree up to the cap that
-``scan_cap`` reports (the one place a span meets a theorem bound) once, in
+``scan_cap`` reports (the one place a scan meets a theorem bound) once, in
 increasing order, reads w, W and continuity off that list, and χ' off its
 t = Δ answer when g is its own padding, so one call answers an (n, k) cell.
 Its ``SpanProfile`` holds the cap and that list (``trail``) once.
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 from .coloring import EdgeColoring, verify
 from .composition import asratian_kamalian_bound, block_table, lift, overfull
 from .engines import edge_dfs, padded
-from .errors import ColoringError, ParameterError, SoundnessError, check_int
+from .errors import ColoringError, SoundnessError, check_int
 from .graphs import Edge, Graph
 
 __all__ = [
@@ -62,21 +62,14 @@ LIFT = "composition_lift"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The span cap and node budget of one feasibility query or span scan.
-
-    ``t_max`` caps span scans, by the rules of ``scan_cap``: None lets it
-    cite theorems, and ``t_max=len(g.edges)`` exhausts every t up to |E|
-    without citing one. It never affects a single ``find_interval_t``
-    query. ``node_limit`` bounds the number of decision nodes per query
-    (None = unbounded).
+    """The node budget of one feasibility query or span scan: ``node_limit``
+    decision nodes per query (None = unbounded). A span scan stops at
+    ``scan_cap(g)``, which no setting overrides.
     """
 
-    t_max: int | None = None
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_max is not None:
-            check_int("t_max", self.t_max, 1)
         if self.node_limit is not None:
             check_int("node_limit", self.node_limit, 1)
 
@@ -101,12 +94,12 @@ class SearchOutcome:
 @dataclass(frozen=True)
 class BoundReport:
     """One span, w or W, of a span scan. Statuses: "exact" (value settled by
-    exhaustion up to the cap), "lower_bound_only" (witness found but some
-    larger t hit the budget), "inconclusive" (budget ran out before any
-    answer), and "not_interval_colorable" (every t up to the cap exhausted
-    as infeasible). ``nodes_explored`` counts the queries the answer rests
-    on: for w those from the maximum degree up to w, for W those from the
-    cap down to W.
+    exhaustion up to the proven cap of ``scan_cap``), "lower_bound_only"
+    (witness found but some larger t hit the budget), "inconclusive" (budget
+    ran out before any answer), and "not_interval_colorable" (every t up to
+    the cap exhausted as infeasible). ``nodes_explored`` counts the queries
+    the answer rests on: for w those from the maximum degree up to w, for W
+    those from the cap down to W.
     """
 
     value: int | None
@@ -183,14 +176,12 @@ def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> Search
 # ---------------------------------------------------------------------------
 
 
-def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
+def scan_cap(g: Graph) -> tuple[int, str]:
     """The largest t a span scan asks about, and where that cap comes from:
     the vocabulary of ``SpanProfile.t_max_source``.
 
-    An explicit ``cfg.t_max`` wins ("t_max") up to |E|; above |E| it is
-    clamped to |E| ("edges"), since no larger t has an interval coloring.
-    Otherwise an overfull graph (``composition.overfull``) has cap 0
-    ("overfull"), and any other the smallest of |E| ("edges"), the
+    An overfull graph (``composition.overfull``) has cap 0 ("overfull"),
+    and any other the smallest of |E| ("edges"), the
     Asratian–Kamalian bound ("asratian_kamalian_bipartite" or
     "asratian_kamalian", see ``composition.asratian_kamalian_bound``) and,
     for a connected graph on at least 3 vertices, the
@@ -198,15 +189,7 @@ def scan_cap(g: Graph, cfg: SearchConfig | None = None) -> tuple[int, str]:
     131–143; "giaro_kubale_malafiejski"); a tie keeps the earlier source.
     No graph has an interval coloring at any t above this cap, so a
     scan that stops there still settles w and W.
-
-    Raises ParameterError when an explicit ``t_max`` is below the maximum
-    degree: a scan would then ask no t at all and report a graph that may
-    well be interval-colorable as "not_interval_colorable".
     """
-    if cfg is not None and cfg.t_max is not None:
-        if cfg.t_max < g.max_degree():
-            raise ParameterError(f"t_max={cfg.t_max} is below the maximum degree {g.max_degree()}: no t to scan")
-        return (cfg.t_max, "t_max") if cfg.t_max <= len(g.edges) else (len(g.edges), "edges")
     if overfull(g):
         return 0, "overfull"
     cap, source = len(g.edges), "edges"
@@ -311,7 +294,7 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     continuity its prefix up to W. chi' is what ``compute_chromatic_index``
     reports, read off t = Δ if g is its padding.
     """
-    t_max, source = scan_cap(g, cfg)
+    t_max, source = scan_cap(g)
     asked = list(_ask(g, cfg, t_max))
     chi_prime, chi_nodes = _chromatic_index(g, cfg, dict(asked))
     return SpanProfile(chi_prime, _least(asked), _greatest(reversed(asked)), t_max, source,
@@ -322,13 +305,13 @@ def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
 def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Least t with an interval t-coloring, asking upward from the maximum
     degree and stopping at the first witness or budget cut."""
-    return _least(_ask(g, cfg, scan_cap(g, cfg)[0]))
+    return _least(_ask(g, cfg, scan_cap(g)[0]))
 
 
 def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
     """Greatest t with an interval t-coloring, asking downward from the cap
     that ``scan_cap`` reports and stopping at the first witness."""
-    return _greatest(_ask(g, cfg, scan_cap(g, cfg)[0], down=True))
+    return _greatest(_ask(g, cfg, scan_cap(g)[0], down=True))
 
 
 def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> list[tuple[int, str]]:

@@ -6,16 +6,15 @@ from ringcol import (
     ParameterError,
     ParityError,
     RingParams,
-    SearchConfig,
     Vertex,
     bounds_summary,
     complete_bipartite,
+    find_interval_t,
     expected_spectrum,
     make_edge,
     mirrored_staircase_coloring,
     ring_chromatic_index,
     ring_graph,
-    span_profile,
     spectrum,
     staircase_coloring,
     t_coloring,
@@ -229,8 +228,10 @@ def test_bounds_summary_1_6():
 @pytest.mark.parametrize("n, k", [(1, 4), (1, 6), (1, 8), (2, 4)])
 def test_W_exact_is_the_greatest_span_found_by_exhaustion(n, k):
     g = ring_graph(RingParams(n, k))
-    report = span_profile(g, SearchConfig(t_max=len(g.edges))).W  # every t up to |E|, no theorem cited
-    assert (report.value, report.status) == (bounds_summary(RingParams(n, k)).W_exact, "exact")
+    W = bounds_summary(RingParams(n, k)).W_exact
+    assert find_interval_t(g, W).status == "witness"
+    # every t above W up to |E| is refuted by search, no theorem cited
+    assert all(find_interval_t(g, t).status == "infeasible" for t in range(W + 1, len(g.edges) + 1))
 
 
 def test_W_exact_is_unset_below_the_theorem_bound():

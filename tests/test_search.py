@@ -99,8 +99,6 @@ def test_bad_parameters_rejected():
         find_interval_t(g, 0)
     with pytest.raises(ParameterError):
         SearchConfig(node_limit=0)
-    with pytest.raises(ParameterError):
-        SearchConfig(t_max=0)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +107,6 @@ def test_bad_parameters_rejected():
         lambda: ring_graph(RingParams(2.5, 4)),
         lambda: ring_graph(n=2, k=4.0),
         lambda: RingParams(True, 4),
-        lambda: span_profile(cycle(4), SearchConfig(t_max=7.5)),
         lambda: SearchConfig(node_limit=True),
         lambda: find_interval_t(cycle(4), 4.0),
         lambda: find_interval_t(cycle(4), True),
@@ -120,7 +117,7 @@ def test_bad_parameters_rejected():
         lambda: EdgeColoring({cycle(4).edges[0]: 1}, True),
     ],
     ids=[
-        "RingParams-n-float", "ring_graph-k-float", "RingParams-n-bool", "t_max-float", "node_limit-bool",
+        "RingParams-n-float", "ring_graph-k-float", "RingParams-n-bool", "node_limit-bool",
         "find_interval_t-float", "find_interval_t-bool", "find_interval_t-str", "find_proper_t-float",
         "find_proper_t-bool", "EdgeColoring-t-str", "EdgeColoring-t-bool",
     ],
@@ -207,11 +204,12 @@ def test_compute_chromatic_index_budget_gives_no_value():
 
 
 def test_compute_W_budget_degrades_to_lower_bound():
-    g = ring_graph(RingParams(2, 4))
-    # enough to find the t=7 witness (one lifted node) but not to exhaust any higher t up to |E|
-    # (t = 16 takes 8 nodes, t = 8 the most, 675)
-    report = span_profile(g, SearchConfig(t_max=len(g.edges), node_limit=5)).W
-    assert report.value == 7
+    g = ring_graph(RingParams(2, 3))
+    # the Giaro–Kubale–Małafiejski cap is 8: 100 nodes find the t = 6 witness (58 nodes) but
+    # exhaust neither t = 7 (263 nodes) nor t = 8 (235)
+    assert scan_cap(g) == (8, "giaro_kubale_malafiejski")
+    report = span_profile(g, SearchConfig(node_limit=100)).W
+    assert report.value == 6
     assert report.status == "lower_bound_only"
 
 
@@ -352,28 +350,38 @@ def test_proper_search_needs_no_recursion_on_1024_edges():
 # ---------------------------------------------------------------------------
 
 
+def house():
+    """The 4-cycle 1-2-3-4 plus a vertex 5 joined to 2 and 3: Delta = 3, 6 edges."""
+    v = [Vertex(1, i) for i in range(1, 6)]
+    return build_graph(5, 1, v, [(v[0], v[1]), (v[1], v[2]), (v[2], v[3]), (v[3], v[0]), (v[1], v[4]), (v[2], v[4])])
+
+
 def test_least_span_small_cases():
     assert span_profile(cycle(4)).w.value == 2
     assert span_profile(ring_graph(RingParams(2, 4))).w.value == 4
     c3 = span_profile(cycle(3)).w
     assert c3.value is None
     assert c3.status == "not_interval_colorable"
+    # w > Delta: a scan capped at Delta = 3 would call the house not interval-colorable
+    g = house()
+    profile = span_profile(g)
+    assert (g.max_degree(), profile.t_max, profile.t_max_source) == (3, 6, "edges")
+    assert (profile.w.value, profile.w.status) == (4, "exact")
 
 
 def test_greatest_span_c4():
-    g = cycle(4)
-    profile = span_profile(g, SearchConfig(t_max=len(g.edges)))
+    # the trail stops at the cap; test_nothing_above_the_scan_cap_is_feasible refutes every t above it
+    profile = span_profile(cycle(4))
     assert profile.W.value == 3
     assert profile.W.status == "exact"
-    assert profile.trail == ((2, "witness"), (3, "witness"), (4, "infeasible"))
+    assert profile.trail == ((2, "witness"), (3, "witness"))
 
 
 def test_greatest_span_c6():
-    g = cycle(6)
-    profile = span_profile(g, SearchConfig(t_max=len(g.edges)))
+    profile = span_profile(cycle(6))
     assert profile.W.value == 4
     assert profile.W.status == "exact"
-    assert profile.trail == ((2, "witness"), (3, "witness"), (4, "witness"), (5, "infeasible"), (6, "infeasible"))
+    assert profile.trail == ((2, "witness"), (3, "witness"), (4, "witness"))
 
 
 def test_greatest_span_c4_default_cap_is_the_theorem_bound():
@@ -449,6 +457,7 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
 
 
 @given(g=small_graphs(), limit=st.none() | st.integers(1, 300))
+@example(g=house(), limit=None)  # w = 4 > Delta = 3
 @settings(max_examples=80, deadline=None)
 def test_span_profile_reads_what_the_scans_report(g, limit):
     # one ascending pass over [max degree, cap] yields the same reports, node counts included, as
@@ -458,7 +467,7 @@ def test_span_profile_reads_what_the_scans_report(g, limit):
     profile = span_profile(g, cfg)
     assert profile.w == search.compute_w(g, cfg)
     assert profile.W == search.compute_W(g, cfg)
-    assert (profile.t_max, profile.t_max_source) == scan_cap(g, cfg)
+    assert (profile.t_max, profile.t_max_source) == scan_cap(g)
     assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), profile.t_max + 1))
     if profile.w.value is not None and profile.W.value is not None:
         assert profile.continuity == profile.trail[:profile.W.value - profile.trail[0][0] + 1]
@@ -470,11 +479,8 @@ def test_span_profile_reads_what_the_scans_report(g, limit):
 def test_scan_cap_sources():
     g = cycle(4)
     assert scan_cap(g) == (3, "asratian_kamalian_bipartite")
-    assert scan_cap(g, SearchConfig(t_max=4)) == (4, "t_max")
-    assert scan_cap(g, SearchConfig(t_max=10**9)) == (4, "edges")  # no t above |E| is asked
     assert scan_cap(cycle(3)) == (0, "overfull")  # 3 edges, 1 per matching: no t is asked
     assert scan_cap(ring_graph(RingParams(3, 3))) == (0, "overfull")  # nk odd: 27 edges > 6 * 4
-    assert scan_cap(cycle(3), SearchConfig(t_max=3)) == (3, "t_max")  # an explicit cap still wins
     assert scan_cap(ring_graph(RingParams(2, 3))) == (8, "giaro_kubale_malafiejski")  # below AK's 10
     assert scan_cap(path(3)) == (2, "edges")  # 2|V| - 4 ties |E|: no theorem needed
     two_paths = build_graph(1, 4, [Vertex(i, 1) for i in range(1, 5)],
@@ -484,13 +490,6 @@ def test_scan_cap_sources():
                             [(Vertex(a, i), Vertex(b, i)) for i in (1, 2, 3) for a, b in ((1, 2), (2, 3), (1, 3))])
     assert triangles.diameter_and_bipartite is None
     assert scan_cap(triangles) == (0, "overfull")  # 9 edges > 2 * floor(9 / 2): no theorem on W needed
-
-
-def test_scan_cap_rejects_an_explicit_cap_below_the_max_degree():
-    # no t would be asked, and a scan would call ring(2,4) not interval-colorable
-    with pytest.raises(ParameterError, match="below the maximum degree"):
-        scan_cap(ring_graph(RingParams(2, 4)), SearchConfig(t_max=3))
-    assert scan_cap(ring_graph(RingParams(2, 4)), SearchConfig(t_max=4)) == (4, "t_max")
 
 
 def _cap_corpus():
