@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ColoringError, check_int, is_int
+from .errors import ColoringError, all_int, check_int, is_int
 from .graphs import Edge, Graph, Vertex, as_vertex
 
 __all__ = [
@@ -45,7 +45,11 @@ class EdgeColoring:
 
     def __post_init__(self) -> None:
         check_int("t", self.t, 0)
-        for e, c in self.colors.items():
+        if all_int(self.colors.values()):
+            present = set(self.colors.values())  # min and max of the distinct colors cost less
+            if not present or (1 <= min(present) and max(present) <= self.t):
+                return
+        for e, c in self.colors.items():  # some color is at fault: name the first
             if not is_int(c):
                 raise ColoringError(f"color of {e} must be an integer, got {c!r}")
             if not 1 <= c <= self.t:
@@ -137,11 +141,17 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
         gaps.append((v, tuple(spect)))
 
     present = set(colors.values())
-    missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
+    t = coloring.t
+    # t distinct colors within [1, t] are all of [1, t]; min and max are read, not assumed from
+    # EdgeColoring's check, so a mapping changed after it was built is reported as it stands
+    if len(present) == t and (not t or (min(present) >= 1 and max(present) <= t)):
+        missing: tuple[int, ...] = ()
+    else:
+        missing = tuple(c for c in range(1, t + 1) if c not in present)
 
     is_proper = not violations
     return VerificationReport(
-        t=coloring.t,
+        t=t,
         is_proper=is_proper,
         is_interval=is_proper and not gaps,
         covers_palette=not missing,

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring
 from .composition import asratian_kamalian_bound, block_table, lift
-from .errors import ParameterError, ParityError, SoundnessError, check_int
-from .graphs import RingParams, Vertex, as_vertex, make_edge
+from .errors import ParameterError, ParityError, check_int
+from .graphs import RingParams, Vertex, _ring_parts, as_vertex, complete_bipartite, make_edge
 
 __all__ = [
     "BoundsSummary",
@@ -44,11 +44,13 @@ __all__ = [
 
 
 def staircase_coloring(n: int) -> EdgeColoring:
-    """Interval (2n-1)-coloring of complete_bipartite(n): edge ((2,p),(1,q))
-    gets color p + q - 1, so colors run down the anti-diagonals."""
+    """Interval (2n-1)-coloring of complete_bipartite(n), in its edge order:
+    edge ((2,p),(1,q)) gets color p + q - 1, so colors run down the
+    anti-diagonals."""
     check_int("n", n, 1)
-    classes = {Vertex(layer, 1): [Vertex(layer, p) for p in range(1, n + 1)] for layer in (1, 2)}
-    colors = lift(classes, {make_edge(Vertex(1, 1), Vertex(2, 1)): 1}, block_table(n, n - 1))
+    g = complete_bipartite(n)
+    classes = {members[0]: members for members in (g.vertices[:n], g.vertices[n:])}
+    colors = lift(g.edges, classes, {make_edge(Vertex(1, 1), Vertex(2, 1)): 1}, block_table(n, n - 1))
     return EdgeColoring(colors=colors, t=2 * n - 1)
 
 
@@ -154,7 +156,9 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     value 1..s. ``composition.lift`` gives edge ((i, p), (i+1, q)) the color
     n(alpha_i - 1) + F_j(p, q), with layer i as the class of Vertex(i, 1):
     the layers, not the twin classes of ring_graph(params), which for k = 4
-    are the two sides of K_{2n,2n}. Raises ParityError for odd k and
+    are the two sides of K_{2n,2n}. It lifts onto the edges ring_graph
+    assembles, so the colors come in ring_graph(params).edges order, and
+    builds no graph. Raises ParityError for odd k and
     ParameterError for a t that is no integer or outside [2n, 2n + n*k/2 - 1].
     """
     n, k = params.n, params.k
@@ -162,12 +166,10 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     if not 2 * n <= check_int("t", t, 1) <= top:
         raise ParameterError(f"t={t} outside the feasible range [{2 * n}, {top}]")
     s, j = divmod(t, n)
-    layers = {Vertex(i, 1): [Vertex(i, p) for p in range(1, n + 1)] for i in range(1, k + 1)}
+    layers, edges = _ring_parts(params)
     alpha = {}
     for i in range(1, k + 1):
         d = min(i, k - i) + 1
-        alpha[make_edge(Vertex(i, 1), Vertex(i % k + 1, 1))] = d if d <= s else s - (d - s) % 2
-    colors = lift(layers, alpha, block_table(n, j))
-    if len(colors) != n * n * k:
-        raise SoundnessError("the layer-pair blocks must color every edge exactly once")
+        alpha[make_edge(layers[i - 1][0], layers[i % k][0])] = d if d <= s else s - (d - s) % 2
+    colors = lift(edges, {layer[0]: layer for layer in layers}, alpha, block_table(n, j))
     return EdgeColoring(colors=colors, t=t)

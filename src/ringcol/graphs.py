@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain, product, repeat, starmap
 from operator import lt
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
@@ -185,6 +185,16 @@ class Graph:
         return Composition(assemble_graph(self.n, self.k, tuple(classes), tuple(edges)), n, classes)
 
     @cached_property
+    def lift_plan(self) -> tuple[tuple[int, int, int], ...] | None:
+        """``composition.lift_plan`` of this graph's edges over its twin
+        classes, built once per graph rather than once per lifted query;
+        None when the graph is no composition."""
+        from .composition import lift_plan  # composition builds on this module
+
+        composed = self.composition
+        return None if composed is None else tuple(lift_plan(self.edges, composed.classes))
+
+    @cached_property
     def search_plan(self) -> SearchPlan:
         """The static part of ``engines.edge_dfs``'s search of this graph (its
         edge order, degrees, twin keys and first-edge rule), built once per
@@ -297,20 +307,19 @@ def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int
         params = RingParams(n, k)  # refuses a missing n or k
     elif n is not None or k is not None:
         raise ParameterError(f"ring_graph takes RingParams or n= and k=, not both: got {params}, n={n!r}, k={k!r}")
-    n, k = params.n, params.k
+    layers, edges = _ring_parts(params)
+    return assemble_graph(params.n, params.k, tuple(chain.from_iterable(layers)), tuple(edges))
 
+
+def _ring_parts(params: RingParams) -> tuple[list[list[Vertex]], list[Edge]]:
+    """The layers of ring_graph(params), each a list of its vertices in
+    order, and its edges in canonical order."""
+    n, k = params.n, params.k
     layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
     # canonical order: a vertex of layer i is below its neighbours in layer i + 1, and layer 1's
     # also below layer k's, so each vertex's edges upward come out sorted, vertex by vertex
-    above = [[layers[1], layers[-1]]] + [[nxt] for nxt in layers[2:]] + [[]]
-    edges = [
-        tuple.__new__(Edge, (a, b))
-        for here, ups in zip(layers, above)
-        for a in here
-        for up in ups
-        for b in up
-    ]
-    return assemble_graph(n, k, tuple(chain.from_iterable(layers)), tuple(edges))
+    above = [layers[1] + layers[-1], *layers[2:], []]
+    return layers, list(map(tuple.__new__, repeat(Edge), chain.from_iterable(map(product, layers, above))))
 
 
 def complete_bipartite(n: int) -> Graph:

@@ -132,8 +132,9 @@ def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], so
 
 def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
     """An engine in the contract of ``ringcol.engines``: when g = H[K̄_n], the
-    F_j lift of ``edge_dfs(H, s, limit)``'s witness, with (s, j) = divmod(t, n),
-    and that search's nodes. No assignment means no lifted witness, never
+    F_j lift of ``edge_dfs(H, s, limit)``'s witness onto g.edges, with
+    (s, j) = divmod(t, n), keyed by g's own edges in their order, and that
+    search's nodes. No assignment means no lifted witness, never
     that g has none: g is no composition or s is above ``scan_cap(H)`` (0
     nodes each), H has no interval s-coloring (t < n leaves s = 0, an empty
     palette that ``edge_dfs`` refutes in 0 nodes), or the budget ran out on H."""
@@ -147,8 +148,7 @@ def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, in
     alpha, nodes = edge_dfs(h, s, limit)
     if alpha is None:
         return None, nodes
-    colors = lift(composed.classes, alpha, block_table(composed.n, j))
-    return {e: colors[e] for e in g.edges}, nodes  # keyed by g's own edges, not a new copy of each
+    return lift(g.edges, composed.classes, alpha, block_table(composed.n, j), g.lift_plan), nodes
 
 
 def find_interval_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:

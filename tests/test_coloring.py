@@ -115,6 +115,38 @@ def test_color_out_of_range_rejected():
             EdgeColoring(colors={e: color}, t=3)
 
 
+_RED_BLUE = IntEnum("Color", "RED BLUE")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "color of {e} must be an integer, got True"),
+    (2.0, "color of {e} must be an integer, got 2.0"),
+    (_RED_BLUE.BLUE, "color of {e} must be an integer, got <Color.BLUE: 2>"),
+    (0, "color 0 of {e} outside palette [1, 2]"),
+    (3, "color 3 of {e} outside palette [1, 2]"),
+], ids=["bool", "float", "IntEnum", "zero", "t-plus-one"])
+def test_a_bad_color_is_named_at_its_first_edge(bad, message):
+    # the check runs over all colors at once; the message still names the first offending edge
+    colors = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
+    second, *_, last = colors
+    colors[second] = colors[last] = bad
+    with pytest.raises(ColoringError) as info:
+        EdgeColoring(colors=colors, t=2)
+    assert str(info.value) == message.format(e=second)
+
+
+def test_verify_reads_the_palette_of_a_mapping_changed_after_the_check():
+    # two distinct colors at t = 2 cover [1, 2] only if both lie in it: verify reads min and max
+    for stray in (0, 3):
+        colors = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
+        c = EdgeColoring(colors=colors, t=2)
+        for e in [e for e, col in colors.items() if col == 1]:
+            colors[e] = stray
+        report = verify(cycle(4), c)
+        assert report.missing_colors == (1,) and not report.covers_palette, stray
+        assert report == reference.verify(cycle(4), c), stray
+
+
 def test_unknown_edge_rejected():
     g = cycle(4)
     stray = make_edge(Vertex(1, 1), Vertex(3, 1))  # a chord C4 does not have

@@ -58,8 +58,9 @@ def test_staircase_n3_verified_and_spans_palette():
 @given(n=st.integers(1, 8))
 @settings(max_examples=16, deadline=None)
 def test_staircase_is_interval_for_all_n(n):
-    report = verify(complete_bipartite(n), staircase_coloring(n))
-    assert report.is_interval_coloring
+    g, c = complete_bipartite(n), staircase_coloring(n)
+    assert verify(g, c).is_interval_coloring
+    assert list(c.colors) == list(g.edges)  # colored in the graph's edge order
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,7 @@ def test_t_coloring_verifies_at_every_t_of_the_range():
             for t in range(2 * n, widest_constructed_t(params) + 1):
                 c = t_coloring(params, t)
                 assert c.t == t and verify(g, c).is_interval_coloring, (n, k, t)
+                assert list(c.colors) == list(g.edges), (n, k, t)  # lifted onto the ring's own edge order
 
 
 def test_t_coloring_is_the_block_rule_over_a_closed_form_of_c_k():

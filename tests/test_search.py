@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -779,7 +781,8 @@ _TABLE = composition.block_table  # the mutants below wrap the real table while 
 def test_a_mis_stated_lift_raises_soundness_error(monkeypatch, end, mutant):
     g = ring_graph(RingParams(2, 6))
     t = 8 if end == "latin_color" else 9
-    assert find_interval_t(g, t).source == "composition_lift"
+    assert find_interval_t(g, t).source == "composition_lift"  # g's lift plan and the true table are now cached
+    assert g.lift_plan is not None
     monkeypatch.setattr(search, "block_table", mutant)
     with pytest.raises(SoundnessError, match="composition_lift"):
         find_interval_t(g, t)
@@ -795,8 +798,46 @@ def test_lift_is_the_block_rule_edge_by_edge_for_every_table(composed, data):
     h, n, classes = g.composition
     alpha = {e: data.draw(st.integers(1, 4)) for e in h.edges}  # any coloring: the rule needs no interval
     for j in range(n):
-        lifted = composition.lift(classes, alpha, composition.block_table(n, j))
+        lifted = composition.lift(g.edges, classes, alpha, composition.block_table(n, j))
         assert lifted == reference.lifted_colors(g, reference.twin_positions(g), alpha, n, j), j
+        # the plan g keeps for its queries gives the same colors
+        assert composition.lift(g.edges, classes, alpha, composition.block_table(n, j), g.lift_plan) == lifted, j
+
+
+def test_a_lift_colors_the_callers_own_edges_in_their_order():
+    g = ring_graph(RingParams(3, 6))
+    h, n, classes = g.composition
+    alpha, _ = engines.edge_dfs(h, 4, None)
+    for plan in (None, g.lift_plan):
+        lifted = composition.lift(g.edges, classes, alpha, composition.block_table(n, 1), plan)
+        assert len(lifted) == len(g.edges) and all(a is b for a, b in zip(lifted, g.edges))
+    witness = find_interval_t(g, 13).witness
+    assert witness is not None and all(a is b for a, b in zip(witness.colors, g.edges))
+
+
+def test_an_edge_outside_the_blocks_over_alpha_raises_soundness_error():
+    g = ring_graph(RingParams(2, 6))
+    h, n, classes = g.composition
+    table = composition.block_table(n, 0)
+    alpha = dict.fromkeys(h.edges, 1)
+    dropped = h.edges[2]
+    del alpha[dropped]
+    of = {x: u for u, members in classes.items() for x in members}
+    first = next(e for e in g.edges if {of[e.u], of[e.v]} == set(dropped))  # the first edge in dropped's block
+    for plan in (None, g.lift_plan):
+        with pytest.raises(SoundnessError, match=f"edge {re.escape(str(first))} lies in no block over alpha"):
+            composition.lift(g.edges, classes, alpha, table, plan)
+    twins = make_edge(Vertex(1, 1), Vertex(1, 2))  # both ends in one class: no block holds it
+    with pytest.raises(SoundnessError, match="lies in no block over alpha"):
+        composition.lift([twins], classes, dict.fromkeys(h.edges, 1), table)
+    stray = make_edge(Vertex(1, 1), Vertex(7, 1))  # an end in no class
+    with pytest.raises(SoundnessError, match="has an end in no class"):
+        composition.lift([stray], classes, dict.fromkeys(h.edges, 1), table)
+
+
+def test_block_tables_are_memoized():
+    assert composition.block_table(5, 2) is composition.block_table(5, 2)
+    assert composition.block_table(5, 2) is not composition.block_table(5, 3)
 
 
 @given(composed=compositions(max_quotient_edges=10))
