@@ -290,9 +290,6 @@ def assemble_graph(n: int, k: int, vertices: tuple[Vertex, ...], edges: tuple[Ed
         adjacency[u].append(e)
         adjacency[v].append(e)
     adj = {v: tuple(inc) for v, inc in adjacency.items()}
-
-    if sum(map(len, adj.values())) != 2 * len(edges):
-        raise SoundnessError("adjacency lists must hold every edge once per endpoint")
     return Graph(n=n, k=k, vertices=vertices, edges=edges, adjacency=adj)
 
 

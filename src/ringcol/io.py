@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from itertools import chain, islice, repeat, starmap
 from operator import lt
 from pathlib import Path
@@ -258,17 +259,6 @@ _T = re.compile(rf'"t": ({_INT})\}}')
 _READ = 1 << 14  # characters read per piece
 
 
-class _Memo(dict):
-    """``parse`` of each distinct text, called once, so one label or color is one object."""
-
-    def __init__(self, parse: Callable[[str], Any]) -> None:
-        self.parse = parse
-
-    def __missing__(self, text: str) -> Any:
-        value = self[text] = self.parse(text)
-        return value
-
-
 def _vertex(label: str) -> Vertex:
     layer, index = label[1:-1].split(", ")
     return Vertex(int(layer), int(index))
@@ -287,7 +277,7 @@ def _pieces(fh: TextIO, close: str) -> Iterator[str]:
 
 def _scan_graph(fh: TextIO) -> Graph | None:
     """The graph a ``write_graph`` text spells: labels before the bounds are edge ends."""
-    label = _Memo(_vertex).__getitem__
+    label = cache(_vertex)  # a fresh table per scan: one object per distinct label text
     ends: list[Vertex] = []
     vertices: list[Vertex] = []
     bounds = None
@@ -307,7 +297,7 @@ def _scan_graph(fh: TextIO) -> Graph | None:
 
 def _scan_coloring(fh: TextIO) -> EdgeColoring | None:
     """The coloring a ``write_coloring`` text spells, its entries in file order."""
-    vertex, color = _Memo(_vertex).__getitem__, _Memo(int).__getitem__
+    vertex, color = cache(_vertex), cache(int)
     colors: dict[Edge, int] = {}
     t = None
     for piece in _pieces(fh, "}"):

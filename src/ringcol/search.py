@@ -34,7 +34,7 @@ reproducible node counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, NoReturn
 
 from .coloring import EdgeColoring, verify
 from .composition import asratian_kamalian_bound, block_table, lift, overfull
@@ -97,25 +97,11 @@ class BoundReport:
     exhaustion up to the proven cap of ``scan_cap``), "lower_bound_only"
     (witness found but some larger t hit the budget), "inconclusive" (budget
     ran out before any answer), and "not_interval_colorable" (every t up to
-    the cap exhausted as infeasible). ``nodes_explored`` counts the queries
-    the answer rests on: for w those from the maximum degree up to w, for W
-    those from the cap down to W.
+    the cap exhausted as infeasible).
     """
 
     value: int | None
     status: str
-    nodes_explored: int
-
-
-def _verified(g: Graph, colors: dict[Edge, int], t: int, check: str, producer: str) -> EdgeColoring:
-    """colors as a t-coloring of g that passes ``verify``'s ``check``, else SoundnessError."""
-    try:
-        witness = EdgeColoring(colors=colors, t=t)
-        if getattr(verify(g, witness), check):
-            return witness
-    except ColoringError as exc:  # a color outside [1, t], or an edge missing or not in g
-        raise SoundnessError(f"{producer} produced a witness at t={t} that is no coloring of g: {exc}") from exc
-    raise SoundnessError(f"{producer} produced a witness at t={t} that fails {check}")
 
 
 def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], source: str = SEARCH) -> SearchOutcome:
@@ -127,7 +113,13 @@ def _query(g: Graph, t: int, limit: int | None, engine: Callable[..., tuple], so
         return SearchOutcome(EXHAUSTED, None, nodes, source)
     if assignment is None:
         return SearchOutcome(INFEASIBLE, None, nodes, source)
-    return SearchOutcome(WITNESS, _verified(g, assignment, t, "is_interval_coloring", engine.__name__), nodes, source)
+    try:
+        witness = EdgeColoring(colors=assignment, t=t)
+        if verify(g, witness).is_interval_coloring:
+            return SearchOutcome(WITNESS, witness, nodes, source)
+    except ColoringError as exc:  # a color outside [1, t], or an edge missing or not in g
+        raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that is no coloring of g: {exc}") from exc
+    raise SoundnessError(f"{engine.__name__} produced a witness at t={t} that fails is_interval_coloring")
 
 
 def composition_lift(g: Graph, t: int, limit: int | None) -> tuple[dict[Edge, int] | None, int]:
@@ -250,95 +242,46 @@ class SpanProfile:
         return self.chi_prime is not None and self.w.status in definite and self.W.status in definite
 
 
-def _least(asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+def _least(trail: tuple[tuple[int, str], ...]) -> BoundReport:
     """w's rule, read upward: the first witness is w, unless a budget cut
     comes first."""
-    nodes = 0
-    for t, outcome in asked:
-        nodes += outcome.nodes_explored
-        if outcome.status == WITNESS:
-            return BoundReport(t, "exact", nodes)
-        if outcome.status == EXHAUSTED:
-            return BoundReport(None, "inconclusive", nodes)
-    return BoundReport(None, "not_interval_colorable", nodes)
+    for t, status in trail:
+        if status == WITNESS:
+            return BoundReport(t, "exact")
+        if status == EXHAUSTED:
+            return BoundReport(None, "inconclusive")
+    return BoundReport(None, "not_interval_colorable")
 
 
-def _greatest(asked: Iterable[tuple[int, SearchOutcome]]) -> BoundReport:
+def _greatest(trail: tuple[tuple[int, str], ...]) -> BoundReport:
     """W's rule, read downward from the cap: the first witness is W.
     Feasibility is not monotone in t, so W is exact only when every t above
     it was exhausted; a budget cut above it degrades W to lower_bound_only."""
-    nodes, cut = 0, False
-    for t, outcome in asked:
-        nodes += outcome.nodes_explored
-        if outcome.status == WITNESS:
-            return BoundReport(t, "lower_bound_only" if cut else "exact", nodes)
-        cut = cut or outcome.status == EXHAUSTED
-    return BoundReport(None, "inconclusive" if cut else "not_interval_colorable", nodes)
-
-
-def _ask(g: Graph, cfg: SearchConfig | None, top: int, down: bool = False) -> Iterator[tuple[int, SearchOutcome]]:
-    """(t, find_interval_t(g, t, cfg)), asked lazily for each t a span scan asks
-    up to top, downward if ``down``: none below the maximum degree, since no
-    smaller t can host a max-degree vertex's spectrum."""
-    ts = range(max(1, g.max_degree()), top + 1)
-    return ((t, find_interval_t(g, t, cfg)) for t in (reversed(ts) if down else ts))
+    cut = False
+    for t, status in reversed(trail):
+        if status == WITNESS:
+            return BoundReport(t, "lower_bound_only" if cut else "exact")
+        cut = cut or status == EXHAUSTED
+    return BoundReport(None, "inconclusive" if cut else "not_interval_colorable")
 
 
 def span_profile(g: Graph, cfg: SearchConfig | None = None) -> SpanProfile:
     """chi', w, W and continuity of g: the one call that answers a cell.
 
     Every t from the maximum degree up to ``scan_cap`` is asked once, in
-    increasing order, and w, W and continuity are read off that one list:
+    increasing order (no smaller t can host a max-degree vertex's
+    spectrum), and w, W and continuity are read off that one list:
     w is its first witness (unless a budget cut comes first), W its last
     (``lower_bound_only`` if some t above it hit the budget), and
     continuity its prefix up to W. chi' is what ``compute_chromatic_index``
     reports, read off t = Δ if g is its padding.
     """
     t_max, source = scan_cap(g)
-    asked = list(_ask(g, cfg, t_max))
+    asked = [(t, find_interval_t(g, t, cfg)) for t in range(max(1, g.max_degree()), t_max + 1)]
+    trail = tuple((t, o.status) for t, o in asked)
     chi_prime, chi_nodes = _chromatic_index(g, cfg, dict(asked))
-    return SpanProfile(chi_prime, _least(asked), _greatest(reversed(asked)), t_max, source,
-                       tuple((t, o.status) for t, o in asked), chi_nodes + sum(o.nodes_explored for _, o in asked))
-
-
-# Not in __all__: benchmark/tracing.py's TARGETS looks these four up by name, their only remaining use.
-def compute_w(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
-    """Least t with an interval t-coloring, asking upward from the maximum
-    degree and stopping at the first witness or budget cut."""
-    return _least(_ask(g, cfg, scan_cap(g)[0]))
-
-
-def compute_W(g: Graph, cfg: SearchConfig | None = None) -> BoundReport:
-    """Greatest t with an interval t-coloring, asking downward from the cap
-    that ``scan_cap`` reports and stopping at the first witness."""
-    return _greatest(_ask(g, cfg, scan_cap(g)[0], down=True))
-
-
-def continuity_scan(g: Graph, cfg: SearchConfig | None = None, *, t_hi: int) -> list[tuple[int, str]]:
-    """Statuses of every t from the maximum degree up to t_hi: on a regular
-    interval-colorable graph a gap would falsify the continuity property."""
-    return [(t, o.status) for t, o in _ask(g, cfg, t_hi)]
-
-
-def find_proper_t(g: Graph, t: int, cfg: SearchConfig | None = None) -> SearchOutcome:
-    """Decide whether g has a proper edge coloring with at most t colors.
-
-    Below Δ nothing is searched; an edgeless g gets the empty coloring. Else
-    ``find_interval_t`` decides ``padded(g, min(t, |E|))`` (no proper coloring
-    needs more colors), and its witness's part on g is checked for properness.
-    """
-    check_int("t", t, 1)
-    if not g.edges:
-        return SearchOutcome(WITNESS, EdgeColoring({}, t), 0)
-    if t < g.max_degree():  # a vertex of degree Δ needs Δ colors
-        return SearchOutcome(INFEASIBLE, None, 0)
-    s = min(t, len(g.edges))
-    outcome = find_interval_t(padded(g, s), s, cfg)
-    if outcome.witness is None:
-        return outcome
-    # g's part: every edge but the pendants, whose e.v is a new leaf outside g
-    colors = {e: c for e, c in outcome.witness.colors.items() if e.v in g.adjacency}
-    return replace(outcome, witness=_verified(g, colors, t, "is_proper", "find_interval_t on the padded graph"))
+    return SpanProfile(chi_prime, _least(trail), _greatest(trail), t_max, source, trail,
+                       chi_nodes + sum(o.nodes_explored for _, o in asked))
 
 
 def compute_chromatic_index(g: Graph, cfg: SearchConfig | None = None) -> tuple[int | None, int]:
@@ -361,3 +304,22 @@ def _chromatic_index(g: Graph, cfg: SearchConfig | None, held: dict[int, SearchO
     known = held.get(delta) if target is g else None
     outcome = known or find_interval_t(target, delta, cfg)
     return {WITNESS: delta, INFEASIBLE: delta + 1}.get(outcome.status), 0 if known else outcome.nodes_explored
+
+
+_RETIRED = ("compute_w", "compute_W", "continuity_scan", "find_proper_t")
+
+
+def __getattr__(name: str) -> Callable[..., NoReturn]:
+    """A fresh stand-in for each name in ``_RETIRED`` (three span scans, then a
+    proper query) that raises AttributeError naming the replacement. Only
+    ``benchmark/tracing.py``'s ``TARGETS`` looks them up, and it rewraps every
+    ringcol attribute that is the object it got, so the stand-in is bound
+    nowhere. The benchmark change that drops those four entries deletes this."""
+    if name not in _RETIRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    use = "compute_chromatic_index, or find_interval_t on engines.padded(g, t)" if name == _RETIRED[-1] else "span_profile"
+
+    def retired(*args: object, **kwargs: object) -> NoReturn:
+        raise AttributeError(f"{__name__}.{name} is retired: ask {use}")
+
+    return retired

@@ -1,10 +1,13 @@
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import ringcol
 from ringcol import (
+    BoundReport,
     EdgeColoring,
     Graph,
     ParameterError,
@@ -39,6 +42,11 @@ def cycle(k):
 def path(n):
     vertices = [Vertex(1, i) for i in range(1, n + 1)]
     return build_graph(n, 1, vertices, list(zip(vertices, vertices[1:])))
+
+
+def padded_query(g, t, cfg=None):
+    """find_interval_t on padded(g, t), whose interval t-colorings are g's proper ones."""
+    return find_interval_t(engines.padded(g, t), t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +121,13 @@ def test_bad_parameters_rejected():
         lambda: find_interval_t(cycle(4), 4.0),
         lambda: find_interval_t(cycle(4), True),
         lambda: find_interval_t(cycle(4), "3"),
-        lambda: search.find_proper_t(cycle(4), 2.0),
-        lambda: search.find_proper_t(cycle(4), True),
         lambda: EdgeColoring({}, "3"),
         lambda: EdgeColoring({cycle(4).edges[0]: 1}, True),
     ],
     ids=[
         "RingParams-n-float", "ring_graph-k-float", "RingParams-n-bool", "node_limit-bool",
-        "find_interval_t-float", "find_interval_t-bool", "find_interval_t-str", "find_proper_t-float",
-        "find_proper_t-bool", "EdgeColoring-t-str", "EdgeColoring-t-bool",
+        "find_interval_t-float", "find_interval_t-bool", "find_interval_t-str", "EdgeColoring-t-str",
+        "EdgeColoring-t-bool",
     ],
 )
 def test_non_integer_parameters_raise_parameter_error(call):
@@ -150,11 +156,6 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
     assert engines.edge_dfs(cycle(5), 2, 3) == engines.edge_dfs(cycle(5), 2, 4) == (None, 4)
     edgeless = build_graph(1, 1, [Vertex(1, 1)], [])
     assert engines.edge_dfs(edgeless, 1, None) == (None, 0)
-    # a proper query searches nothing below Delta, and gives an edgeless graph the empty coloring
-    below = search.find_proper_t(big, 15)
-    assert (below.status, below.nodes_explored) == ("infeasible", 0)
-    empty = search.find_proper_t(edgeless, 1)
-    assert (empty.status, empty.witness.colors, empty.nodes_explored) == ("witness", {}, 0)
     # each reference engine keeps the answer it reaches on the last allowed node, and stops one node
     # past every limit below it
     for engine, n, k, t, nodes in [
@@ -174,8 +175,8 @@ def test_engines_return_their_node_count_and_stop_one_past_the_limit():
 @pytest.mark.parametrize("query, n, k, t, status, nodes", [
     (find_interval_t, 2, 6, 9, "witness", 8),  # lifted from C6 at s = 4: the quotient's nodes count
     (find_interval_t, 2, 3, 7, "infeasible", 263),  # C3 is overfull, so no lift: ring(2,3) alone
-    (search.find_proper_t, 2, 3, 4, "witness", 33),
-    (search.find_proper_t, 1, 5, 2, "infeasible", 4),
+    (padded_query, 2, 3, 4, "witness", 33),  # padded(g, t) is the ring itself at t = Delta
+    (padded_query, 1, 5, 2, "infeasible", 4),
 ])
 def test_an_answer_on_the_last_allowed_node_stands(query, n, k, t, status, nodes):
     g = ring_graph(RingParams(n, k))
@@ -193,7 +194,7 @@ def test_compute_w_budget_is_inconclusive():
     report = profile.w
     assert report.value is None
     assert report.status == "inconclusive"
-    assert (profile.trail[0], report.nodes_explored) == ((4, "exhausted_budget"), 6)
+    assert profile.trail[0] == (4, "exhausted_budget")
 
 
 def test_compute_chromatic_index_budget_gives_no_value():
@@ -237,9 +238,9 @@ _PINNED_NODE_COUNTS = [
     ("find_interval_t", 3, 4, 10, "witness", 1),
     ("find_interval_t", 3, 4, 11, "witness", 1),
     ("find_interval_t", 3, 6, 14, "witness", 8),
-    ("find_proper_t", 2, 3, 4, "witness", 33),
-    ("find_proper_t", 2, 5, 4, "witness", 105),
-    ("find_proper_t", 1, 5, 2, "infeasible", 4),
+    ("padded_query", 2, 3, 4, "witness", 33),
+    ("padded_query", 2, 5, 4, "witness", 105),
+    ("padded_query", 1, 5, 2, "infeasible", 4),
 ]
 
 
@@ -258,12 +259,13 @@ def test_start_assignment_node_counts_are_pinned(engine, n, k, t, status, nodes)
     # engine, run directly on the ring. find_interval_t lifts a quotient
     # witness first (ring(2,k) = C_k[K̄2], ring(3,6) = C6[K̄3], ring(3,4) =
     # K2[K̄6]; not over ring(2,3)'s overfull C3) and counts the quotient's
-    # nodes with the ring's.
+    # nodes with the ring's. padded_query asks it on padded(g, t), the ring
+    # itself at t = Delta.
     g = ring_graph(RingParams(n, k))
     if engine in ("start_assignment", "edge_dfs"):
         got = run_engine(start_assignment if engine == "start_assignment" else engines.edge_dfs, g, t, 50_000)[:2]
     else:
-        query = search.find_proper_t if engine == "find_proper_t" else find_interval_t
+        query = padded_query if engine == "padded_query" else find_interval_t
         outcome = query(g, t, SearchConfig(node_limit=50_000))
         got = (outcome.status, outcome.nodes_explored)
     assert got == (status, nodes)
@@ -419,9 +421,7 @@ def test_span_profile_of_ring_2_4_asks_four_queries(monkeypatch):
     assert profile.continuity_status == "ok"
     # every query of the cell is one of the four interval queries: chi' is read off t = 4
     assert profile.chi_prime == 4
-    assert profile.nodes_explored == profile.w.nodes_explored + (
-        profile.W.nodes_explored + sum(original(g, t).nodes_explored for t in (5, 6))
-    )
+    assert profile.nodes_explored == sum(original(g, t).nodes_explored for t in asked)
 
 
 @pytest.mark.parametrize("k, W, cap", [(5, 7, 10), (6, 9, 10), (7, 9, 13), (8, 11, 13)])
@@ -446,10 +446,6 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
 
     monkeypatch.setattr(search, "find_interval_t", recording)
     g = ring_graph(RingParams(2, 3))
-    for view in (search.compute_w, search.compute_W):
-        made.clear()
-        assert view(g).nodes_explored == sum(nodes for _, nodes in made)
-    made.clear()
     profile = span_profile(g)
     assert profile.continuity == ((4, "witness"), (5, "witness"), (6, "witness"))
     asked = [t for t, _ in made]
@@ -462,18 +458,32 @@ def test_scan_views_count_exactly_the_queries_they_make(monkeypatch):
 @example(g=house(), limit=None)  # w = 4 > Delta = 3
 @settings(max_examples=80, deadline=None)
 def test_span_profile_reads_what_the_scans_report(g, limit):
-    # one ascending pass over [max degree, cap] yields the same reports, node counts included, as
-    # the scans that stop early, and holds scan_cap's cap and the continuity prefix of its trail;
-    # budgets from 1 to 300 nodes put cuts below, between and above witnesses
+    # one ascending pass over [max degree, cap] yields the w and W that a plain reading of each t's
+    # own answer gives, and holds scan_cap's cap and the continuity prefix of its trail; budgets
+    # from 1 to 300 nodes put cuts below, between and above witnesses
     cfg = SearchConfig(node_limit=limit)
     profile = span_profile(g, cfg)
-    assert profile.w == search.compute_w(g, cfg)
-    assert profile.W == search.compute_W(g, cfg)
+    asked = [(t, find_interval_t(g, t, cfg).status) for t in range(max(1, g.max_degree()), scan_cap(g)[0] + 1)]
+    for t, status in asked:  # upward: the first witness, unless a budget cut comes first
+        if status != "infeasible":
+            w = BoundReport(t, "exact") if status == "witness" else BoundReport(None, "inconclusive")
+            break
+    else:
+        w = BoundReport(None, "not_interval_colorable")
+    cut = False
+    for t, status in reversed(asked):  # downward: the first witness, a lower bound if a cut is above it
+        if status == "witness":
+            W = BoundReport(t, "lower_bound_only" if cut else "exact")
+            break
+        cut = cut or status == "exhausted_budget"
+    else:
+        W = BoundReport(None, "inconclusive" if cut else "not_interval_colorable")
+    assert (profile.w, profile.W) == (w, W)
     assert (profile.t_max, profile.t_max_source) == scan_cap(g)
     assert [t for t, _ in profile.trail] == list(range(max(1, g.max_degree()), profile.t_max + 1))
+    assert profile.trail == tuple(asked)
     if profile.w.value is not None and profile.W.value is not None:
         assert profile.continuity == profile.trail[:profile.W.value - profile.trail[0][0] + 1]
-        assert profile.continuity == tuple(search.continuity_scan(g, cfg, t_hi=profile.W.value))
     else:
         assert profile.continuity is None
 
@@ -642,26 +652,34 @@ def test_continuity_scan_results():
 
 def test_engine_witness_is_reverified(monkeypatch):
     g = cycle(6)  # no twins, so no lift: edge_dfs answers
-    bad = {e: 1 for e in g.edges}
-    monkeypatch.setattr(search, "edge_dfs", lambda g, t, limit: (dict(bad), 1))
-    with pytest.raises(SoundnessError):
-        find_interval_t(g, 2)
-    monkeypatch.undo()
-    # find_proper_t re-checks the part on g of the witness find_interval_t gives for padded(g, 3): all
-    # the pendants are dropped, and whatever else is there must be a proper coloring of g
-    one_color = lambda h, t, cfg=None: search.SearchOutcome("witness", EdgeColoring({e: 1 for e in h.edges}, t), 1)
     chord = make_edge(Vertex(1, 1), Vertex(4, 1))
-    stray = build_graph(1, 6, g.vertices, g.edges + (chord,))  # g plus a chord, padded in its place
-    other = lambda h, t, cfg=None: find_interval_t(engines.padded(stray, t), t, cfg)
-    for fake in (one_color, other):  # an improper part on g; a part with an edge g does not have
-        monkeypatch.setattr(search, "find_interval_t", fake)
-        with pytest.raises(SoundnessError):
-            search.find_proper_t(g, 3)
+    for bad, message in [
+        (dict.fromkeys(g.edges, 1), "edge_dfs produced a witness at t=2 that fails is_interval_coloring"),
+        (dict.fromkeys(g.edges, 3), "edge_dfs produced a witness at t=2 that is no coloring of g"),  # 3 > t
+        ({**dict.fromkeys(g.edges, 1), chord: 2}, "that is no coloring of g"),  # an edge g does not have
+    ]:
+        def edge_dfs(h, t, limit, bad=bad):  # the messages name the engine
+            return dict(bad), 1
+
+        monkeypatch.setattr(search, "edge_dfs", edge_dfs)
+        with pytest.raises(SoundnessError, match=message):
+            find_interval_t(g, 2)
 
 
-def test_continuity_scan_with_explicit_top():
-    scan = search.continuity_scan(ring_graph(RingParams(2, 4)), t_hi=7)
-    assert scan == [(4, "witness"), (5, "witness"), (6, "witness"), (7, "witness")]
+def test_the_names_only_the_tracer_looks_up_resolve_to_stand_ins_bound_nowhere():
+    # benchmark/tracing.py wraps every attribute of a ringcol module that is the object it looked up,
+    # so a stand-in that were a bound function would get that function wrapped under the wrong span
+    bound = [v for name, m in sys.modules.items() if name.split(".")[0] == "ringcol" for v in vars(m).values()]
+    for name in search._RETIRED:
+        stand_in = getattr(search, name)
+        assert callable(stand_in) and stand_in is not getattr(search, name), name
+        assert all(stand_in is not v for v in bound), name
+        assert name not in dir(search) and name not in search.__all__ and name not in ringcol.__all__, name
+        replacement = "compute_chromatic_index" if name == search._RETIRED[-1] else "span_profile"
+        with pytest.raises(AttributeError, match=f"{name} is retired: ask {replacement}"):
+            stand_in(cycle(4))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        search.no_such_name
 
 
 # ---------------------------------------------------------------------------
@@ -1081,14 +1099,6 @@ def test_padding_gives_every_vertex_of_g_degree_t(g, t):
     for v in g.vertices:
         assert p.degree(v) == (t if g.degree(v) else 0), v
     assert all(p.degree(v) == 1 for v in p.vertices if v not in g.adjacency)
-
-
-def test_a_proper_query_far_above_the_edge_count_searches_at_the_edge_count():
-    # no proper coloring needs more than |E| colors: C4 at t = 20 000 is padded to degree 4, not 20 000
-    outcome = search.find_proper_t(cycle(4), 20_000)
-    assert (outcome.status, outcome.witness.t) == ("witness", 20_000)
-    assert max(outcome.witness.colors.values()) <= 4
-    assert verify(cycle(4), outcome.witness).is_proper
 
 
 @pytest.mark.extended
