@@ -8,10 +8,10 @@ tuple only for a vertex that fails.
 
 A coloring is "interval" when it is proper, every color of the declared
 palette [1, t] appears on some edge, and the colors incident to each vertex
-form a run of d(x) consecutive integers. The verifier checks the three
-conditions independently and returns full evidence for any failure, which is
-what makes it usable as the trusted side of every search and construction in
-this package.
+form a run of d(x) consecutive integers, so t is at most |E|. The verifier
+checks the three conditions independently and returns full evidence for any
+failure, which is what makes it usable as the trusted side of every search
+and construction in this package.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def check_total(g: Graph, coloring: EdgeColoring) -> None:
     colors = coloring.colors
     # total on E(g) exactly when it colors as many edges as g has and every edge of g
     if len(colors) != len(g.edges) or not all(map(colors.__contains__, g.edges)):
+        edges = set(g.edges)
         for e in colors:
-            if e not in g.edge_set:
+            if e not in edges:
                 raise ColoringError(f"colored edge {e} does not exist in the graph")
         missing_edges = [e for e in g.edges if e not in colors]
         raise ColoringError(
@@ -110,13 +111,17 @@ def check_total(g: Graph, coloring: EdgeColoring) -> None:
 def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     """Check properness, per-vertex consecutiveness, and palette coverage.
 
-    The coloring must be total on E(g) (``check_total``) and stay inside
-    [1, t]; those are input defects and raise ColoringError, while the three
-    interval conditions are results and come back in the report with their
-    supporting evidence. ``missing_colors`` lists every unused color of
-    [1, t], so the report grows with t.
+    The coloring must be total on E(g) (``check_total``), stay inside [1, t]
+    and declare t <= |E|, since each edge brings one color; those are input
+    defects and raise ColoringError, a coloring of another graph first. The
+    three interval conditions are results and come back in the report with
+    their supporting evidence. ``missing_colors`` lists every unused color of
+    [1, t], so it holds at most |E| colors.
     """
     check_total(g, coloring)
+    if coloring.t > len(g.edges):
+        raise ColoringError(f"t = {coloring.t} exceeds the graph's {len(g.edges)} edges: "
+                            "no interval t-coloring exists")
     colors = coloring.colors
 
     violations: list[tuple[Vertex, int, tuple[Edge, ...]]] = []
@@ -141,17 +146,11 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
         gaps.append((v, tuple(spect)))
 
     present = set(colors.values())
-    t = coloring.t
-    # t distinct colors within [1, t] are all of [1, t]; min and max are read, not assumed from
-    # EdgeColoring's check, so a mapping changed after it was built is reported as it stands
-    if len(present) == t and (not t or (min(present) >= 1 and max(present) <= t)):
-        missing: tuple[int, ...] = ()
-    else:
-        missing = tuple(c for c in range(1, t + 1) if c not in present)
+    missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
 
     is_proper = not violations
     return VerificationReport(
-        t=t,
+        t=coloring.t,
         is_proper=is_proper,
         is_interval=is_proper and not gaps,
         covers_palette=not missing,

@@ -43,7 +43,9 @@ class ParityError(ParameterError):
 
 class ColoringError(RingcolError, ValueError):
     """Any defect of an edge coloring relative to a graph: an edge uncolored
-    or not in the graph, or a color that is no integer or outside [1, t]."""
+    or not in the graph, a color that is no integer or outside [1, t], or a
+    declared t above the graph's edge count, where no interval t-coloring
+    exists."""
 
 
 class FormatError(RingcolError, ValueError):

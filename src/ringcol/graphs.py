@@ -127,10 +127,6 @@ class Graph:
         return tuple(e.v if e.u == v else e.u for e in self.adjacency[v])
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def diameter_and_bipartite(self) -> tuple[int, bool] | None:
         """(diameter, bipartite), or None for a graph without edges or one
         that is not connected. One BFS per vertex gives the diameter; a

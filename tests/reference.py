@@ -128,9 +128,10 @@ def coloring_from_dict(doc):
 
 def verify(g, coloring):
     """The same VerificationReport as ``ringcol.verify`` for a coloring total on
-    E(g), read off the definitions: every vertex's spectrum sorted, a clash
-    for each color on two or more of its edges, and a gap wherever the
-    spectrum is not d(v) consecutive colors."""
+    E(g) with t <= |E| (``verify`` refuses a larger t), read off the
+    definitions: every vertex's spectrum sorted, a clash for each color on two
+    or more of its edges, and a gap wherever the spectrum is not d(v)
+    consecutive colors."""
     colors = coloring.colors
     violations, gaps = [], []
     for v in g.vertices:

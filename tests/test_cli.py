@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
+    ColoringError,
     EdgeColoring,
     FormatError,
     Graph,
@@ -30,6 +31,7 @@ from ringcol import (
 from ringcol import cli, search
 from ringcol import io as rio
 from ringcol.cli import main
+from ringcol.coloring import check_total
 from ringcol.io import (
     coloring_from_dict,
     coloring_to_dict,
@@ -963,28 +965,45 @@ def test_export_dot_refuses_a_coloring_of_another_graph(tmp_path, capsys, defect
 
 
 def test_verify_and_export_dot_stay_small_on_a_huge_declared_t(tmp_path):
-    # ring(1,4)'s coloring declared at t = 10^9 is a 189-byte file. verify refuses it in one line, since
-    # no interval t-coloring exists above |E| and the report would list every unused color; export-dot
-    # checks only that the coloring colors exactly the graph's edges, and writes the DOT file
+    # ring(1,4)'s coloring declared at t = 10^9 is a 189-byte file. The library verify refuses it, and
+    # the CLI's verify in one line, since no interval t-coloring exists above |E| and the report would
+    # list every unused color; export-dot checks only that the coloring colors exactly the graph's
+    # edges, and writes the DOT file
     gpath, cpath, huge, dpath = (tmp_path / name for name in ("g.json", "c.json", "huge.json", "g.dot"))
     run(tmp_path, "generate", "--n", "1", "--k", "4", "--out", str(gpath))
     run(tmp_path, "construct", "--n", "1", "--k", "4", "--out", str(cpath))
     huge.write_text(cpath.read_text().replace('"t": 3}', '"t": 1000000000}'))
     assert len(huge.read_bytes()) == 189
 
-    def capped(*argv):
-        # the CLI in a child process whose address space is capped at 512 MB, so a command that
+    def capped(body, *argv):
+        # python code in a child process whose address space is capped at 512 MB, so a call that
         # allocates per declared color fails with MemoryError instead of exhausting the machine
-        code = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
-                "runpy.run_module('ringcol', run_name='__main__')")
+        code = "import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); " + body
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        return subprocess.run([sys.executable, "-c", code, "--manifest", str(tmp_path / "runs.jsonl"), *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
 
-    done = capped("verify", "--graph", str(gpath), "--coloring", str(huge))
+    # the library: on its own graph the declared t is refused; on ring(2,4), whose edges the
+    # coloring leaves uncolored, check_total's message comes first
+    library = ("import sys; from ringcol import ColoringError, RingParams, ring_graph, verify\n"
+               "from ringcol.io import load_coloring\n"
+               "for n in (1, 2):\n"
+               "    try: verify(ring_graph(RingParams(n, 4)), load_coloring(sys.argv[1]))\n"
+               "    except ColoringError as exc: print(exc)\n")
+    done = capped(library, str(huge))
+    with pytest.raises(ColoringError) as other:
+        check_total(ring_graph(RingParams(2, 4)), load_coloring(huge))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("t = 1000000000 exceeds the graph's 4 edges: no interval t-coloring exists\n"
+                           f"{other.value}\n")
+
+    def capped_cli(*argv):
+        body = "import runpy; runpy.run_module('ringcol', run_name='__main__')"
+        return capped(body, "--manifest", str(tmp_path / "runs.jsonl"), *argv)
+
+    done = capped_cli("verify", "--graph", str(gpath), "--coloring", str(huge))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: t = 1000000000 exceeds the graph's 4 edges: no interval t-coloring exists\n"
-    done = capped("export-dot", "--graph", str(gpath), "--coloring", str(huge), "--out", str(dpath))
+    done = capped_cli("export-dot", "--graph", str(gpath), "--coloring", str(huge), "--out", str(dpath))
     assert (done.returncode, done.stderr) == (0, "")
     assert dpath.read_bytes() == dot_source(ring_graph(RingParams(1, 4)), load_coloring(cpath)).encode("utf-8")
 

@@ -38,6 +38,11 @@ def cycle_coloring(k, colors, t):
     return EdgeColoring(colors=mapping, t=t)
 
 
+def refusal(t, m):
+    """verify's message for a declared t above the graph's m edges."""
+    return f"t = {t} exceeds the graph's {m} edges: no interval t-coloring exists"
+
+
 def test_spectrum_on_hand_colored_c4():
     g = cycle(4)
     c = cycle_coloring(4, [1, 2, 3, 2], t=3)
@@ -192,11 +197,14 @@ def test_proper_spectra_have_degree_many_colors(n):
         assert len(spectrum(g, c, v)) == g.degree(v)
 
 
-@given(colors=st.lists(st.integers(1, 6), min_size=5, max_size=5))
+@given(colors=st.lists(st.integers(1, 6), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_verifier_is_pure_and_evidence_matches_flags(colors):
-    g = cycle(5)
-    c = cycle_coloring(5, colors, t=6)
+    # six colors on the five edges of C_5 cannot all appear, so t = 6 is refused there
+    with pytest.raises(ColoringError, match=f"^{refusal(6, 5)}$"):
+        verify(cycle(5), cycle_coloring(5, colors[:5], t=6))
+    g = cycle(6)
+    c = cycle_coloring(6, colors, t=6)
     first = verify(g, c)
     second = verify(g, c)
     assert first == second
@@ -219,8 +227,12 @@ def test_shifting_colors_preserves_properness_and_runs(n, half_k, shift):
         colors={e: col + shift for e, col in c.colors.items()}, t=c.t + shift
     )
     base = verify(g, c)
-    moved = verify(g, shifted)
     assert base.is_interval_coloring
+    if shifted.t > len(g.edges):  # only on n = 1 rings: a cycle can have fewer edges than the shifted span
+        with pytest.raises(ColoringError, match=f"^{refusal(shifted.t, len(g.edges))}$"):
+            verify(g, shifted)
+        return
+    moved = verify(g, shifted)
     assert moved.is_proper and moved.is_interval
     # colors 1..shift are now unused, so full-palette coverage is lost
     assert not moved.covers_palette
@@ -232,7 +244,11 @@ def test_shifting_colors_preserves_properness_and_runs(n, half_k, shift):
 def test_verify_matches_the_reference_verifier(g, data):
     # isolated vertices, clashes, gaps and unused colors all occur in the draw
     c = data.draw(colorings(g))
-    assert verify(g, c) == reference.verify(g, c)
+    if c.t > len(g.edges):  # no interval t-coloring exists, so verify refuses the input
+        with pytest.raises(ColoringError, match=f"^{refusal(c.t, len(g.edges))}$"):
+            verify(g, c)
+    else:
+        assert verify(g, c) == reference.verify(g, c)
 
 
 def test_an_isolated_vertex_passes_the_verifier():

@@ -95,7 +95,7 @@ def test_complete_bipartite_invariants(n):
     # every cross pair joined
     for p in range(1, n + 1):
         for q in range(1, n + 1):
-            assert make_edge(Vertex(2, p), Vertex(1, q)) in g.edge_set
+            assert make_edge(Vertex(2, p), Vertex(1, q)) in g.edges
 
 
 def test_complete_bipartite_small_cases():

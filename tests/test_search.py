@@ -1009,7 +1009,8 @@ def test_more_budget_never_flips_a_definite_answer(g, limit):
 
 def _on_g(g, witness):
     """A coloring of a padding of g without its pendants: the part on g's edges, at the same t."""
-    return EdgeColoring({e: c for e, c in witness.colors.items() if e in g.edge_set}, witness.t)
+    edges = set(g.edges)
+    return EdgeColoring({e: c for e, c in witness.colors.items() if e in edges}, witness.t)
 
 
 def _padded_statuses_agree(g, t, limit):
@@ -1095,7 +1096,8 @@ def test_proper_queries_agree_with_the_plain_proper_search(g):
 def test_padding_gives_every_vertex_of_g_degree_t(g, t):
     t = max(t, g.max_degree())
     p = engines.padded(g, t)
-    assert [e for e in p.edges if e in g.edge_set] == list(g.edges)
+    edges = set(g.edges)
+    assert [e for e in p.edges if e in edges] == list(g.edges)
     for v in g.vertices:
         assert p.degree(v) == (t if g.degree(v) else 0), v
     assert all(p.degree(v) == 1 for v in p.vertices if v not in g.adjacency)
