@@ -2,9 +2,10 @@
 
 A coloring α of a graph is an ``EdgeColoring``: α(e) is ``colors[e]``. The
 spectrum S(x, α), the set of colors on the edges incident to a vertex x, is
-the sorted tuple ``spectrum(g, α, x)`` returns; ``verify`` tests each vertex
-by the size, first and last element of its sorted colors, and makes the
-tuple only for a vertex that fails.
+the sorted tuple ``spectrum(g, α, x)`` returns. ``verify`` sorts none while
+every vertex passes: one pass over the edges ORs each vertex's colors into
+the bits of one int, a vertex passes when its int has d(x) bits set in one
+run, and only a vertex that fails has its spectrum made, as evidence.
 
 A coloring is "interval" when it is proper, every color of the declared
 palette [1, t] appears on some edge, and the colors incident to each vertex
@@ -17,7 +18,10 @@ and construction in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import reduce
+from itertools import compress
+from operator import add, and_, ne, neg, or_
+from typing import Iterable, Mapping
 
 from .errors import ColoringError, all_int, check_int, is_int
 from .graphs import Edge, Graph, Vertex, as_vertex
@@ -29,6 +33,8 @@ __all__ = [
     "spectrum",
     "verify",
 ]
+
+_BIT_BOUND = 4096  # verify's bit test takes colors below this; see verify
 
 
 @dataclass(frozen=True)
@@ -117,17 +123,76 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
     three interval conditions are results and come back in the report with
     their supporting evidence. ``missing_colors`` lists every unused color of
     [1, t], so it holds at most |E| colors.
+
+    The test is one pass over the edges in ``g.edges`` order, through the
+    graph's cached ``end_plan``: each color c is OR-ed as the bit 1 << c into
+    one int per end. A vertex passes exactly when its int has d(v) bits set
+    (its colors are distinct) and they form one run, which adding the lowest
+    set bit carries clear; both tests, and the palette's from the OR of every
+    bit, run over all vertices at C speed. Only a failing vertex then runs the
+    per-vertex loop that gathers its evidence, so a coloring costs one pass
+    over its edges and work at each failing vertex. Colors read in key order
+    equal to ``g.edges``, as a lifted witness's and a written coloring's are,
+    are total on g without ``check_total``.
+
+    A bit of color c costs O(c/30) digit operations, so the bit test runs only
+    while every color is a non-negative int below 4 096, and otherwise (a
+    large t, or a mapping changed after ``EdgeColoring``'s check) the
+    per-vertex loop runs at every vertex. On a 49 998-edge cycle interval-
+    colored at t = 25 000 an unbounded bit test took 180 ms against 76 ms for
+    the loop alone; at t = 4 096 it took 45 ms against 75 ms (medians of 11,
+    2-core box, CPython 3.11.7).
     """
-    check_total(g, coloring)
+    colors = coloring.colors
+    in_order = tuple(colors) == g.edges
+    if not in_order:
+        check_total(g, coloring)
     if coloring.t > len(g.edges):
         raise ColoringError(f"t = {coloring.t} exceeds the graph's {len(g.edges)} edges: "
                             "no interval t-coloring exists")
-    colors = coloring.colors
+    values = list(colors.values())
 
+    if all_int(values) and max(values, default=0) < _BIT_BOUND and min(values, default=0) >= 0:
+        if not in_order:
+            values = list(map(colors.__getitem__, g.edges))
+        plan = g.end_plan
+        masks = [0] * len(plan.deg)
+        for a, b, c in zip(plan.us, plan.vs, values):
+            bit = 1 << c
+            masks[a] |= bit
+            masks[b] |= bit
+        # truthy at a vertex with fewer than d(v) colors or a gap: m + (m & -m) clears a run of bits
+        failing = list(map(or_, map(ne, map(int.bit_count, masks), plan.deg),
+                           map(and_, masks, map(add, masks, map(and_, masks, map(neg, masks))))))
+        violations, gaps = _evidence(g, colors, compress(g.vertices, failing)) if any(failing) else ([], [])
+        seen = reduce(or_, masks, 0)
+        palette = (1 << coloring.t + 1) - 2  # the bits of colors 1..t
+        missing = () if seen & palette == palette else tuple(
+            c for c in range(1, coloring.t + 1) if not seen >> c & 1)
+    else:
+        violations, gaps = _evidence(g, colors, g.vertices)
+        present = set(values)
+        missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
+
+    is_proper = not violations
+    return VerificationReport(
+        t=coloring.t,
+        is_proper=is_proper,
+        is_interval=is_proper and not gaps,
+        covers_palette=not missing,
+        proper_violations=tuple(violations),
+        gap_vertices=tuple(gaps),
+        missing_colors=missing,
+    )
+
+
+def _evidence(
+    g: Graph, colors: Mapping[Edge, int], vertices: Iterable[Vertex]
+) -> tuple[list[tuple[Vertex, int, tuple[Edge, ...]]], list[tuple[Vertex, tuple[int, ...]]]]:
+    """The proper violations and gap vertices among ``vertices``, in their order."""
     violations: list[tuple[Vertex, int, tuple[Edge, ...]]] = []
     gaps: list[tuple[Vertex, tuple[int, ...]]] = []
-
-    for v in g.vertices:
+    for v in vertices:
         incident = g.adjacency[v]
         spect = sorted(set(map(colors.__getitem__, incident)))
         d = len(incident)
@@ -144,17 +209,4 @@ def verify(g: Graph, coloring: EdgeColoring) -> VerificationReport:
                     violations.append((v, c, tuple(clashing)))
         # collisions shrink the spectrum below d(v), so improper vertices always land here too
         gaps.append((v, tuple(spect)))
-
-    present = set(colors.values())
-    missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
-
-    is_proper = not violations
-    return VerificationReport(
-        t=coloring.t,
-        is_proper=is_proper,
-        is_interval=is_proper and not gaps,
-        covers_palette=not missing,
-        proper_violations=tuple(violations),
-        gap_vertices=tuple(gaps),
-        missing_colors=missing,
-    )
+    return violations, gaps

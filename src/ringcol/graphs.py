@@ -199,6 +199,29 @@ class Graph:
 
         return search_plan(self)
 
+    @cached_property
+    def end_plan(self) -> EndPlan:
+        """The places of each edge's two ends in ``vertices``, and each
+        vertex's degree: ``coloring.verify`` ORs every edge's color into its
+        ends' masks through it. Built once per graph rather than once per check."""
+        place = {v: i for i, v in enumerate(self.vertices)}
+        return EndPlan(
+            tuple(place[e.u] for e in self.edges),
+            tuple(place[e.v] for e in self.edges),
+            tuple(map(len, map(self.adjacency.__getitem__, self.vertices))),
+        )
+
+
+class EndPlan(NamedTuple):
+    """A graph's edge ends as places in its ``vertices``: ``us[i]`` and
+    ``vs[i]`` are the ends of ``edges[i]``, and ``deg[x]`` is the degree of
+    ``vertices[x]``. Two flat tuples of ints, not one of pairs, hold a
+    32 768-edge ring in about 0.5 MB."""
+
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+    deg: tuple[int, ...]
+
 
 class Composition(NamedTuple):
     """A graph G = H[K̄_n]: the quotient H, the class size n, and

@@ -141,9 +141,11 @@ def verify(g, coloring):
             clashing = tuple(e for e in incident if colors[e] == c)
             if len(clashing) > 1:
                 violations.append((v, c, clashing))
-        if spect and spect != tuple(range(spect[0], spect[0] + len(incident))):
+        # spect[0] + i, not range(): a mapping changed after EdgeColoring's check may hold a float
+        if spect and spect != tuple(spect[0] + i for i in range(len(incident))):
             gaps.append((v, spect))
-    missing = tuple(c for c in range(1, coloring.t + 1) if c not in colors.values())
+    present = set(colors.values())
+    missing = tuple(c for c in range(1, coloring.t + 1) if c not in present)
     return VerificationReport(
         t=coloring.t,
         is_proper=not violations,

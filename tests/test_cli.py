@@ -983,18 +983,26 @@ def test_verify_and_export_dot_stay_small_on_a_huge_declared_t(tmp_path):
         return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
 
     # the library: on its own graph the declared t is refused; on ring(2,4), whose edges the
-    # coloring leaves uncolored, check_total's message comes first
+    # coloring leaves uncolored, check_total's message comes first. A coloring at t = 3 whose
+    # mapping is set to hold 10^9 after the check is reported as the reference reports it: a bit
+    # test of that color would build a 125 MB int per end
     library = ("import sys; from ringcol import ColoringError, RingParams, ring_graph, verify\n"
                "from ringcol.io import load_coloring\n"
                "for n in (1, 2):\n"
                "    try: verify(ring_graph(RingParams(n, 4)), load_coloring(sys.argv[1]))\n"
-               "    except ColoringError as exc: print(exc)\n")
-    done = capped(library, str(huge))
+               "    except ColoringError as exc: print(exc)\n"
+               "c = load_coloring(sys.argv[2]); c.colors[next(iter(c.colors))] = 10**9\n"
+               "print(repr(verify(ring_graph(RingParams(1, 4)), c)))\n")
+    done = capped(library, str(huge), str(cpath))
     with pytest.raises(ColoringError) as other:
         check_total(ring_graph(RingParams(2, 4)), load_coloring(huge))
+    changed = load_coloring(cpath)
+    changed.colors[next(iter(changed.colors))] = 10**9
+    report = reference.verify(ring_graph(RingParams(1, 4)), changed)
+    assert [v for v, _ in report.gap_vertices] == [Vertex(1, 1), Vertex(2, 1)]  # the changed edge's ends
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == ("t = 1000000000 exceeds the graph's 4 edges: no interval t-coloring exists\n"
-                           f"{other.value}\n")
+                           f"{other.value}\n{report!r}\n")
 
     def capped_cli(*argv):
         body = "import runpy; runpy.run_module('ringcol', run_name='__main__')"

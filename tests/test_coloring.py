@@ -141,8 +141,9 @@ def test_a_bad_color_is_named_at_its_first_edge(bad, message):
 
 
 def test_verify_reads_the_palette_of_a_mapping_changed_after_the_check():
-    # two distinct colors at t = 2 cover [1, 2] only if both lie in it: verify reads min and max
-    for stray in (0, 3):
+    # two distinct colors at t = 2 cover [1, 2] only if both lie in it. A negative color or a float
+    # has no bit for the bit test, so verify reads such a mapping with its per-vertex loop alone
+    for stray in (0, 3, -1, 2.0):
         colors = dict(cycle_coloring(4, [1, 2, 1, 2], t=2).colors)
         c = EdgeColoring(colors=colors, t=2)
         for e in [e for e, col in colors.items() if col == 1]:
@@ -256,3 +257,66 @@ def test_an_isolated_vertex_passes_the_verifier():
     g = build_graph(2, 2, vs, [(vs[0], vs[2])])
     c = EdgeColoring({make_edge(vs[0], vs[2]): 1}, 1)
     assert verify(g, c).is_interval_coloring and verify(g, c) == reference.verify(g, c)
+
+
+def climb(top):
+    """Colors around a cycle of 2 * top - 2 edges, an interval top-coloring:
+    up from 1 to top, then down to 2."""
+    return list(range(1, top + 1)) + list(range(top - 1, 1, -1))
+
+
+def star_graph(leaves, extra=()):
+    """A center (1, 2) joined to the first ``leaves`` of ``leaves`` + 1 vertices of
+    layer 2, the vertex (1, 1) isolated and before the center in vertex order, and
+    ``extra`` edges (a, b) between the a-th and b-th layer-2 vertices, 0-based."""
+    center, isolated = Vertex(1, 2), Vertex(1, 1)
+    outer = [Vertex(2, i) for i in range(1, leaves + 2)]
+    edges = [(center, w) for w in outer[:leaves]] + [(outer[a], outer[b]) for a, b in extra]
+    return build_graph(leaves + 1, 2, [isolated, center, *outer], edges), center
+
+
+@pytest.mark.parametrize("leaves, extra, colors, t", [
+    # three edges, two colors in one run at the center: only the count of its bits shows the clash
+    (3, (), (1, 1, 2), 2),
+    # three distinct colors at the center, not in one run: only the run test shows the gap
+    (3, ((2, 3),), (1, 2, 4, 3), 4),
+    # the same two defects beside each other
+    (3, (), (1, 1, 3), 3),
+    (4, (), (1, 2, 2, 4), 4),
+], ids=["count-only", "run-only", "count-and-run", "clash-and-gap"])
+def test_the_bit_test_finds_each_failing_vertex(leaves, extra, colors, t):
+    g, center = star_graph(leaves, extra)
+    c = EdgeColoring(dict(zip(g.edges, colors)), t)
+    report = verify(g, c)
+    assert report == reference.verify(g, c)
+    assert [v for v, _ in report.gap_vertices] == [center]  # the isolated vertex passes
+
+
+@pytest.mark.parametrize("top", [4095, 4096])
+def test_verify_on_either_side_of_the_bit_bound(top):
+    # colors below 4 096 take the bit test, which builds the graph's end plan; a color of 4 096
+    # sends the check to the per-vertex loop, which needs none. Each report equals the reference's
+    for clash in (False, True):
+        g = cycle(2 * top - 2)
+        colors = climb(top)
+        if clash:
+            colors[0] = colors[1]  # (x1, x2) and (x2, x3) share color 2, and color 1 goes unused
+        c = cycle_coloring(len(colors), colors, top)
+        report = verify(g, c)
+        assert report == reference.verify(g, c)
+        assert report.is_interval_coloring != clash
+        assert ("end_plan" in vars(g)) == (top < 4096)
+
+
+def test_verify_a_long_cycle_above_the_bit_bound():
+    # C_16382 interval-colored at t = 8 192 = 16 382 / 2 + 1, its greatest span, and a copy of it with
+    # one clash: both are read by the per-vertex loop, and each report equals the reference's
+    colors = climb(8192)
+    g = cycle(len(colors))
+    c = cycle_coloring(len(colors), colors, 8192)
+    assert verify(g, c) == reference.verify(g, c) and verify(g, c).is_interval_coloring
+    colors[-1] = colors[-2]  # (x16381, x16382) and (x16382, x1) share color 3
+    c = cycle_coloring(len(colors), colors, 8192)
+    report = verify(g, c)
+    assert report == reference.verify(g, c)
+    assert not report.is_proper and report.covers_palette
