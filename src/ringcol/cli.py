@@ -104,8 +104,7 @@ def cmd_construct(args: argparse.Namespace, artifacts: list[str]) -> int:
         coloring = mirrored_staircase_coloring(params)
     else:
         coloring = t_coloring(params, args.t)
-    g = ring_graph(params)
-    report = verify(g, coloring)
+    report = verify(ring_graph(params), coloring)  # the graph the coloring was lifted onto
     rio.write_coloring(coloring, args.out)
     artifacts.append(args.out)
     if not report.is_interval_coloring:
@@ -118,7 +117,7 @@ def cmd_construct(args: argparse.Namespace, artifacts: list[str]) -> int:
 @_gc_paused()
 def cmd_verify(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = rio.load_graph(args.graph)
-    report = verify(g, rio.load_coloring(args.coloring))
+    report = verify(g, rio.load_coloring(args.coloring, g))
     _print_json(rio.report_to_dict(report))
     return EXIT_OK if report.is_interval_coloring else EXIT_VERIFY_FAIL
 
@@ -228,7 +227,7 @@ def cmd_sweep(args: argparse.Namespace, artifacts: list[str]) -> int:
 @_gc_paused()
 def cmd_export_dot(args: argparse.Namespace, artifacts: list[str]) -> int:
     g = rio.load_graph(args.graph)
-    coloring = rio.load_coloring(args.coloring) if args.coloring else None
+    coloring = rio.load_coloring(args.coloring, g) if args.coloring else None
     Path(args.out).write_text(rio.dot_source(g, coloring), encoding="utf-8")
     artifacts.append(args.out)
     print(f"wrote {args.out}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .coloring import EdgeColoring
 from .composition import asratian_kamalian_bound, block_table, lift
 from .errors import ParameterError, ParityError, check_int
-from .graphs import RingParams, Vertex, _ring_parts, as_vertex, complete_bipartite, make_edge
+from .graphs import RingParams, Vertex, as_vertex, complete_bipartite, make_edge, ring_graph
 
 __all__ = [
     "BoundsSummary",
@@ -156,9 +156,9 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     value 1..s. ``composition.lift`` gives edge ((i, p), (i+1, q)) the color
     n(alpha_i - 1) + F_j(p, q), with layer i as the class of Vertex(i, 1):
     the layers, not the twin classes of ring_graph(params), which for k = 4
-    are the two sides of K_{2n,2n}. It lifts onto the edges ring_graph
-    assembles, so the colors come in ring_graph(params).edges order, and
-    builds no graph. Raises ParityError for odd k and
+    are the two sides of K_{2n,2n}. It lifts onto ring_graph(params).edges,
+    the graph kept with params, so the colors are keyed by that graph's own
+    edges, in its order. Raises ParityError for odd k and
     ParameterError for a t that is no integer or outside [2n, 2n + n*k/2 - 1].
     """
     n, k = params.n, params.k
@@ -166,10 +166,11 @@ def t_coloring(params: RingParams, t: int) -> EdgeColoring:
     if not 2 * n <= check_int("t", t, 1) <= top:
         raise ParameterError(f"t={t} outside the feasible range [{2 * n}, {top}]")
     s, j = divmod(t, n)
-    layers, edges = _ring_parts(params)
+    g = ring_graph(params)
+    layers = [g.vertices[at:at + n] for at in range(0, n * k, n)]  # ring_graph lists them layer by layer
     alpha = {}
     for i in range(1, k + 1):
         d = min(i, k - i) + 1
         alpha[make_edge(layers[i - 1][0], layers[i % k][0])] = d if d <= s else s - (d - s) % 2
-    colors = lift(edges, {layer[0]: layer for layer in layers}, alpha, block_table(n, j))
+    colors = lift(g.edges, {layer[0]: layer for layer in layers}, alpha, block_table(n, j))
     return EdgeColoring(colors=colors, t=t)

@@ -87,6 +87,19 @@ class RingParams:
         check_int("n", self.n, 1)
         check_int("k", self.k, 3)
 
+    @cached_property
+    def graph(self) -> Graph:
+        """The ring these parameters describe, built on first read and kept
+        with them: ``ring_graph(params)`` returns it, so one command that
+        builds, colors and verifies one ring holds one set of its edges."""
+        n, k = self.n, self.k
+        layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
+        # canonical order: a vertex of layer i is below its neighbours in layer i + 1, and layer 1's
+        # also below layer k's, so each vertex's edges upward come out sorted, vertex by vertex
+        above = [layers[1] + layers[-1], *layers[2:], []]
+        edges = map(tuple.__new__, repeat(Edge), chain.from_iterable(map(product, layers, above)))
+        return assemble_graph(n, k, tuple(chain.from_iterable(layers)), tuple(edges))
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -95,15 +108,27 @@ class Graph:
     ``n`` and ``k`` are label bounds (indices in [1, n], layers in [1, k]),
     not a promise that every labeled vertex exists or that layers are fully
     joined; the generators below produce the specific families. Instances are
-    immutable: ``vertices`` and ``edges`` are canonically sorted tuples and
-    ``adjacency`` maps every vertex to its sorted incident edges.
+    immutable: ``vertices`` and ``edges`` are canonically sorted tuples, and
+    equality and hash range over them and the bounds. ``adjacency``, which
+    maps every vertex to its sorted incident edges, is built on first read:
+    writing and reading a graph, and verifying a coloring that passes, never
+    read it.
     """
 
     n: int
     k: int
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-    adjacency: Mapping[Vertex, tuple[Edge, ...]]
+
+    @cached_property
+    def adjacency(self) -> Mapping[Vertex, tuple[Edge, ...]]:
+        """Every vertex's incident edges in edge order, built on first read."""
+        adjacency: dict[Vertex, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            u, v = e
+            adjacency[u].append(e)
+            adjacency[v].append(e)
+        return {v: tuple(inc) for v, inc in adjacency.items()}
 
     def degree(self, v: Vertex) -> int:
         """d(v). The label is read by ``as_vertex``, so a float, bool or str
@@ -202,14 +227,16 @@ class Graph:
     @cached_property
     def end_plan(self) -> EndPlan:
         """The places of each edge's two ends in ``vertices``, and each
-        vertex's degree: ``coloring.verify`` ORs every edge's color into its
-        ends' masks through it. Built once per graph rather than once per check."""
+        vertex's degree, counted off those places without ``adjacency``:
+        ``coloring.verify`` ORs every edge's color into its ends' masks
+        through it. Built once per graph rather than once per check."""
         place = {v: i for i, v in enumerate(self.vertices)}
-        return EndPlan(
-            tuple(place[e.u] for e in self.edges),
-            tuple(place[e.v] for e in self.edges),
-            tuple(map(len, map(self.adjacency.__getitem__, self.vertices))),
-        )
+        us = tuple(place[e.u] for e in self.edges)
+        vs = tuple(place[e.v] for e in self.edges)
+        deg = [0] * len(self.vertices)
+        for x in chain(us, vs):
+            deg[x] += 1
+        return EndPlan(us, vs, tuple(deg))
 
 
 class EndPlan(NamedTuple):
@@ -302,14 +329,7 @@ def assemble_graph(n: int, k: int, vertices: tuple[Vertex, ...], edges: tuple[Ed
     ]
     if broken:
         raise SoundnessError(f"cannot assemble a graph (k={k}, n={n}): " + "; ".join(broken))
-
-    adjacency: dict[Vertex, list[Edge]] = {v: [] for v in vertices}
-    for e in edges:
-        u, v = e
-        adjacency[u].append(e)
-        adjacency[v].append(e)
-    adj = {v: tuple(inc) for v, inc in adjacency.items()}
-    return Graph(n=n, k=k, vertices=vertices, edges=edges, adjacency=adj)
+    return Graph(n=n, k=k, vertices=vertices, edges=edges)
 
 
 def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int | None = None) -> Graph:
@@ -317,25 +337,14 @@ def ring_graph(params: RingParams | None = None, *, n: int | None = None, k: int
     (cyclically) joined completely.
 
     Accepts either a RingParams or explicit n=, k= keywords, not both. The
-    result has n*k vertices and n^2*k edges.
+    result has n*k vertices, layer by layer, and n^2*k edges. It is
+    ``params.graph``: every call with one RingParams object returns one Graph.
     """
     if params is None:
         params = RingParams(n, k)  # refuses a missing n or k
     elif n is not None or k is not None:
         raise ParameterError(f"ring_graph takes RingParams or n= and k=, not both: got {params}, n={n!r}, k={k!r}")
-    layers, edges = _ring_parts(params)
-    return assemble_graph(params.n, params.k, tuple(chain.from_iterable(layers)), tuple(edges))
-
-
-def _ring_parts(params: RingParams) -> tuple[list[list[Vertex]], list[Edge]]:
-    """The layers of ring_graph(params), each a list of its vertices in
-    order, and its edges in canonical order."""
-    n, k = params.n, params.k
-    layers = [[Vertex(layer, index) for index in range(1, n + 1)] for layer in range(1, k + 1)]
-    # canonical order: a vertex of layer i is below its neighbours in layer i + 1, and layer 1's
-    # also below layer k's, so each vertex's edges upward come out sorted, vertex by vertex
-    above = [layers[1] + layers[-1], *layers[2:], []]
-    return layers, list(map(tuple.__new__, repeat(Edge), chain.from_iterable(map(product, layers, above))))
+    return params.graph
 
 
 def complete_bipartite(n: int) -> Graph:

@@ -10,8 +10,10 @@ backtracking on index arrays and int bitmasks. ``ringcol.graphs.build_graph``
 must match the plain ``build_graph`` here, which makes a new ``Vertex`` for
 every label and endpoint, checks every one of them for two ``int`` entries
 (a float or bool equal to an integer label included), and validates in the
-same order with the same messages; ``ringcol.io.coloring_from_dict`` must
-match the plain ``coloring_from_dict`` in the same way.
+same order with the same messages. It builds its own adjacency lists too
+and holds ``Graph.adjacency``, which the library builds on first read, to
+them. ``ringcol.io.coloring_from_dict`` must match the plain
+``coloring_from_dict`` in the same way.
 
 ``edge_dfs`` is the plain form of ``ringcol.engines.edge_dfs``, which the
 fast one must match node for node: per-vertex used colors with the spread
@@ -103,7 +105,10 @@ def build_graph(n, k, vertices, edges):
 
     if sum(len(inc) for inc in adj.values()) != 2 * len(esorted):
         raise SoundnessError("adjacency lists must hold every edge once per endpoint")
-    return Graph(n=n, k=k, vertices=vsorted, edges=esorted, adjacency=adj)
+    g = Graph(n=n, k=k, vertices=vsorted, edges=esorted)
+    if list(g.adjacency.items()) != list(adj.items()):  # the library builds it on first read
+        raise SoundnessError("the graph's adjacency differs from the reference's lists")
+    return g
 
 
 def coloring_from_dict(doc):

@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -238,10 +239,14 @@ _READERS = {
 }
 
 
-def _assert_readers_agree(document, path):
+def _assert_readers_agree(document, path, g=None):
+    """Each reader of a document, and ``load_coloring(path, g)`` given a graph g,
+    returns what its dict reader returns or raises what it raises."""
     fast, through_dict = _READERS[document]
     got = _read(fast, path)
     assert got == _read(through_dict, path)
+    if g is not None:
+        assert _read(lambda p: load_coloring(p, g), path) == got
     if isinstance(got, Graph):
         # one Vertex object per label, however many edges spell it
         assert len({id(v) for v in got.vertices} | {id(v) for e in got.edges for v in e}) == len(got.vertices)
@@ -318,7 +323,7 @@ def test_readers_match_the_dict_readers_on_mutated_files(tmp_path, document, mut
         write_coloring(mirrored_staircase_coloring(params), path)
     text = mutate(path.read_text(encoding="utf-8"))
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    _assert_readers_agree(document, path)
+    _assert_readers_agree(document, path, ring_graph(params) if document == "coloring" else None)
 
 
 @given(g=small_graphs(), data=st.data())
@@ -334,7 +339,7 @@ def test_readers_match_the_dict_readers_after_any_one_edit(g, data):
             at, cut = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
             new = data.draw(st.sampled_from(["", *'0123456789-[]{}, :"\n\r.etk']))
             path.write_bytes((text[:at] + new + text[at + cut:]).encode("utf-8"))
-            _assert_readers_agree(document, path)
+            _assert_readers_agree(document, path, g if document == "coloring" else None)
 
 
 @pytest.mark.parametrize("c", [
@@ -403,6 +408,74 @@ def test_load_coloring_keeps_no_parsed_document(tmp_path):
     coloring, peak = _traced_peak(load_coloring, path)
     assert len(coloring.colors) == 16 * 16 * 16
     assert peak < 7 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def _onto_ring_4_6(text):
+    """The coloring copies ``load_coloring(path, ring(4,6))`` is tested on, from
+    the writer's text of ring(4,6)'s and ring(4,8)'s mirrored staircases."""
+    doc = json.loads(text)
+    swapped = dict(doc, edges=[doc["edges"][1], doc["edges"][0], *doc["edges"][2:]])
+    return {
+        "written": text,
+        "swapped": json.dumps(swapped, sort_keys=True) + "\n",
+        "dropped": json.dumps(dict(doc, edges=doc["edges"][:-1]), sort_keys=True) + "\n",
+        "indented": json.dumps(doc, indent=2, sort_keys=True),
+        "crlf": text.replace("\n", "\r\n"),
+    }
+
+
+@pytest.mark.parametrize("case", ["written", "swapped", "dropped", "another-ring", "indented", "crlf"])
+def test_load_coloring_onto_a_graph_matches_the_plain_reader(tmp_path, case):
+    # the same value as load_coloring(path), or the same error with the same message; keyed by g's own
+    # edges whenever the entries spell g.edges in order, which the dropped and swapped copies do not
+    g = ring_graph(RingParams(4, 6))
+    path = tmp_path / "c.json"
+    write_coloring(mirrored_staircase_coloring(RingParams(4, 8 if case == "another-ring" else 6)), path)
+    if case != "another-ring":
+        path.write_bytes(_onto_ring_4_6(path.read_text(encoding="utf-8"))[case].encode("utf-8"))
+    got = _read(lambda p: load_coloring(p, g), path)
+    assert got == _read(load_coloring, path)
+    c = load_coloring(path, g)
+    in_order = case in ("written", "indented", "crlf")
+    assert (tuple(c.colors) == g.edges) is in_order
+    if in_order:
+        assert all(map(operator.is_, c.colors, g.edges))
+        assert verify(g, c).is_interval_coloring
+    else:
+        assert not any(map(operator.is_, c.colors, g.edges))
+
+
+def test_writing_reading_and_verifying_a_ring_never_build_its_adjacency(tmp_path):
+    # the adjacency is built on first read; none of these reads it on a coloring that passes
+    params = RingParams(4, 6)
+    g = ring_graph(params)
+    colorings = [t_coloring(params, t) for t in (8, 12, 15)]
+    write_graph(g, tmp_path / "g.json")
+    write_coloring(colorings[1], tmp_path / "c.json")
+    loaded = load_graph(tmp_path / "g.json")
+    read = load_coloring(tmp_path / "c.json", loaded)
+    assert read == colorings[1]
+    assert all(verify(g, c).is_interval_coloring for c in colorings)
+    assert verify(loaded, read).is_interval_coloring
+    assert "adjacency" not in vars(g) and "adjacency" not in vars(loaded)
+
+
+def test_construct_and_verify_check_the_coloring_on_the_graph_it_colors(tmp_path, monkeypatch):
+    # construct verifies against the ring its coloring was lifted onto, and verify against the graph
+    # it loaded, whose own edges key the coloring: each key is found by identity
+    checked = []
+
+    def spy(g, coloring):
+        checked.append(all(map(operator.is_, coloring.colors, g.edges)) and len(coloring.colors) == len(g.edges))
+        return verify(g, coloring)
+
+    monkeypatch.setattr(cli, "verify", spy)
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    assert run(tmp_path, "generate", "--n", "3", "--k", "6", "--out", str(gpath)) == 0
+    assert run(tmp_path, "construct", "--n", "3", "--k", "6", "--out", str(cpath)) == 0
+    assert run(tmp_path, "construct", "--n", "3", "--k", "6", "--t", "7", "--out", str(tmp_path / "c7.json")) == 0
+    assert run(tmp_path, "verify", "--graph", str(gpath), "--coloring", str(cpath)) == 0
+    assert checked == [True, True, True]
 
 
 def test_dot_source_lists_colored_edges():

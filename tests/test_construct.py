@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,6 +323,7 @@ def test_t_coloring_verifies_at_every_t_of_the_range():
                 c = t_coloring(params, t)
                 assert c.t == t and verify(g, c).is_interval_coloring, (n, k, t)
                 assert list(c.colors) == list(g.edges), (n, k, t)  # lifted onto the ring's own edge order
+                assert all(map(operator.is_, c.colors, g.edges)), (n, k, t)  # keyed by its very edges
 
 
 def test_t_coloring_is_the_block_rule_over_a_closed_form_of_c_k():

@@ -1,11 +1,13 @@
+import dataclasses
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringcol import (
     Edge,
+    Graph,
     ParameterError,
     RingParams,
     SoundnessError,
@@ -20,7 +22,7 @@ from ringcol import (
 from ringcol.graphs import assemble_graph
 
 import reference
-from strategies import compositions, graph_inputs
+from strategies import compositions, graph_inputs, small_graphs
 
 
 def is_connected(g):
@@ -112,6 +114,39 @@ def test_params_validation():
         RingParams(2, 2)
     with pytest.raises(ParameterError):
         complete_bipartite(0)
+
+
+def test_ring_graph_is_built_once_per_params():
+    params = RingParams(3, 5)
+    g = ring_graph(params)
+    assert ring_graph(params) is g and params.graph is g
+    again = ring_graph(RingParams(3, 5))
+    assert again is not g and again == g and ring_graph(n=3, k=5) == g
+    # the kept graph is no field: parameters compare and hash by n and k alone
+    assert RingParams(3, 5) == params and hash(RingParams(3, 5)) == hash(params)
+
+
+def test_graph_equality_and_hash_range_over_bounds_vertices_and_edges():
+    g, h = ring_graph(n=2, k=4), ring_graph(n=2, k=4)
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "k", "vertices", "edges"]
+    assert g.adjacency and g.end_plan and "adjacency" not in vars(h)  # cached on g alone
+    assert g == h and hash(g) == hash(h) == hash((2, 4, g.vertices, g.edges))
+    assert {g: "ring"}[h] == "ring"
+    for other in (Graph(3, 4, g.vertices, g.edges), Graph(2, 5, g.vertices, g.edges),
+                  Graph(2, 4, g.vertices, g.edges[1:]), Graph(2, 4, g.vertices[:-1], g.edges)):
+        assert other != g
+
+
+@given(g=small_graphs())
+@example(g=build_graph(2, 3, [(3, 2), (1, 1), (2, 1), (1, 2)], [((2, 1), (1, 1))]))
+@example(g=build_graph(1, 2, [(1, 1), (2, 1)], []))
+@settings(max_examples=100, deadline=None)
+def test_end_plan_counts_degrees_without_the_adjacency(g):
+    # isolated vertices included: the drawn vertex sets leave some out of every edge, and so do the examples
+    plan = g.end_plan
+    assert "adjacency" not in vars(g)
+    assert [(g.vertices[a], g.vertices[b]) for a, b in zip(plan.us, plan.vs)] == list(g.edges)
+    assert plan.deg == tuple(len(g.adjacency[v]) for v in g.vertices)
 
 
 @pytest.mark.parametrize(
